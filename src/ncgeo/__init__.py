@@ -6,7 +6,6 @@ and minimal geodesics, with a seeded verification-suite runner.
 
 from .core import (
     TracialAlgebra,
-    SpectralDecomposition,
     StepFunction,
     trace_tau,
     inner_tau,

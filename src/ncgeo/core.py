@@ -21,7 +21,9 @@ trace and the norms this module provides:
   * the spectral scale lambda_t and the generalized s-numbers mu_t as
     right-continuous step functions on (0, 1],
   * the 2pi-periodic sawtooth folding of Hermitian symbols, and
-  * the degree-p bilinear form H_a(b, c) with its quadratic form.
+  * the blockwise eigenframe of a skew-Hermitian element, in which the
+    degree-p bilinear form H_a(b, c) of a whole stack of directions is one
+    contraction, with the quadratic form built on it.
 
 Matrices are plain complex numpy arrays; every function is pure.
 """
@@ -36,7 +38,6 @@ import scipy.linalg
 
 __all__ = [
     "TracialAlgebra",
-    "SpectralDecomposition",
     "StepFunction",
     "is_hermitian",
     "is_skew_hermitian",
@@ -49,8 +50,6 @@ __all__ = [
     "random_hermitian",
     "random_skew",
     "random_unitary",
-    "hermitian_eig",
-    "unitary_eig",
     "unitary_exp",
     "principal_log",
     "AdAnalytic",
@@ -59,6 +58,7 @@ __all__ = [
     "spectral_scale",
     "s_numbers",
     "fold_symbol",
+    "Eigenframe",
     "h_form",
     "quadratic_form",
 ]
@@ -164,39 +164,45 @@ def _check_dim(x: np.ndarray, alg: TracialAlgebra) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _max_entry(x: np.ndarray) -> float:
-    return float(np.max(np.abs(x))) if x.size else 0.0
+def _max_entries(x: np.ndarray) -> np.ndarray:
+    """Largest entry modulus of each matrix of x, shape (..., n, n)."""
+    return np.abs(x).max(axis=(-2, -1), initial=0.0)
+
+
+def _symmetric_up_to(x, sign, tol) -> bool:
+    """Whether x = sign x* for x, or for every matrix of a stack (m, n, n)."""
+    x = np.asarray(x)
+    tol = ENTRY_TOL * x.shape[-1] if tol is None else tol
+    defect = _max_entries(x - sign * np.swapaxes(x, -1, -2).conj())
+    return bool(np.all(defect <= tol * np.maximum(1.0, _max_entries(x))))
 
 
 def is_hermitian(x: np.ndarray, tol: float | None = None) -> bool:
-    x = np.asarray(x)
-    n = x.shape[0]
-    tol = ENTRY_TOL * n if tol is None else tol
-    return _max_entry(x - x.conj().T) <= tol * max(1.0, _max_entry(x))
+    return _symmetric_up_to(x, 1.0, tol)
 
 
 def is_skew_hermitian(x: np.ndarray, tol: float | None = None) -> bool:
-    x = np.asarray(x)
-    n = x.shape[0]
-    tol = ENTRY_TOL * n if tol is None else tol
-    return _max_entry(x + x.conj().T) <= tol * max(1.0, _max_entry(x))
+    return _symmetric_up_to(x, -1.0, tol)
 
 
 def is_unitary(u: np.ndarray, tol: float | None = None) -> bool:
     u = np.asarray(u)
     n = u.shape[0]
     tol = ENTRY_TOL * n if tol is None else tol
-    return _max_entry(u.conj().T @ u - np.eye(n)) <= tol
+    return bool(_max_entries(u.conj().T @ u - np.eye(n)) <= tol)
 
 
 def in_algebra(x: np.ndarray, alg: TracialAlgebra, tol: float = 1e-12) -> bool:
-    """True when x is supported on the diagonal blocks of the algebra."""
-    x = _check_dim(x, alg)
-    mask = np.ones((alg.dim, alg.dim), dtype=bool)
+    """True when x, or every matrix of a stack, is supported on the diagonal blocks."""
+    x = np.asarray(x, dtype=complex)
+    if x.shape[-2:] != (alg.dim, alg.dim):
+        raise ValueError(f"matrix shape {x.shape} does not match algebra dim {alg.dim}")
+    if len(alg.block_dims) == 1:
+        return True
+    off = x.copy()
     for sl in alg.block_slices():
-        mask[sl, sl] = False
-    off = _max_entry(x[mask]) if mask.any() else 0.0
-    return off <= tol * max(1.0, _max_entry(x))
+        off[..., sl, sl] = 0.0
+    return bool(np.all(_max_entries(off) <= tol * np.maximum(1.0, _max_entries(x))))
 
 
 def operator_norm(x: np.ndarray) -> float:
@@ -213,6 +219,12 @@ def trace_tau(x: np.ndarray, alg: TracialAlgebra) -> complex:
 def _tau_product(x: np.ndarray, y: np.ndarray, alg: TracialAlgebra) -> complex:
     """tau(x y) without forming the product matrix."""
     return complex(np.einsum("i,ij,ji->", _diag_weights(alg), x, y))
+
+
+def _tau_stack(x: np.ndarray, stack: np.ndarray, alg: TracialAlgebra) -> np.ndarray:
+    """tau(x b_k) for every b_k of a stack of shape (m, n, n), in one contraction."""
+    xd = np.asarray(x).T * _diag_weights(alg)
+    return stack.reshape(len(stack), xd.size) @ xd.ravel()
 
 
 def inner_tau(a: np.ndarray, b: np.ndarray, alg: TracialAlgebra) -> float:
@@ -276,71 +288,6 @@ def random_unitary(alg: TracialAlgebra, rng: np.random.Generator) -> np.ndarray:
         ph = ph / np.abs(ph)
         out[sl, sl] = q * ph[None, :]
     return out
-
-
-# ---------------------------------------------------------------------------
-# spectral decompositions
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class SpectralDecomposition:
-    """x = frame @ diag(eigenvalues) @ frame*, with per-eigenvalue trace weights."""
-
-    eigenvalues: np.ndarray
-    frame: np.ndarray
-    weights: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.frame * self.eigenvalues[None, :]) @ self.frame.conj().T
-
-    def apply(self, fn) -> np.ndarray:
-        """Functional calculus: frame @ diag(fn(eigenvalues)) @ frame*."""
-        return (self.frame * fn(self.eigenvalues)[None, :]) @ self.frame.conj().T
-
-
-def hermitian_eig(x: np.ndarray, alg: TracialAlgebra) -> SpectralDecomposition:
-    """Blockwise eigendecomposition of a Hermitian element."""
-    x = _check_dim(x, alg)
-    if not is_hermitian(x):
-        raise ValueError("hermitian_eig requires a Hermitian matrix")
-    vals = np.empty(alg.dim)
-    frame = np.zeros((alg.dim, alg.dim), dtype=complex)
-    for sl in alg.block_slices():
-        w, v = np.linalg.eigh(x[sl, sl])
-        vals[sl] = w
-        frame[sl, sl] = v
-    dec = SpectralDecomposition(vals, frame, _diag_weights(alg).copy())
-    _check_reconstruction(dec, x)
-    return dec
-
-
-def unitary_eig(u: np.ndarray, alg: TracialAlgebra) -> SpectralDecomposition:
-    """Blockwise eigendecomposition of a unitary (Schur form; T is diagonal
-    for normal input)."""
-    u = _check_dim(u, alg)
-    if not is_unitary(u, tol=1e-9):
-        raise ValueError("unitary_eig requires a unitary matrix")
-    vals = np.empty(alg.dim, dtype=complex)
-    frame = np.zeros((alg.dim, alg.dim), dtype=complex)
-    for sl in alg.block_slices():
-        t, q = scipy.linalg.schur(u[sl, sl], output="complex")
-        lam = np.diagonal(t).copy()
-        lam = lam / np.abs(lam)
-        vals[sl] = lam
-        frame[sl, sl] = q
-    dec = SpectralDecomposition(vals, frame, _diag_weights(alg).copy())
-    _check_reconstruction(dec, u)
-    return dec
-
-
-def _check_reconstruction(dec: SpectralDecomposition, x: np.ndarray, tol: float = 1e-10):
-    scale = max(1.0, operator_norm(x))
-    err = operator_norm(dec.reconstruct() - x)
-    if err > tol * scale:
-        raise np.linalg.LinAlgError(
-            f"spectral reconstruction error {err:.3e} exceeds {tol:.1e} * ||x||"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +516,7 @@ def fold_symbol(z: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the degree-p bilinear form
+# the eigenframe derivative layer and the degree-p bilinear form
 # ---------------------------------------------------------------------------
 
 
@@ -580,21 +527,60 @@ def _check_even_p(p) -> int:
     return p
 
 
+class Eigenframe:
+    """Blockwise eigenframe w = V diag(i lam) V* of a skew-Hermitian element.
+
+    Each block is diagonalized on its own, so V commutes with the trace
+    weights and tau(V x~ V*) = sum_a d_a x~_aa (a full eigendecomposition
+    could mix blocks sharing an eigenvalue and detach the weights).  Powers
+    of w and functions of ad w act on x~ = V* x V as entrywise multipliers
+    (Daleckii-Krein), so a stack of directions costs one batched transform.
+    w must be a skew-Hermitian element of the algebra; the callers check
+    their inputs once, not at every Newton iterate.
+    """
+
+    def __init__(self, w: np.ndarray, alg: TracialAlgebra):
+        self.lam = np.empty(alg.dim)
+        self.frame = np.zeros((alg.dim, alg.dim), dtype=complex)
+        for sl in alg.block_slices():
+            self.lam[sl], self.frame[sl, sl] = np.linalg.eigh(-1j * w[sl, sl])
+        self.weights = _diag_weights(alg)
+
+    def transform(self, x: np.ndarray) -> np.ndarray:
+        """x~ = V* x V for one matrix or a stack of shape (m, n, n)."""
+        return self.frame.conj().T @ x @ self.frame
+
+    def ad_symbol(self, fn) -> np.ndarray:
+        """Multiplier of fn(ad w) on x~: fn(i(lam_b - lam_a)) at (a, b)."""
+        return fn(1j * (self.lam[None, :] - self.lam[:, None]))
+
+    def h_matrix(self, left: np.ndarray, right: np.ndarray, p: int) -> np.ndarray:
+        """H_jl = H_w(b_j, c_l) from transformed stacks left = (b~_j), right = (c~_l):
+        -p Re sum_ab d_a gamma_ab b~_ab c~_ba with gamma_ab = sum_k lam_a^(p-2-k) lam_b^k."""
+        powers = self.lam[None, :] ** np.arange(p - 1)[:, None]
+        gamma = powers[::-1].T @ powers
+        size = gamma.size
+        x = (left * (self.weights[:, None] * gamma)).reshape(len(left), size)
+        y = np.swapaxes(right, 1, 2).reshape(len(right), size)
+        return -p * np.real(x @ y.T)
+
+
 def h_form(a: np.ndarray, b: np.ndarray, c: np.ndarray, p: int, alg: TracialAlgebra) -> float:
     """H_a(b, c) = (-1)^(p/2) p sum_{k=0}^{p-2} tau(a^{p-2-k} b a^k c).
 
-    Symmetric and positive semidefinite in (b, c) for skew-Hermitian inputs;
-    it is the Hessian, in direction coefficients, of c |-> ||z - c.b||_p^p.
+    Evaluated in the eigenframe of the skew-Hermitian a (Eigenframe): for
+    skew-Hermitian c it is p Re sum_ab d_a gamma_ab b~_ab conj(c~_ab) with
+    gamma_ab = sum_k lam_a^(p-2-k) lam_b^k >= 0, so it is symmetric and
+    positive semidefinite; it is the Hessian of c |-> ||z - c.b||_p^p.
     """
     p = _check_even_p(p)
-    sign = (-1) ** (p // 2)
-    powers = [np.eye(alg.dim, dtype=complex)]
-    for _ in range(p - 2):
-        powers.append(powers[-1] @ a)
-    total = 0.0 + 0.0j
-    for k in range(p - 1):
-        total += _tau_product(powers[p - 2 - k] @ b @ powers[k], c, alg)
-    return float(np.real(sign * p * total))
+    a = _check_dim(a, alg)
+    if not is_skew_hermitian(a, tol=1e-9 * alg.dim) or not in_algebra(a, alg):
+        raise ValueError("h_form needs a skew-Hermitian element a of the algebra")
+    frame = Eigenframe(a, alg)
+    bt = frame.transform(np.asarray(b, dtype=complex))
+    ct = frame.transform(np.asarray(c, dtype=complex))
+    return float(frame.h_matrix(bt[None], ct[None], p)[0, 0])
 
 
 def quadratic_form(a: np.ndarray, b: np.ndarray, p: int, alg: TracialAlgebra) -> float:

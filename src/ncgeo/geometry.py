@@ -425,17 +425,18 @@ class QuotientDistanceResult:
 
 
 def _coset_value_and_grad(base, c, G, p, alg):
+    """||w||_p^p at w = log(base e^{B(c)}) and its gradient (-1)^(p/2) p tau(w^{p-1} F(ad B) b_k).
+
+    In the trace pairing F(ad B) transposes to F(-ad B) = G(ad B), so the
+    symbol is applied once, to w^{p-1}, which is then paired with the stacked basis.
+    """
     Bc = G.combine(c)
     calc = AdAnalytic(Bc)
     w = principal_log(base @ calc.exp())
     sign = (-1) ** (p // 2)
     f = float(np.real(sign * core.trace_tau(np.linalg.matrix_power(w, p), alg)))
-    wp1 = np.linalg.matrix_power(w, p - 1)
-    onb = G.onb()
-    grad = np.empty(len(onb))
-    for k, bk in enumerate(onb):
-        fb = calc.apply("F", bk)
-        grad[k] = sign * p * float(np.real(core._tau_product(wp1, fb, alg)))
+    pulled = calc.apply("G", np.linalg.matrix_power(w, p - 1))
+    grad = sign * p * np.real(core._tau_stack(pulled, G.onb(), alg))
     return f, grad
 
 
@@ -445,7 +446,9 @@ def _coset_polish(base, g, G, p, alg, tol, max_steps=60):
     Right-translations g -> g e^{d} have first variation
     (-1)^(p/2) p tau(w^{p-1} b_k) and, at the optimum, Hessian
     H_w(F(ad w)^{-1} b_j, b_k); the residual max_k |tau(w^{p-1} b_k)| is the
-    minimal-lifting certificate for w.
+    minimal-lifting certificate for w.  In the eigenframe of w, F(ad w)^{-1}
+    is the multiplier 1/F(i(lam_b - lam_a)); the angle gaps of a principal
+    logarithm stay below 2 pi, where F has no zero, so it exists at every iterate.
     """
     onb = G.onb()
     sign = (-1) ** (p // 2)
@@ -454,28 +457,22 @@ def _coset_polish(base, g, G, p, alg, tol, max_steps=60):
     f = float(np.real(sign * core.trace_tau(np.linalg.matrix_power(w, p), alg)))
     resid = np.inf
     for _ in range(max_steps):
-        wp1 = np.linalg.matrix_power(w, p - 1)
-        t = np.array([float(np.real(core._tau_product(wp1, bk, alg))) for bk in onb])
+        t = np.real(core._tau_stack(np.linalg.matrix_power(w, p - 1), onb, alg))
         resid = float(np.max(np.abs(t))) if m else 0.0
         if resid <= tol:
             break
         grad = sign * p * t
-        step = None
-        if core.operator_norm(w) < 0.45 * math.pi:
-            calc = AdAnalytic(w)
-            hess = np.empty((m, m))
-            for j in range(m):
-                wj = calc.apply("F_inv", onb[j])
-                for k in range(m):
-                    hess[j, k] = core.h_form(w, wj, onb[k], p, alg)
-            hess = (hess + hess.T) / 2.0
-            damp = 1e-10 * max(1.0, float(np.trace(hess)) / max(m, 1))
-            try:
-                step = np.linalg.solve(hess + damp * np.eye(m), -grad)
-                if not np.isfinite(step).all() or float(step @ grad) >= 0.0:
-                    step = None
-            except np.linalg.LinAlgError:
+        frame = core.Eigenframe(w, alg)
+        bt = frame.transform(onb)
+        hess = frame.h_matrix(bt / frame.ad_symbol(core._sym_F), bt, p)
+        hess = (hess + hess.T) / 2.0
+        damp = 1e-10 * max(1.0, float(np.trace(hess)) / max(m, 1))
+        try:
+            step = np.linalg.solve(hess + damp * np.eye(m), -grad)
+            if not np.isfinite(step).all() or float(step @ grad) >= 0.0:
                 step = None
+        except np.linalg.LinAlgError:
+            step = None
         if step is None:
             step = -grad / max(float(np.linalg.norm(grad)), 1e-300)
         scale = 1.0
@@ -522,6 +519,8 @@ def quotient_distance(
     alg = space.ambient
     G = space.isotropy
     base = np.asarray(u, dtype=complex).conj().T @ np.asarray(v, dtype=complex)
+    if not core.in_algebra(base, alg):
+        raise ValueError("quotient_distance requires unitaries of the algebra (no off-block entries)")
     m = G.dim
     if m == 0:
         w = principal_log(base)

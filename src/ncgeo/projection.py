@@ -19,6 +19,14 @@ is smooth and strictly convex in c with exact gradient and Hessian
 so a damped Newton iteration converges with a first-order certificate:
 w is the minimal residual if and only if tau(w^{p-1} b_k) = 0 for all k.
 
+Each iterate costs one blockwise eigendecomposition w = V diag(i lam) V*
+(core.Eigenframe); the gradient is one contraction of the stacked basis
+against w^{p-1}, and with b~_j = V* b_j V (one batched transform) and d_a
+the trace weight of eigenvector a the Hessian is one more contraction,
+
+    hess_jk f = p Re sum_ab d_a gamma_ab b~_j[a, b] conj(b~_k[a, b]),
+    gamma_ab = sum_{i=0}^{p-2} lam_a^{p-2-i} lam_b^i.
+
 The module also provides trace-preserving conditional expectations onto
 the enumerated subalgebra kinds used by the model spaces, and the quotient
 norm inf_y ||z - y|| (exact via Q for even p, a certified upper bound via
@@ -81,11 +89,13 @@ class SkewSubspace:
     def __post_init__(self):
         self.basis = [np.asarray(b, dtype=complex) for b in self.basis]
         n = self.ambient.dim
-        for b in self.basis:
-            if b.shape != (n, n):
-                raise ValueError("basis element shape does not match the ambient algebra")
-            if not core.is_skew_hermitian(b, tol=1e-10 * n):
-                raise ValueError("basis elements must be skew-Hermitian")
+        if any(b.shape != (n, n) for b in self.basis):
+            raise ValueError("basis element shape does not match the ambient algebra")
+        stack = np.array(self.basis).reshape(len(self.basis), n, n)
+        if not core.is_skew_hermitian(stack, tol=1e-10 * n):
+            raise ValueError("basis elements must be skew-Hermitian")
+        if not core.in_algebra(stack, self.ambient):
+            raise ValueError("basis elements must lie in the algebra (no off-block entries)")
 
     @property
     def dim(self) -> int:
@@ -100,9 +110,8 @@ class SkewSubspace:
     def coords(self, z: np.ndarray) -> np.ndarray:
         """Coefficients of the trace-orthogonal projection of z."""
         b = self.onb()
-        if len(b) == 0:
-            return np.zeros(0)
-        return np.array([core.inner_tau(z, bk, self.ambient) for bk in b])
+        zd = np.asarray(z, dtype=complex) * core._diag_weights(self.ambient)
+        return np.real(b.reshape(len(b), zd.size).conj() @ zd.ravel())
 
     def combine(self, c: np.ndarray) -> np.ndarray:
         b = self.onb()
@@ -168,18 +177,22 @@ def standard_skew_basis(alg: TracialAlgebra) -> list:
 
 
 def _gram_schmidt(basis, alg, gram_tol):
-    if len(basis) == 0:
-        return np.zeros((0, alg.dim, alg.dim), dtype=complex)
-    out = []
-    for b in basis:
-        r = b.astype(complex)
-        for g in out:
-            r = r - core.inner_tau(r, g, alg) * g
-        norm2 = core.inner_tau(r, r, alg)
-        if norm2 <= gram_tol:
-            raise ValueError("rank-deficient basis: Gram determinant below gram_tol")
-        out.append(r / np.sqrt(norm2))
-    return np.array(out)
+    """Gram-Schmidt in order, as a thin QR of the real coordinates scaled
+    by sqrt(d_i) per column (diag R > 0, so Q is the Gram-Schmidt basis)."""
+    n, m = alg.dim, len(basis)
+    real_dim = sum(d * d for d in alg.block_dims)
+    if m > real_dim:
+        raise ValueError(f"rank-deficient basis: {m} elements in a skew part of real dimension {real_dim}")
+    if m == 0:
+        return np.zeros((0, n, n), dtype=complex)
+    root = np.sqrt(core._diag_weights(alg))
+    scaled = np.asarray(basis, dtype=complex).reshape(m, n * n) * np.tile(root, n)
+    q, r = np.linalg.qr(np.concatenate([scaled.real, scaled.imag], axis=1).T)
+    diag = np.diagonal(r)
+    if np.any(diag**2 <= gram_tol):
+        raise ValueError("rank-deficient basis: Gram determinant below gram_tol")
+    q = (q * np.sign(diag)).T
+    return (q[:, : n * n] + 1j * q[:, n * n :]).reshape(m, n, n) / root
 
 
 def orthonormal_basis(S: SkewSubspace) -> SkewSubspace:
@@ -271,26 +284,15 @@ def _objective(w: np.ndarray, p: int, alg: TracialAlgebra) -> float:
 
 
 def _grad_and_residual(w, onb, p, alg):
-    wp1 = np.linalg.matrix_power(w, p - 1)
-    sign = (-1) ** (p // 2)
-    t = np.array([np.real(core._tau_product(wp1, bk, alg)) for bk in onb])
-    grad = -sign * p * t
+    t = np.real(core._tau_stack(np.linalg.matrix_power(w, p - 1), onb, alg))
+    grad = -((-1) ** (p // 2)) * p * t
     return grad, float(np.max(np.abs(t))) if len(t) else 0.0
 
 
 def _hessian(w, onb, p, alg):
-    m = len(onb)
-    powers = [np.eye(alg.dim, dtype=complex)]
-    for _ in range(p - 2):
-        powers.append(powers[-1] @ w)
-    sign = (-1) ** (p // 2)
-    hess = np.zeros((m, m))
-    for j in range(m):
-        mats = [powers[p - 2 - k] @ onb[j] @ powers[k] for k in range(p - 1)]
-        for l in range(j, m):
-            val = sum(core._tau_product(mk, onb[l], alg) for mk in mats)
-            hess[j, l] = hess[l, j] = float(np.real(sign * p * val))
-    return hess
+    frame = core.Eigenframe(w, alg)
+    bt = frame.transform(onb)
+    return frame.h_matrix(bt, bt, p)
 
 
 def best_approximant(
@@ -314,6 +316,8 @@ def best_approximant(
     z = np.asarray(z, dtype=complex)
     if not core.is_skew_hermitian(z, tol=1e-9 * alg.dim):
         raise ValueError("best_approximant requires a skew-Hermitian input")
+    if not core.in_algebra(z, alg):
+        raise ValueError("best_approximant requires an element of the algebra (no off-block entries)")
     onb = S.onb()
     if len(onb) == 0:
         return ProjectionResult(np.zeros_like(z), z.copy(), 0.0, 0, p, np.zeros(0))

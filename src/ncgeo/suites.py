@@ -242,10 +242,10 @@ def environment_stamp() -> dict:
 
 
 def _n_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("NCGEO_THREADS", "1")))
-    except ValueError:
-        return 1
+    raw = os.environ.get("NCGEO_THREADS", "1")
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise ValueError(f"NCGEO_THREADS must be a positive integer (got {raw!r})")
+    return int(raw)
 
 
 def _run_trials(seed: int, label: str, n: int, fn):
@@ -806,6 +806,7 @@ _SUITE_FNS = {
 
 def run_verification_suite(config: SuiteConfig) -> VerificationReport:
     """Execute the selected suites and assemble the deterministic report."""
+    _n_workers()  # reject a bad NCGEO_THREADS before any trial runs
     records = []
     for name in config.suites:
         records.extend(_SUITE_FNS[name](config))

@@ -121,6 +121,18 @@ def test_verify_runs_and_is_deterministic(files, capsys, monkeypatch):
     assert all("runtime_s" not in r for r in rep["records"])
 
 
+@pytest.mark.parametrize("threads", ["abc", "0"])
+def test_verify_rejects_bad_thread_count(threads, files, capsys, monkeypatch):
+    cfg = _write(files / "cfg.json", {"seed": 7, "dims": [2], "p_list": [2], "trials": 1, "suites": ["core"]})
+    monkeypatch.setenv("NCGEO_THREADS", threads)
+    assert main(["verify", "--config", cfg, "--report", str(files / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert "NCGEO_THREADS" in err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (files / "r.json").exists()
+
+
 def test_verify_exit_one_on_violation(files, monkeypatch):
     # an absurdly tight tolerance forces a recorded violation
     cfg = _write(

@@ -464,6 +464,81 @@ def test_h_form_symmetry_and_bilinearity(rng, m3):
 
 
 # ---------------------------------------------------------------------------
+# the eigenframe layer against the power-sum formula
+# ---------------------------------------------------------------------------
+
+ORACLE_ALGS = {
+    "m3": TracialAlgebra.full(3),
+    "m5": TracialAlgebra.full(5),
+    "m2xm2": TracialAlgebra.tensor_square(2),
+    "m2+m3": TracialAlgebra.direct_sum((2, 3), (0.3, 0.7)),
+}
+
+
+def power_sum_h_form(a, b, c, p, alg):
+    """Reference H_a(b, c) = (-1)^(p/2) p sum_k tau(a^{p-2-k} b a^k c) by explicit products."""
+    total = sum(
+        trace_tau(np.linalg.matrix_power(a, p - 2 - k) @ b @ np.linalg.matrix_power(a, k) @ c, alg)
+        for k in range(p - 1)
+    )
+    return float(np.real((-1) ** (p // 2) * p * total))
+
+
+def shared_eigenvalue_element(alg, rng):
+    """Skew element of M2 (+) M3 whose two blocks share the eigenvalue 0.7i.
+
+    A full-matrix eigendecomposition may mix the blocks' eigenvectors for
+    the shared eigenvalue and so detach the trace weights (0.3/2 vs 0.7/3).
+    """
+    out = np.zeros((alg.dim, alg.dim), dtype=complex)
+    for sl, lam in zip(alg.block_slices(), ([0.7, -0.4], [0.7, 0.2, -1.1])):
+        q = core.random_unitary(TracialAlgebra.full(len(lam)), rng)
+        out[sl, sl] = (q * (1j * np.array(lam))) @ q.conj().T
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 4, 6, 8])
+@pytest.mark.parametrize("name", sorted(ORACLE_ALGS))
+def test_eigenframe_h_matrix_matches_power_sum_oracle(name, p, rng):
+    alg = ORACLE_ALGS[name]
+    for trial in range(3):
+        if name == "m2+m3" and trial < 2:
+            a = shared_eigenvalue_element(alg, rng)
+        else:
+            a = core.random_skew(alg, rng)
+        stack = np.array([core.random_skew(alg, rng) for _ in range(5)])
+        ref = np.array([[power_sum_h_form(a, b, c, p, alg) for c in stack] for b in stack])
+        frame = core.Eigenframe(a, alg)
+        bt = frame.transform(stack)
+        hess = frame.h_matrix(bt, bt, p)
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs(hess - ref)) <= 1e-12 * scale
+        assert np.max(np.abs(hess - hess.T)) <= 1e-12 * scale
+        assert np.min(np.linalg.eigvalsh((hess + hess.T) / 2.0)) >= -1e-12 * scale
+        assert h_form(a, stack[0], stack[1], p, alg) == pytest.approx(ref[0, 1], abs=1e-12 * scale)
+        # the frame stays block diagonal, so the weights stay attached
+        for i, si in enumerate(alg.block_slices()):
+            for j, sj in enumerate(alg.block_slices()):
+                if i != j:
+                    assert not frame.frame[si, sj].any()
+
+
+def test_eigenframe_reconstructs_and_h_form_rejects_bad_input(rng, m2_plus_m3):
+    a = shared_eigenvalue_element(m2_plus_m3, rng)
+    frame = core.Eigenframe(a, m2_plus_m3)
+    rebuilt = (frame.frame * (1j * frame.lam)) @ frame.frame.conj().T
+    assert operator_norm(rebuilt - a) < 1e-13
+    assert np.sum(np.isclose(frame.lam, 0.7, atol=1e-12)) == 2
+    b = core.random_skew(m2_plus_m3, rng)
+    with pytest.raises(ValueError):
+        h_form(core.random_hermitian(m2_plus_m3, rng), b, b, 4, m2_plus_m3)
+    off = a.copy()
+    off[0, 4], off[4, 0] = 0.3, -0.3
+    with pytest.raises(ValueError):
+        h_form(off, b, b, 4, m2_plus_m3)
+
+
+# ---------------------------------------------------------------------------
 # predicates and algebra structure
 # ---------------------------------------------------------------------------
 

@@ -273,6 +273,32 @@ def test_quotient_distance_partial_isometry_oracle(rng):
         assert qd.value >= vals.min() - 1e-4
 
 
+@pytest.mark.parametrize("trial, p", [(0, 4), (1, 6)])
+def test_quotient_distance_certifies_far_from_the_identity(trial, p):
+    # minimizers with ||w|| above 0.45 pi used to get only normalized
+    # gradient steps in the polish and stalled near residual 1e-7 without
+    # raising; the eigenframe Newton step applies wherever F(ad w) is
+    # invertible, which is every principal logarithm
+    from ncgeo.rng import trial_stream
+
+    sp = build_model_space(ModelSpec("center-quotient", blocks=(3, 3)))
+    rng = trial_stream(7, "coset", trial)
+    u = unitary_exp(core.random_skew(sp.ambient, rng, 0.8))
+    v = unitary_exp(core.random_skew(sp.ambient, rng, 0.8))
+    qd = quotient_distance(sp, u, v, p, multistarts=6, seed=trial)
+    w = principal_log(u.conj().T @ v @ qd.g_opt)
+    assert operator_norm(w) > 0.5 * np.pi
+    assert qd.stationarity_residual <= 1e-9
+    assert qd.value == pytest.approx(p_norm(w, p, sp.ambient), abs=1e-12)
+
+
+def test_quotient_distance_rejects_unitaries_outside_the_algebra(rng):
+    sp = SPACES["center-quotient"]
+    swap = np.eye(4, dtype=complex)[[2, 1, 0, 3]]
+    with pytest.raises(ValueError):
+        quotient_distance(sp, np.eye(4, dtype=complex), swap, 4)
+
+
 def test_quotient_distance_metric_axioms(rng):
     sp = SPACES["center-quotient"]
     alg = sp.ambient

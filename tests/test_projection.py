@@ -7,6 +7,8 @@ from ncgeo import core
 from ncgeo.core import TracialAlgebra, operator_norm, p_norm
 from ncgeo.projection import (
     SkewSubspace,
+    _grad_and_residual,
+    _hessian,
     best_approximant,
     conditional_expectation,
     hermitian_best_approximant,
@@ -66,6 +68,50 @@ def test_orthonormal_basis_rejects_rank_deficiency(rng):
     b = core.random_skew(M3, rng)
     with pytest.raises(ValueError):
         orthonormal_basis(SkewSubspace(M3, [b, 2.0 * b]))
+
+
+def modified_gram_schmidt(basis, alg):
+    """Reference: modified Gram-Schmidt in the trace inner product."""
+    out = []
+    for b in basis:
+        r = b.astype(complex)
+        for g in out:
+            r = r - core.inner_tau(r, g, alg) * g
+        out.append(r / np.sqrt(core.inner_tau(r, r, alg)))
+    return np.array(out)
+
+
+@pytest.mark.parametrize(
+    "alg",
+    [M4, T2, TracialAlgebra.direct_sum((2, 3), (0.3, 0.7))],
+    ids=["m4", "m2xm2", "m2+m3"],
+)
+def test_orthonormal_basis_matches_modified_gram_schmidt(alg, rng):
+    basis = [core.random_skew(alg, rng) for _ in range(6)]
+    onb = SkewSubspace(alg, basis).onb()
+    assert np.max(np.abs(onb - modified_gram_schmidt(basis, alg))) < 1e-12
+    z = core.random_skew(alg, rng)
+    coords = [core.inner_tau(z, b, alg) for b in onb]
+    assert np.allclose(SkewSubspace(alg, basis).coords(z), coords, atol=1e-13)
+
+
+def test_orthonormal_basis_rejects_too_many_elements(rng):
+    basis = [core.random_skew(M3, rng) for _ in range(10)]
+    with pytest.raises(ValueError):
+        orthonormal_basis(SkewSubspace(M3, basis))
+    # nine generic elements span the whole skew part of M3
+    assert orthonormal_basis(SkewSubspace(M3, basis[:9])).dim == 9
+
+
+def test_subspace_and_best_approximant_reject_off_block_entries(rng):
+    alg = TracialAlgebra.direct_sum((2, 3), (0.3, 0.7))
+    off = np.zeros((5, 5), dtype=complex)
+    off[0, 4], off[4, 0] = 1.0, -1.0
+    with pytest.raises(ValueError):
+        SkewSubspace(alg, [core.random_skew(alg, rng), off])
+    S = SkewSubspace(alg, [core.random_skew(alg, rng) for _ in range(3)])
+    with pytest.raises(ValueError):
+        best_approximant(core.random_skew(alg, rng) + 0.2 * off, S, 4)
 
 
 def test_subspace_rejects_non_skew():
@@ -250,6 +296,38 @@ def test_phi_bijection_identities(rng):
         img = f - res.projection
         assert p_norm(F.project(img) - f, 4, M4) < 1e-8
         assert p_norm(best_approximant(img, S, 4).projection, 4, M4) < 1e-8
+
+
+def power_sum_hessian(w, onb, p, alg):
+    """Reference Hessian H_w(b_j, b_l) by the explicit power-sum formula."""
+    powers = [np.linalg.matrix_power(w, k) for k in range(p - 1)]
+    out = np.empty((len(onb), len(onb)))
+    for j, bj in enumerate(onb):
+        left = sum(powers[p - 2 - k] @ bj @ powers[k] for k in range(p - 1))
+        for l, bl in enumerate(onb):
+            out[j, l] = np.real((-1) ** (p // 2) * p * core.trace_tau(left @ bl, alg))
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 4, 6, 8])
+@pytest.mark.parametrize(
+    "alg",
+    [M3, TracialAlgebra.full(6), T2, TracialAlgebra.direct_sum((2, 3), (0.3, 0.7))],
+    ids=["m3", "m6", "m2xm2", "m2+m3"],
+)
+def test_hessian_matches_power_sum_oracle(alg, p, rng):
+    S = _random_subspace(alg, rng, min(7, alg.dim**2))
+    onb = S.onb()
+    for _ in range(3):
+        w = core.random_skew(alg, rng)
+        ref = power_sum_hessian(w, onb, p, alg)
+        hess = _hessian(w, onb, p, alg)
+        assert np.max(np.abs(hess - ref)) <= 1e-12 * np.max(np.abs(ref))
+        grad, resid = _grad_and_residual(w, onb, p, alg)
+        wp1 = np.linalg.matrix_power(w, p - 1)
+        t = np.array([np.real(core._tau_product(wp1, bk, alg)) for bk in onb])
+        assert np.allclose(grad, -((-1) ** (p // 2)) * p * t, rtol=1e-12, atol=1e-13)
+        assert resid == pytest.approx(np.max(np.abs(t)), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
