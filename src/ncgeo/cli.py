@@ -14,6 +14,7 @@ Subcommands
 Every compute command prints one JSON record to standard output.  Exit
 status: 0 on success, 1 when the verification suite reports violations,
 2 on usage or schema errors (the offending precondition is named on
+standard error), 3 when a numerical solver does not converge (one line on
 standard error).  NCGEO_THREADS caps the suite worker pool.
 """
 
@@ -27,7 +28,7 @@ import numpy as np
 from . import core
 from .geometry import epsilon_isometric_lift, minimal_geodesic, quotient_distance, unitary_distance
 from .models import build_model_space
-from .projection import best_approximant, quotient_norm
+from .projection import ConvergenceError, best_approximant, quotient_norm
 from .serialization import (
     SchemaError,
     algebra_from_json,
@@ -43,6 +44,7 @@ from .serialization import (
 from .suites import SuiteConfig, run_verification_suite
 
 USAGE_ERROR = 2
+NON_CONVERGENCE = 3
 
 
 def _parse_p(text: str):
@@ -252,6 +254,9 @@ def main(argv=None) -> int:
     except (SchemaError, ValueError) as exc:
         sys.stderr.write(f"ncgeo: {exc}\n")
         return USAGE_ERROR
+    except ConvergenceError as exc:
+        sys.stderr.write(f"ncgeo: no convergence: {exc}\n")
+        return NON_CONVERGENCE
     except OSError as exc:
         sys.stderr.write(f"ncgeo: {exc}\n")
         return USAGE_ERROR

@@ -16,7 +16,8 @@ trace and the norms this module provides:
     (eigen-angles in (-pi, pi], the angle pi assigned to eigenvalue -1),
   * analytic functions of the adjoint operator ad a = R_a - L_a evaluated
     through the eigenframe of a (symbols F(w) = (e^w - 1)/w and
-    G(w) = (1 - e^{-w})/w together with their inverses),
+    G(w) = (1 - e^{-w})/w together with their inverses, in closed form
+    e^{+-ix/2} sinc(x/2pi) on the imaginary axis w = ix),
   * the differential of the exponential map e^a F(ad a) b,
   * the spectral scale lambda_t and the generalized s-numbers mu_t as
     right-continuous step functions on (0, 1],
@@ -207,7 +208,12 @@ def in_algebra(x: np.ndarray, alg: TracialAlgebra, tol: float = 1e-12) -> bool:
 
 def operator_norm(x: np.ndarray) -> float:
     """Largest singular value (the uniform norm of M)."""
-    return float(np.linalg.norm(np.asarray(x, dtype=complex), 2))
+    return float(np.linalg.svd(np.asarray(x, dtype=complex), compute_uv=False)[0])
+
+
+def _max_operator_norm(stack: np.ndarray) -> float:
+    """Largest operator norm over a stack of matrices (one batched SVD)."""
+    return float(np.linalg.svd(stack, compute_uv=False)[:, 0].max())
 
 
 def trace_tau(x: np.ndarray, alg: TracialAlgebra) -> complex:
@@ -295,13 +301,23 @@ def random_unitary(alg: TracialAlgebra, rng: np.random.Generator) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _skew_frame(z: np.ndarray):
+    """Eigen-angles (ascending) and eigenframe of skew-Hermitian z:
+    -iz = V diag(theta) V*, so ||z|| = max |theta|."""
+    return np.linalg.eigh(-1j * z)
+
+
+def _exp_from_frame(theta: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    """e^z = V diag(e^{i theta}) V* for one eigenframe or a stack of them."""
+    return (frame * np.exp(1j * theta)[..., None, :]) @ np.conj(np.swapaxes(frame, -1, -2))
+
+
 def unitary_exp(z: np.ndarray) -> np.ndarray:
     """e^z for skew-Hermitian z, through the eigenframe of -iz."""
     z = np.asarray(z, dtype=complex)
     if not is_skew_hermitian(z, tol=1e-10 * z.shape[0]):
         raise ValueError("unitary_exp requires a skew-Hermitian argument")
-    theta, frame = np.linalg.eigh(-1j * z)
-    return (frame * np.exp(1j * theta)[None, :]) @ frame.conj().T
+    return _exp_from_frame(*_skew_frame(z))
 
 
 def principal_log(u: np.ndarray) -> np.ndarray:
@@ -329,22 +345,47 @@ def principal_log(u: np.ndarray) -> np.ndarray:
 # analytic functions of ad a
 # ---------------------------------------------------------------------------
 
-_SERIES_CUT = 1e-2
+def _sym_F(x: np.ndarray) -> np.ndarray:
+    """F(ix) = (e^{ix} - 1)/(ix) = e^{ix/2} sinc(x/2pi) for real angle gaps x.
+
+    F is only ever evaluated on the imaginary axis (the spectrum of ad a for
+    skew-Hermitian a), where the closed form has no branch: F(0) = 1.
+    """
+    return np.exp(0.5j * x) * np.sinc(x / (2.0 * np.pi))
 
 
-def _sym_F(w: np.ndarray) -> np.ndarray:
-    """F(w) = (e^w - 1)/w with the removable singularity F(0) = 1."""
-    w = np.asarray(w, dtype=complex)
-    small = np.abs(w) < _SERIES_CUT
-    ws = np.where(small, 0.0, w)
-    direct = np.divide(np.exp(ws) - 1.0, ws, out=np.ones_like(w), where=~small)
-    series = 1 + w / 2 + w**2 / 6 + w**3 / 24 + w**4 / 120 + w**5 / 720 + w**6 / 5040
-    return np.where(small, series, direct)
+def _sym_G(x: np.ndarray) -> np.ndarray:
+    """G(ix) = (1 - e^{-ix})/(ix) = F(-ix) = e^{-ix/2} sinc(x/2pi)."""
+    return np.exp(-0.5j * x) * np.sinc(x / (2.0 * np.pi))
 
 
-def _sym_G(w: np.ndarray) -> np.ndarray:
-    """G(w) = (1 - e^{-w})/w = F(-w)."""
-    return _sym_F(-np.asarray(w, dtype=complex))
+def _ad_multiplier(theta: np.ndarray, fn_tag: str) -> np.ndarray:
+    """Multiplier of phi(ad a) on V* b V for -ia = V diag(theta) V*, theta
+    ascending (as eigh returns it).
+
+    phi in {F, G, F_inv, G_inv} acts at (k, l) by phi(i(theta_l - theta_k));
+    the inverse symbols are guaranteed invertible only for ||a|| < pi/2.
+    """
+    gaps = theta[None, :] - theta[:, None]
+    if fn_tag == "F":
+        return _sym_F(gaps)
+    if fn_tag == "G":
+        return _sym_G(gaps)
+    if fn_tag in ("F_inv", "G_inv"):
+        norm = max(-theta[0], theta[-1]) if len(theta) else 0.0
+        if norm >= np.pi / 2:
+            raise ValueError(
+                "inverse symbols need ||a|| < pi/2 (got "
+                f"{norm:.6f}); invertibility is not guaranteed beyond"
+            )
+        return 1.0 / (_sym_F(gaps) if fn_tag == "F_inv" else _sym_G(gaps))
+    raise ValueError(f"unknown symbol tag {fn_tag!r}")
+
+
+def _ad_apply(theta: np.ndarray, frame: np.ndarray, fn_tag: str, b: np.ndarray) -> np.ndarray:
+    """phi(ad a) b from the eigenframe -ia = V diag(theta) V* (see _ad_multiplier)."""
+    frame_adj = frame.conj().T
+    return frame @ (_ad_multiplier(theta, fn_tag) * (frame_adj @ b @ frame)) @ frame_adj
 
 
 class AdAnalytic:
@@ -352,9 +393,8 @@ class AdAnalytic:
 
     With a = U diag(i theta) U*, conjugation by U turns ad a into entrywise
     multiplication by i(theta_l - theta_k) at position (k, l); an analytic
-    symbol phi acts by the multiplier phi(i(theta_l - theta_k)).  Eigen-angle
-    differences below 1e-10 * ||a|| are snapped to zero so degenerate pairs
-    always take the removable-singularity branch.
+    symbol phi acts by the multiplier phi(i(theta_l - theta_k)) (see
+    _ad_multiplier).
 
     The instance caches the eigenframe, so several symbols can be applied
     to the same a at the cost of one eigendecomposition.
@@ -364,36 +404,14 @@ class AdAnalytic:
         a = np.asarray(a, dtype=complex)
         if not is_skew_hermitian(a, tol=1e-10 * a.shape[0]):
             raise ValueError("ad-calculus requires a skew-Hermitian generator")
-        self.theta, self.frame = np.linalg.eigh(-1j * a)
-        self.norm = float(np.max(np.abs(self.theta))) if a.shape[0] else 0.0
-        diff = self.theta[None, :] - self.theta[:, None]
-        diff[np.abs(diff) <= 1e-10 * max(self.norm, 1e-300)] = 0.0
-        self._arg = 1j * diff
-
-    def _multiplier(self, fn_tag: str) -> np.ndarray:
-        if fn_tag == "F":
-            return _sym_F(self._arg)
-        if fn_tag == "G":
-            return _sym_G(self._arg)
-        if fn_tag in ("F_inv", "G_inv"):
-            if self.norm >= np.pi / 2:
-                raise ValueError(
-                    "inverse symbols need ||a|| < pi/2 (got "
-                    f"{self.norm:.6f}); invertibility is not guaranteed beyond"
-                )
-            base = _sym_F(self._arg) if fn_tag == "F_inv" else _sym_G(self._arg)
-            return 1.0 / base
-        raise ValueError(f"unknown symbol tag {fn_tag!r}")
+        self.theta, self.frame = _skew_frame(a)
 
     def apply(self, fn_tag: str, b: np.ndarray) -> np.ndarray:
-        b = np.asarray(b, dtype=complex)
-        mult = self._multiplier(fn_tag)
-        bt = self.frame.conj().T @ b @ self.frame
-        return self.frame @ (mult * bt) @ self.frame.conj().T
+        return _ad_apply(self.theta, self.frame, fn_tag, np.asarray(b, dtype=complex))
 
     def exp(self, t: float = 1.0) -> np.ndarray:
         """e^{t a} from the cached eigenframe."""
-        return (self.frame * np.exp(1j * t * self.theta)[None, :]) @ self.frame.conj().T
+        return _exp_from_frame(t * self.theta, self.frame)
 
 
 def apply_analytic_ad(a: np.ndarray, fn_tag: str, b: np.ndarray) -> np.ndarray:
@@ -551,8 +569,9 @@ class Eigenframe:
         return self.frame.conj().T @ x @ self.frame
 
     def ad_symbol(self, fn) -> np.ndarray:
-        """Multiplier of fn(ad w) on x~: fn(i(lam_b - lam_a)) at (a, b)."""
-        return fn(1j * (self.lam[None, :] - self.lam[:, None]))
+        """Multiplier of fn(ad w) on x~: the symbol at i(lam_b - lam_a), placed at
+        (a, b); fn takes the real angle gaps (as _sym_F and _sym_G do)."""
+        return fn(self.lam[None, :] - self.lam[:, None])
 
     def h_matrix(self, left: np.ndarray, right: np.ndarray, p: int) -> np.ndarray:
         """H_jl = H_w(b_j, c_l) from transformed stacks left = (b~_j), right = (c~_l):

@@ -20,7 +20,10 @@ tau(w^{p-1} y) = 0 for all isotropy directions y).
 
 The module also contains: the lifting ODE dz/dt = G(ad z)^{-1} w(t) solved
 by a classical 4th-order one-step method with step halving against a
-finite-difference defect bound; almost-isometric lifts of orbit curves
+finite-difference defect bound (each stage costs one eigendecomposition of
+its argument, in whose frame G(ad z)^{-1} is an entrywise multiplier; the
+per-node exponentials, drift, defect and velocities are stacked after the
+steps); almost-isometric lifts of orbit curves
 built from the polygonal approximation of -Q(Gamma* dGamma); initial-value
 minimal geodesics with certified minimal symbols; the rectifiable length
 of orbit curves as a supremum of partition sums; and the convexity and
@@ -139,15 +142,19 @@ class SampledCurve:
             out[k] = (v - v.conj().T) / 2.0
         return out
 
-    def value(self, t: float) -> np.ndarray:
-        """Linear interpolation of an algebra-valued curve."""
+    def values(self, ts) -> np.ndarray:
+        """Linear interpolation of an algebra-valued curve at every parameter of ts."""
         if self.target != "algebra":
-            raise ValueError("value() interpolates algebra-valued curves only")
-        t = float(np.clip(t, 0.0, 1.0))
+            raise ValueError("values() interpolates algebra-valued curves only")
+        t = np.clip(np.asarray(ts, dtype=float), 0.0, 1.0)
         h = self.grid[1] - self.grid[0]
-        k = min(int(t / h), self.n_intervals - 1)
-        s = (t - self.grid[k]) / h
+        k = np.minimum((t / h).astype(int), self.n_intervals - 1)
+        s = ((t - self.grid[k]) / h)[:, None, None]
         return (1.0 - s) * self.nodes[k] + s * self.nodes[k + 1]
+
+    def value(self, t: float) -> np.ndarray:
+        """Linear interpolation of an algebra-valued curve at one parameter."""
+        return self.values([t])[0]
 
 
 _FD_INTERIOR = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
@@ -166,8 +173,7 @@ def _differentiate_nodes(nodes: np.ndarray, grid: np.ndarray) -> np.ndarray:
         raise ValueError("finite differences need at least 5 nodes")
     h = grid[1] - grid[0]
     du = np.empty_like(nodes)
-    for k in range(2, m - 2):
-        du[k] = np.tensordot(_FD_INTERIOR, nodes[k - 2 : k + 3], axes=1) / h
+    du[2 : m - 2] = sum(c * nodes[j : m - 4 + j] for j, c in enumerate(_FD_INTERIOR)) / h
     du[0] = np.tensordot(_FD_LEFT[0], nodes[:5], axes=1) / h
     du[1] = np.tensordot(_FD_LEFT[1], nodes[:5], axes=1) / h
     du[m - 1] = -np.tensordot(_FD_LEFT[0], nodes[m - 5 :][::-1], axes=1) / h
@@ -633,40 +639,51 @@ def lift_ode_solve(
     # one-sided 4th-order differences)
     mult = max(4, math.ceil((min_nodes - 1) / n_base))
     n_steps = n_base * mult
-    alg_dim = space.ambient.dim
+    n = space.ambient.dim
 
     last = None
     for refinement in range(max_refinements + 1):
         h = 1.0 / n_steps
         grid = np.linspace(0.0, 1.0, n_steps + 1)
-        z = np.zeros((alg_dim, alg_dim), dtype=complex)
-        u_base = np.eye(alg_dim, dtype=complex)
+        # the field at the nodes (even entries) and the half-steps (odd)
+        w_fine = w_curve.values(np.linspace(0.0, 1.0, 2 * n_steps + 1))
+        w_nodes = w_fine[::2]
+        z_nodes = np.empty((n_steps + 1, n, n), dtype=complex)
+        thetas = np.empty((n_steps + 1, n))
+        frames = np.empty_like(z_nodes)
+        bases = np.empty_like(z_nodes)
+        jumps = np.empty((n_steps, n, n), dtype=complex)
+        z = np.zeros((n, n), dtype=complex)
+        theta, frame = core._skew_frame(z)
+        u_base = np.eye(n, dtype=complex)
         restarts = 0
-        drift = 0.0
-        z_nodes = np.empty((n_steps + 1, alg_dim, alg_dim), dtype=complex)
-        u_nodes = np.empty_like(z_nodes)
-        z_nodes[0] = z
-        u_nodes[0] = u_base
-
-        def field(t, zz):
-            return AdAnalytic(zz).apply("G_inv", w_curve.value(t))
+        first_restart = n_steps + 1
+        z_nodes[0], thetas[0], frames[0], bases[0] = z, theta, frame, u_base
 
         for i in range(n_steps):
-            t0 = grid[i]
-            k1 = field(t0, z)
-            k2 = field(t0 + h / 2, z + (h / 2) * k1)
-            k3 = field(t0 + h / 2, z + (h / 2) * k2)
-            k4 = field(t0 + h, z + h * k3)
+            # one eigenframe per stage; the frame of z serves stage k1, the
+            # restart test (||z|| = max |theta|) and the node exponential
+            k1 = core._ad_apply(theta, frame, "G_inv", w_fine[2 * i])
+            k2 = core._ad_apply(*core._skew_frame(z + (h / 2) * k1), "G_inv", w_fine[2 * i + 1])
+            k3 = core._ad_apply(*core._skew_frame(z + (h / 2) * k2), "G_inv", w_fine[2 * i + 1])
+            k4 = core._ad_apply(*core._skew_frame(z + h * k3), "G_inv", w_fine[2 * i + 2])
             z = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
             zp = G.project(z)
-            drift = max(drift, core.operator_norm(z - zp))
+            jumps[i] = z - zp
             z = zp
-            if core.operator_norm(z) >= 0.45 * math.pi:
-                u_base = unitary_exp(z) @ u_base
+            theta, frame = core._skew_frame(z)
+            if max(-theta[0], theta[-1]) >= 0.45 * math.pi:
+                u_base = core._exp_from_frame(theta, frame) @ u_base
                 z = np.zeros_like(z)
+                theta, frame = core._skew_frame(z)
                 restarts += 1
-            u_nodes[i + 1] = unitary_exp(z) @ u_base
-            z_nodes[i + 1] = z if restarts == 0 else principal_log(u_nodes[i + 1])
+                first_restart = min(first_restart, i + 1)
+            z_nodes[i + 1], thetas[i + 1], frames[i + 1], bases[i + 1] = z, theta, frame, u_base
+
+        u_nodes = core._exp_from_frame(thetas, frames) @ bases
+        for i in range(first_restart, n_steps + 1):
+            z_nodes[i] = principal_log(u_nodes[i])
+        drift = core._max_operator_norm(jumps)
 
         # differentiate u segment by segment: u is smooth between the kinks
         # of the polygonal field, so stencils must not straddle them
@@ -675,13 +692,9 @@ def lift_ode_solve(
         for s in range(n_base):
             lo, hi = s * seg, (s + 1) * seg
             du[lo : hi + 1] = _differentiate_nodes(u_nodes[lo : hi + 1], grid[lo : hi + 1])
-        defect = 0.0
-        for i in range(n_steps + 1):
-            defect = max(
-                defect,
-                core.operator_norm(du[i] @ u_nodes[i].conj().T - w_curve.value(grid[i])),
-            )
-        vel = np.array([u_nodes[i].conj().T @ w_curve.value(grid[i]) @ u_nodes[i] for i in range(n_steps + 1)])
+        u_adj = np.conj(np.swapaxes(u_nodes, 1, 2))
+        defect = core._max_operator_norm(du @ u_adj - w_nodes)
+        vel = u_adj @ w_nodes @ u_nodes
         vel = (vel - np.conj(np.swapaxes(vel, 1, 2))) / 2.0
         last = LiftResult(
             SampledCurve(grid, z_nodes, target="algebra"),
@@ -754,12 +767,12 @@ def epsilon_isometric_lift(
     # adjacent-jump modulus < epsilon/3 is kept as the continuity fallback
     band = 0.0
     h = curve.grid[1] - curve.grid[0]
+    w_mid = w_curve.values((curve.grid[:-1] + curve.grid[1:]) / 2.0)
     for k in range(curve.n_intervals):
         chord = principal_log(curve.nodes[k].conj().T @ curve.nodes[k + 1])
         v_half = (chord - chord.conj().T) / (2.0 * h)
         res = best_approximant(v_half, space.isotropy, p, tol=tol)
-        t_mid = (curve.grid[k] + curve.grid[k + 1]) / 2.0
-        band = max(band, core.p_norm(w_curve.value(t_mid) + res.projection, p, alg))
+        band = max(band, core.p_norm(w_mid[k] + res.projection, p, alg))
     jumps = max(core.p_norm(alpha[k + 1] - alpha[k], p, alg) for k in range(len(alpha) - 1))
     if band > 0.8 * epsilon and jumps >= epsilon / 3.0:
         raise ValueError(

@@ -61,7 +61,7 @@ EXPECTATION_KINDS = ("center-blocks", "diag-m2", "special-diag-m2", "commutant-o
 
 
 class ConvergenceError(RuntimeError):
-    """The best-approximant iteration hit its cap without certifying optimality."""
+    """A solver (best approximant, lifting ODE) hit its cap without certifying its answer."""
 
 
 # ---------------------------------------------------------------------------

@@ -492,9 +492,14 @@ def suite_projection(cfg: SuiteConfig) -> list:
     return records
 
 
+#: grid rows of the lattice sweep evaluated at once (bounds its memory)
+_LATTICE_SLAB_ROWS = 64
+
+
 def _lattice_search(z, S, p, alg):
     """Dense coefficient sweep (pitch 1e-3, two 10x refinements) independent
-    of the Newton path; two-dimensional subspaces only."""
+    of the Newton path; two-dimensional subspaces only.  The objective grid
+    is filled in slabs of rows, so memory does not grow with the full grid."""
     onb = orthonormal_basis(S)
     b = np.array(onb.basis)
     wvec = core._diag_weights(alg)
@@ -503,13 +508,15 @@ def _lattice_search(z, S, p, alg):
     def sweep(c0, half_width, pitch):
         g1 = np.arange(c0[0] - half_width, c0[0] + half_width + pitch / 2, pitch)
         g2 = np.arange(c0[1] - half_width, c0[1] + half_width + pitch / 2, pitch)
-        cc1, cc2 = np.meshgrid(g1, g2, indexing="ij")
-        w = z[None, None] - cc1[..., None, None] * b[0][None, None] - cc2[..., None, None] * b[1][None, None]
-        w2 = w @ w
-        wp = w2
-        for _ in range(p // 2 - 1):
-            wp = wp @ w2
-        vals = sign * np.einsum("...ii,i->...", wp, wvec).real
+        vals = np.empty((len(g1), len(g2)))
+        for lo in range(0, len(g1), _LATTICE_SLAB_ROWS):
+            c1 = g1[lo : lo + _LATTICE_SLAB_ROWS]
+            w = z - c1[:, None, None, None] * b[0] - g2[None, :, None, None] * b[1]
+            w2 = w @ w
+            wp = w2
+            for _ in range(p // 2 - 1):
+                wp = wp @ w2
+            vals[lo : lo + len(c1)] = sign * np.einsum("...ii,i->...", wp, wvec).real
         kk = np.unravel_index(np.argmin(vals), vals.shape)
         return np.array([g1[kk[0]], g2[kk[1]]])
 

@@ -9,6 +9,7 @@ from ncgeo import core
 from ncgeo.cli import main
 from ncgeo.core import TracialAlgebra
 from ncgeo.geometry import exp_curve
+from ncgeo.projection import ConvergenceError
 from ncgeo.serialization import canonical_dumps, curve_to_json, matrix_to_json
 
 
@@ -78,6 +79,22 @@ def test_lift_command(files, capsys, rng):
     out = json.loads(capsys.readouterr().out)
     assert out["length_p"] < out["quotient_length_p"] + 1e-2 + 1e-5
     assert out["ode_defect"] < 1e-6
+
+
+def test_lift_non_convergence_exits_three(files, capsys, rng, monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise ConvergenceError("lifting ODE defect 1.000e-03 above 1.0e-06 after 6 refinements")
+
+    monkeypatch.setattr("ncgeo.cli.epsilon_isometric_lift", no_convergence)
+    space = _write(files / "s.json", {"kind": "diag-m2", "blocks": [2], "p_list": [2, 4]})
+    z = core.random_skew(TracialAlgebra.tensor_square(2), rng, 0.3)
+    curve = _write(files / "c.json", curve_to_json(exp_curve(z, 33)))
+    assert main(["lift", "--space", space, "--curve", curve, "--p", "4", "--epsilon", "1e-2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "lifting ODE defect" in captured.err
 
 
 def test_usage_errors(files, capsys):

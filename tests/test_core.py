@@ -203,6 +203,19 @@ def test_ad_symbols_at_zero_generator(rng, m3):
         assert operator_norm(out - b) < 1e-13
 
 
+@pytest.mark.parametrize("x", [0.0, 1e-12, -1e-12, 1e-2, -1e-2, 1.0, -1.0, 3.0, -3.0, 6.0, -6.0])
+def test_ad_symbols_match_quadrature(x):
+    # F(ix) = int_0^1 e^{ixt} dt and G(ix) = int_0^1 e^{-ixt} dt, referenced
+    # by 40-digit Gauss-Legendre quadrature
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for symbol, sign in ((core._sym_F, 1), (core._sym_G, -1)):
+            ref = mpmath.quad(lambda t: mpmath.expj(sign * x * t), [0, 1], method="gauss-legendre")
+            val = complex(symbol(np.array(x)))
+            assert abs(mpmath.mpc(val) - ref) <= 1e-15 * abs(ref)
+            assert abs(mpmath.mpc(1.0 / val) - 1 / ref) <= 1e-15 * abs(1 / ref)
+
+
 def test_ad_inverse_composition(rng, m4):
     for _ in range(20):
         a = core.random_skew(m4, rng)

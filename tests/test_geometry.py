@@ -10,6 +10,7 @@ from ncgeo import core
 from ncgeo.core import TracialAlgebra, operator_norm, p_norm, principal_log, unitary_exp
 from ncgeo.geometry import (
     HomSpace,
+    _differentiate_nodes,
     SampledCurve,
     apply_action,
     convexity_probe,
@@ -426,6 +427,121 @@ def test_lift_rejects_field_outside_isotropy(rng):
     w = SampledCurve(np.linspace(0, 1, 5), np.repeat(bad[None], 5, axis=0), target="algebra")
     with pytest.raises(ValueError):
         lift_ode_solve(w, sp)
+
+
+def _reference_lift(w_curve, space, defect_tol=1e-6, drift_tol=1e-9, max_refinements=6, min_nodes=65):
+    """The per-step RK4 lifting solver the stacked one replaced: an AdAnalytic
+    field per stage, an SVD restart test and a unitary_exp per node."""
+    G = space.isotropy
+    n_base = w_curve.n_intervals
+    n_steps = n_base * max(4, math.ceil((min_nodes - 1) / n_base))
+    n = space.ambient.dim
+
+    def field(t, zz):
+        return core.AdAnalytic(zz).apply("G_inv", w_curve.value(t))
+
+    for refinement in range(max_refinements + 1):
+        h = 1.0 / n_steps
+        grid = np.linspace(0.0, 1.0, n_steps + 1)
+        z = np.zeros((n, n), dtype=complex)
+        u_base = np.eye(n, dtype=complex)
+        restarts = 0
+        drift = 0.0
+        z_nodes = np.empty((n_steps + 1, n, n), dtype=complex)
+        u_nodes = np.empty_like(z_nodes)
+        z_nodes[0], u_nodes[0] = z, u_base
+        for i in range(n_steps):
+            t0 = grid[i]
+            k1 = field(t0, z)
+            k2 = field(t0 + h / 2, z + (h / 2) * k1)
+            k3 = field(t0 + h / 2, z + (h / 2) * k2)
+            k4 = field(t0 + h, z + h * k3)
+            z = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            zp = G.project(z)
+            drift = max(drift, operator_norm(z - zp))
+            z = zp
+            if operator_norm(z) >= 0.45 * math.pi:
+                u_base = unitary_exp(z) @ u_base
+                z = np.zeros_like(z)
+                restarts += 1
+            u_nodes[i + 1] = unitary_exp(z) @ u_base
+            z_nodes[i + 1] = z if restarts == 0 else principal_log(u_nodes[i + 1])
+        seg = n_steps // n_base
+        du = np.empty_like(u_nodes)
+        for s in range(n_base):
+            lo, hi = s * seg, (s + 1) * seg
+            du[lo : hi + 1] = _differentiate_nodes(u_nodes[lo : hi + 1], grid[lo : hi + 1])
+        defect = max(
+            operator_norm(du[i] @ u_nodes[i].conj().T - w_curve.value(grid[i])) for i in range(n_steps + 1)
+        )
+        vel = np.array([u_nodes[i].conj().T @ w_curve.value(grid[i]) @ u_nodes[i] for i in range(n_steps + 1)])
+        vel = (vel - np.conj(np.swapaxes(vel, 1, 2))) / 2.0
+        if defect <= defect_tol and drift <= drift_tol:
+            break
+        n_steps *= 2
+    return dict(z=z_nodes, u=u_nodes, vel=vel, defect=defect, drift=drift, refinements=refinement, restarts=restarts)
+
+
+def _random_field(sp, rng, n_nodes=9, scale=0.35):
+    nodes = np.array([sp.isotropy.combine(scale * rng.standard_normal(sp.isotropy.dim)) for _ in range(n_nodes)])
+    return SampledCurve(np.linspace(0, 1, n_nodes), nodes, target="algebra")
+
+
+def _constant_field(sp, rng, norm):
+    w0 = sp.isotropy.combine(rng.standard_normal(sp.isotropy.dim))
+    w0 *= norm / operator_norm(w0)
+    return SampledCurve(np.linspace(0, 1, 9), np.repeat(w0[None], 9, axis=0), target="algebra")
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["diag-m2", "center-quotient", "partial-isometry-orbit", "two-restarts", "tight-defect", "drifting-field"],
+)
+def test_lift_matches_per_step_reference(case):
+    rng = np.random.default_rng(31)
+    kwargs = {}
+    if case == "two-restarts":
+        sp = SPACES["diag-m2"]
+        w = _constant_field(sp, rng, 3.0)
+    elif case == "tight-defect":
+        sp = SPACES["diag-m2"]
+        w = _random_field(sp, rng)
+        kwargs = {"defect_tol": 1e-8}
+    elif case == "drifting-field":
+        # a field 5e-9 off the isotropy algebra (inside the 1e-8 admission
+        # tolerance) makes the projection drift measurable above roundoff
+        sp = SPACES["diag-m2"]
+        w = _random_field(sp, rng)
+        off = sp.horizontal_project(core.random_skew(sp.ambient, rng))
+        w.nodes += 5e-9 * off / p_norm(off, 2, sp.ambient)
+    else:
+        sp = SPACES[case]
+        w = _random_field(sp, rng)
+    lift = lift_ode_solve(w, sp, **kwargs)
+    ref = _reference_lift(w, sp, **kwargs)
+    assert (lift.refinements, lift.restarts) == (ref["refinements"], ref["restarts"])
+    assert np.max(np.abs(lift.z.nodes - ref["z"])) <= 1e-12
+    assert np.max(np.abs(lift.u.nodes - ref["u"])) <= 1e-12
+    assert np.max(np.abs(lift.u.velocities - ref["vel"])) <= 1e-12
+    assert abs(lift.defect - ref["defect"]) <= 1e-12
+    assert abs(lift.projection_drift - ref["drift"]) <= 1e-12
+    if case == "two-restarts":
+        assert lift.restarts == 2
+    if case == "drifting-field":
+        assert lift.projection_drift > 1e-12
+        assert lift.projection_drift == pytest.approx(ref["drift"], rel=1e-9)
+    if case == "tight-defect":
+        assert lift.refinements > lift_ode_solve(w, sp).refinements
+
+
+def test_sampled_curve_values_match_value(rng):
+    sp = SPACES["diag-m2"]
+    w = _random_field(sp, rng)
+    ts = np.concatenate([w.grid, rng.uniform(0, 1, 20), [-0.5, 1.5]])
+    vals = w.values(ts)
+    for t, v in zip(ts, vals):
+        assert np.array_equal(v, w.value(t))
+    assert np.array_equal(vals[: len(w.grid)], w.nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Subspaces, conditional expectations, and the certified best approximant."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from ncgeo.projection import (
     quotient_norm,
     standard_skew_basis,
 )
+from ncgeo.suites import _lattice_search
 
 M3 = TracialAlgebra.full(3)
 M4 = TracialAlgebra.full(4)
@@ -449,3 +452,18 @@ def test_hermitian_wrapper_round_trip(rng):
     assert core.is_hermitian(res.projection, tol=1e-10)
     skew = best_approximant(1j * x, S, 4)
     assert operator_norm(res.projection - (-1j) * skew.projection) < 1e-12
+
+
+def test_suite_lattice_oracle_memory_is_bounded():
+    # the suite's reference oracle sweeps a 1101 x 1101 coefficient grid
+    gen = np.random.default_rng(104)
+    S = SkewSubspace(M3, [core.random_skew(M3, gen) for _ in range(2)])
+    z = core.random_skew(M3, gen, 0.6)
+    tracemalloc.start()
+    try:
+        c = _lattice_search(z, S, 4, M3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6
+    assert np.max(np.abs(best_approximant(z, S, 4).coefficients - c)) < 1e-4
