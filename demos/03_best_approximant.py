@@ -23,7 +23,7 @@ for p in (2, 4, 6):
     res = best_approximant(z, S, p)
     print(f"p = {p}: ||z - Q(z)||_p = {p_norm(res.residual, p, alg):.8f}, "
           f"certificate max|tau(w^(p-1) b_k)| = {res.optimality_residual:.2e}, "
-          f"{res.iterations} steps")
+          f"{res.iterations} line-search trials")
 
 print("\nidempotence and homogeneity:")
 res = best_approximant(z, S, 4)

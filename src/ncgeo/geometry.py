@@ -9,14 +9,16 @@ realized by one-parameter curves t |-> u e^{tz}.  A homogeneous space is a
 transitive action of the unitary group together with the isotropy Lie
 algebra at a basepoint; tangent vectors are measured by the quotient norm
 inf_y ||z - y||_p over the isotropy algebra, lengths of orbit curves by
-integrating quotient speeds of lifts, and the coset distance by
+integrating quotient speeds of lifts (``quotient_speeds``), and the coset
+distance by
 
     qd_p(u.x, v.x) = min_{g in G_x} d_p(u, v g),
 
 computed here by a seeded multistart quasi-Newton optimizer over the
 isotropy algebra with an exact first-variation gradient and a stationarity
 certificate (stationarity is equivalent to the minimal-lifting criterion
-tau(w^{p-1} y) = 0 for all isotropy directions y).
+tau(w^{p-1} y) = 0 for all isotropy directions y), then polished by the
+damped-Newton loop of the best approximant (``projection._newton``).
 
 The module also contains: the lifting ODE dz/dt = G(ad z)^{-1} w(t) solved
 by a classical 4th-order one-step method with step halving against a
@@ -42,8 +44,10 @@ import scipy.optimize
 from . import core
 from .core import AdAnalytic, TracialAlgebra, principal_log, unitary_exp
 from .projection import (
+    EXPECTATION_KINDS,
     ConvergenceError,
     SkewSubspace,
+    _newton,
     best_approximant,
     conditional_expectation,
     lifting_certificate,
@@ -61,6 +65,7 @@ __all__ = [
     "apply_action",
     "curve_length_p",
     "quotient_length",
+    "quotient_speeds",
     "unitary_distance",
     "quotient_distance",
     "lift_ode_solve",
@@ -256,7 +261,7 @@ class HomSpace:
     ``kind`` selects the action: "coset" (points are left cosets stored by
     unitary representatives), "conjugation" (points u pt u*), or
     "partial-isometry" (points u pt).  ``isotropy`` must be a Lie algebra
-    (lie_closed); ``supplement`` is the trace-orthogonal complement.
+    (lie_closed).
     ``c_O`` bounds the uniform norm of the horizontal projection against
     the quotient norm; ``k_O_p`` maps each even p to a uniform bound on the
     best-approximant projection, exact where the model provides one and an
@@ -267,10 +272,8 @@ class HomSpace:
     kind: str
     basepoint: np.ndarray
     isotropy: SkewSubspace
-    supplement: SkewSubspace
     c_O: float
     k_O_p: dict
-    exponential_isotropy: bool = True
     model_kind: str = ""
 
     def __post_init__(self):
@@ -310,13 +313,12 @@ class HomSpace:
     def isotropy_defect(self, g: np.ndarray) -> float:
         """Uniform-norm defect of membership of a unitary in the isotropy group."""
         if self.kind == "coset":
-            try:
+            if self.isotropy.kind in EXPECTATION_KINDS:
                 return core.operator_norm(g - conditional_expectation(g, self.isotropy))
-            except ValueError:
-                # generic-basis isotropy: compare against the exponential of
-                # the vertical part of the principal logarithm
-                lg = principal_log(g)
-                return core.operator_norm(g - unitary_exp(self.isotropy.project(lg)))
+            # generic-basis isotropy: compare against the exponential of
+            # the vertical part of the principal logarithm
+            lg = principal_log(g)
+            return core.operator_norm(g - unitary_exp(self.isotropy.project(lg)))
         return core.operator_norm(self.act(g, self.basepoint) - self.basepoint)
 
     def point_equal(self, u: np.ndarray, v: np.ndarray, tol: float = 1e-8) -> bool:
@@ -376,23 +378,31 @@ def curve_length_p(curve: SampledCurve, p, alg: TracialAlgebra) -> float:
     return _simpson(speeds, curve.grid)
 
 
-def quotient_length(curve: SampledCurve, space: HomSpace, p, tol: float = 1e-10) -> float:
-    """Quotient length of the orbit curve below a unitary lift.
-
-    Integrates ||v - Q(v)||_p over the nodewise left velocities v, where Q
-    is the certified best-approximant onto the isotropy algebra (Newton
-    iterations warm-started along the curve).  Independent of the chosen
-    lift up to solver plus quadrature error.
-    """
-    curve.validate_unitary()
-    vel = curve.left_velocities()
+def quotient_speeds(vel: np.ndarray, space: HomSpace, p, tol: float = 1e-10):
+    """Nodewise projections Q(v) and quotient speeds ||v - Q(v)||_p of a
+    stack of velocities, where Q is the certified best approximant onto the
+    isotropy algebra; each solve is warm-started from the previous node's
+    coefficients.  Returns (projections, speeds)."""
+    projections = np.empty_like(vel)
     speeds = np.empty(len(vel))
     warm = None
     for k, v in enumerate(vel):
         res = best_approximant(v, space.isotropy, int(p), tol=tol, x0=warm)
         warm = res.coefficients
+        projections[k] = res.projection
         speeds[k] = core.p_norm(res.residual, p, space.ambient)
-    return _simpson(speeds, curve.grid)
+    return projections, speeds
+
+
+def quotient_length(curve: SampledCurve, space: HomSpace, p, tol: float = 1e-10) -> float:
+    """Quotient length of the orbit curve below a unitary lift.
+
+    Integrates the quotient speeds ||v - Q(v)||_p of the nodewise left
+    velocities v (``quotient_speeds``).  Independent of the chosen lift up
+    to solver plus quadrature error.
+    """
+    curve.validate_unitary()
+    return _simpson(quotient_speeds(curve.left_velocities(), space, p, tol)[1], curve.grid)
 
 
 def quotient_uniform_length(curve: SampledCurve, space: HomSpace) -> float:
@@ -446,61 +456,29 @@ def _coset_value_and_grad(base, c, G, p, alg):
     return f, grad
 
 
-def _coset_polish(base, g, G, p, alg, tol, max_steps=60):
-    """Multiplicative damped Newton to drive the stationarity residual down.
+def _coset_polish(base, g, G, p, alg, tol):
+    """Multiplicative damped Newton (``_newton``) on the stationarity residual.
 
     Right-translations g -> g e^{d} have first variation
     (-1)^(p/2) p tau(w^{p-1} b_k) and, at the optimum, Hessian
     H_w(F(ad w)^{-1} b_j, b_k); the residual max_k |tau(w^{p-1} b_k)| is the
     minimal-lifting certificate for w.  In the eigenframe of w, F(ad w)^{-1}
     is the multiplier 1/F(i(lam_b - lam_a)); the angle gaps of a principal
-    logarithm stay below 2 pi, where F has no zero, so it exists at every iterate.
+    logarithm stay below 2 pi, where F has no zero, so it exists at every
+    iterate.  Trials on the cut locus, where the log is not smooth, are halved.
     """
-    onb = G.onb()
-    sign = (-1) ** (p // 2)
-    m = len(onb)
-    w = principal_log(base @ g)
-    f = float(np.real(sign * core.trace_tau(np.linalg.matrix_power(w, p), alg)))
-    resid = np.inf
-    for _ in range(max_steps):
-        t = np.real(core._tau_stack(np.linalg.matrix_power(w, p - 1), onb, alg))
-        resid = float(np.max(np.abs(t))) if m else 0.0
-        if resid <= tol:
-            break
-        grad = sign * p * t
-        frame = core.Eigenframe(w, alg)
-        bt = frame.transform(onb)
-        hess = frame.h_matrix(bt / frame.ad_symbol(core._sym_F), bt, p)
-        hess = (hess + hess.T) / 2.0
-        damp = 1e-10 * max(1.0, float(np.trace(hess)) / max(m, 1))
-        try:
-            step = np.linalg.solve(hess + damp * np.eye(m), -grad)
-            if not np.isfinite(step).all() or float(step @ grad) >= 0.0:
-                step = None
-        except np.linalg.LinAlgError:
-            step = None
-        if step is None:
-            step = -grad / max(float(np.linalg.norm(grad)), 1e-300)
-        scale = 1.0
-        slope = float(step @ grad)
-        roundoff = 64.0 * np.finfo(float).eps * (abs(f) + 1.0)
-        accepted = False
-        while scale > 1e-12:
-            g_try = g @ unitary_exp(G.combine(scale * step))
-            # steps landing on the cut locus lose smoothness of the log: halve
-            if core.operator_norm(np.eye(alg.dim) - base @ g_try) >= 2.0 - 1e-6:
-                scale *= 0.5
-                continue
-            w_try = principal_log(base @ g_try)
-            f_try = float(np.real(sign * core.trace_tau(np.linalg.matrix_power(w_try, p), alg)))
-            if f_try <= f + 1e-4 * scale * slope + roundoff:
-                g, w, f = g_try, w_try, f_try
-                accepted = True
-                break
-            scale *= 0.5
-        if not accepted:
-            break
-    return g, w, f, resid
+
+    def retract(g, d):
+        g_try = g @ unitary_exp(G.combine(d))
+        if core.operator_norm(np.eye(alg.dim) - base @ g_try) >= 2.0 - 1e-6:
+            return None
+        return g_try, principal_log(base @ g_try)
+
+    def left(frame, bt):
+        return bt / frame.ad_symbol(core._sym_F)
+
+    g, f, resid, _ = _newton(g, principal_log(base @ g), retract, left, G.onb(), p, alg, tol)
+    return g, f, resid
 
 
 def quotient_distance(
@@ -576,7 +554,7 @@ def quotient_distance(
         n_starts += len(jittered)
         if retry.fun < best.fun:
             g = unitary_exp(G.combine(retry.x))
-    g, w, f, resid = _coset_polish(base, g, G, p, alg, tol)
+    g, f, resid = _coset_polish(base, g, G, p, alg, tol)
     return QuotientDistanceResult(max(f, 0.0) ** (1.0 / p), g, resid, n_starts, p)
 
 
@@ -751,14 +729,8 @@ def epsilon_isometric_lift(
     curve.validate_unitary()
     alg = space.ambient
     vel = curve.left_velocities()
-    alpha = np.empty_like(vel)
-    qspeeds = np.empty(len(vel))
-    warm = None
-    for k, v in enumerate(vel):
-        res = best_approximant(v, space.isotropy, p, tol=tol, x0=warm)
-        warm = res.coefficients
-        alpha[k] = -res.projection
-        qspeeds[k] = core.p_norm(res.residual, p, alg)
+    projections, qspeeds = quotient_speeds(vel, space, p, tol)
+    alpha = -projections
     w_curve = SampledCurve(curve.grid, alpha, target="algebra")
 
     # certify sup_t ||w_eps(t) + Q(Gamma* dGamma)(t)||_p < epsilon: the
@@ -962,13 +934,7 @@ class ProbeReport:
 def _constant_speed_params(curve: SampledCurve, space: HomSpace, p) -> np.ndarray:
     """Parameters at which the curve reaches uniform fractions of its
     quotient arc length (trapezoid cumulative speeds)."""
-    vel = curve.left_velocities()
-    speeds = np.empty(len(vel))
-    warm = None
-    for k, v in enumerate(vel):
-        res = best_approximant(v, space.isotropy, p, tol=1e-10, x0=warm)
-        warm = res.coefficients
-        speeds[k] = core.p_norm(res.residual, p, space.ambient)
+    speeds = quotient_speeds(curve.left_velocities(), space, p)[1]
     h = curve.grid[1] - curve.grid[0]
     cum = np.concatenate(([0.0], np.cumsum((speeds[:-1] + speeds[1:]) / 2.0 * h)))
     if cum[-1] <= 1e-14:

@@ -3,13 +3,13 @@ spaces: quotients by a central subalgebra, by the diagonal and the
 constant-diagonal algebras of M(x)M2, unitary orbits of projections, and
 orbits of partial isometries.
 
-Each constructor wires the exact isotropy basis, the trace-orthogonal
-supplement, and the projection bounds: K = 3 for central subalgebras, K = 1
-where the best approximant coincides with the conditional expectation
-(diagonal algebra, projection orbits), and inflated empirical estimates
-where no closed bound is available.  C = 2 whenever the isotropy is the
-unitary group of a subalgebra (the horizontal projection is 1 - E with E a
-trace-preserving conditional expectation).
+Each constructor wires the exact isotropy basis and the projection bounds:
+K = 3 for central subalgebras, K = 1 where the best approximant coincides
+with the conditional expectation (diagonal algebra, projection orbits),
+and inflated empirical estimates where no closed bound is available.
+C = 2 whenever the isotropy is the unitary group of a subalgebra (the
+horizontal projection is 1 - E with E a trace-preserving conditional
+expectation).
 
 The ``*_checks`` functions exercise the kind-specific inequalities and
 projection facts on random inputs
@@ -136,9 +136,8 @@ def _estimate_k(space_iso: SkewSubspace, alg: TracialAlgebra, p: int, samples: i
 def build_model_space(spec: ModelSpec) -> HomSpace:
     """Wire a HomSpace for the requested model kind.
 
-    Isotropy bases are exact per kind; the supplement is the trace
-    orthogonal complement; every shipped isotropy group is exponential
-    (a unitary group of a subalgebra or of a corner).
+    Isotropy bases are exact per kind; every shipped isotropy group is
+    exponential (a unitary group of a subalgebra or of a corner).
     """
     if spec.kind == "center-quotient":
         alg = TracialAlgebra.direct_sum(spec.blocks, spec.weights)
@@ -227,21 +226,16 @@ def _assemble(alg, action_kind, basepoint, iso, spec, c_exact, k_exact, model_ki
     from .projection import orthonormal_basis
 
     iso = orthonormal_basis(iso)
-    supplement = iso.complement()
     c = c_exact if c_exact is not None else _estimate_c(iso, alg)
     k = {}
     for p in spec.p_list:
         k[p] = k_exact if k_exact is not None else _estimate_k(iso, alg, p)
-    space = HomSpace(alg, action_kind, basepoint, iso, supplement, c, k, True, model_kind)
+    space = HomSpace(alg, action_kind, basepoint, iso, c, k, model_kind)
     _structural_checks(space)
     return space
 
 
 def _structural_checks(space: HomSpace, tol: float = 1e-9):
-    alg = space.ambient
-    n_skew = sum(d * d for d in alg.block_dims)
-    if space.isotropy.dim + space.supplement.dim != n_skew:
-        raise ValueError("isotropy and supplement do not decompose the skew part")
     if not space.isotropy.lie_closed(tol=1e-8):
         raise ValueError("isotropy subspace is not a Lie algebra")
     rng = np.random.default_rng(_CONSTANTS_SEED + 1)

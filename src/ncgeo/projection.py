@@ -18,6 +18,8 @@ is smooth and strictly convex in c with exact gradient and Hessian
 
 so a damped Newton iteration converges with a first-order certificate:
 w is the minimal residual if and only if tau(w^{p-1} b_k) = 0 for all k.
+The coset polish in ``geometry`` minimizes ||w||_p^p under the same
+certificate and runs on the same damped Newton + Armijo loop (``_newton``).
 
 Each iterate costs one blockwise eigendecomposition w = V diag(i lam) V*
 (core.Eigenframe); the gradient is one contraction of the stacked basis
@@ -35,7 +37,7 @@ pattern search for p = inf).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -115,9 +117,8 @@ class SkewSubspace:
 
     def combine(self, c: np.ndarray) -> np.ndarray:
         b = self.onb()
-        if len(b) == 0:
-            return np.zeros((self.ambient.dim, self.ambient.dim), dtype=complex)
-        return np.tensordot(np.asarray(c, dtype=float), b, axes=1)
+        n = self.ambient.dim
+        return (np.asarray(c, dtype=float) @ b.reshape(len(b), n * n)).reshape(n, n)
 
     def project(self, z: np.ndarray) -> np.ndarray:
         """Trace-orthogonal (p = 2) projection onto the span."""
@@ -264,9 +265,10 @@ def conditional_expectation(x: np.ndarray, S: SkewSubspace) -> np.ndarray:
 class ProjectionResult:
     """Outcome of the p-norm best approximation of z in a subspace.
 
-    ``projection`` is Q(z), ``residual`` the minimal lifting z - Q(z), and
+    ``projection`` is Q(z), ``residual`` the minimal lifting z - Q(z),
     ``optimality_residual`` the certificate max_k |tau(residual^{p-1} b_k)|
-    over the orthonormal basis.
+    over the orthonormal basis, and ``iterations`` the number of
+    line-search trials (objective evaluations), not of Newton steps.
     """
 
     projection: np.ndarray
@@ -283,16 +285,63 @@ def _objective(w: np.ndarray, p: int, alg: TracialAlgebra) -> float:
     return float(np.real((-1) ** (p // 2) * core.trace_tau(wp, alg)))
 
 
-def _grad_and_residual(w, onb, p, alg):
-    t = np.real(core._tau_stack(np.linalg.matrix_power(w, p - 1), onb, alg))
-    grad = -((-1) ** (p // 2)) * p * t
-    return grad, float(np.max(np.abs(t))) if len(t) else 0.0
+def _first_variation(w, onb, p, alg):
+    """Re tau(w^{p-1} b_k) over the stacked basis; its max modulus certifies w."""
+    return np.real(core._tau_stack(np.linalg.matrix_power(w, p - 1), onb, alg))
 
 
-def _hessian(w, onb, p, alg):
-    frame = core.Eigenframe(w, alg)
-    bt = frame.transform(onb)
-    return frame.h_matrix(bt, bt, p)
+def _newton(state, w, retract, left, onb, p, alg, tol, max_iter=10_000):
+    """Damped Newton with Armijo backtracking on f = ||w||_p^p.
+
+    ``retract(state, s)`` returns the ``(state, w)`` moved by the step s,
+    along which f has slope (-1)^(p/2) p Re tau(w^{p-1} b_k) s_k, or None
+    for an unusable trial, halved like a rejected one.  The Hessian is
+    H_w(l_j, b_k) with l~ = ``left(frame, b~)`` in the eigenframe of w; an
+    unusable Newton direction falls back to steepest descent.  Trials within
+    roundoff of the Armijo bound are accepted, so termination rests on the
+    certificate.  Returns ``(state, f, certificate, trials)`` after at most
+    ``max_iter`` trials; the certificate is above tol when the budget ran
+    out or the line search stagnated.
+    """
+    sign = (-1) ** (p // 2)
+    f = _objective(w, p, alg)
+    trials = 0
+    while True:
+        t = _first_variation(w, onb, p, alg)
+        resid = float(np.max(np.abs(t)))
+        if resid <= tol or trials >= max_iter:
+            return state, f, resid, trials
+        grad = sign * p * t
+        frame = core.Eigenframe(w, alg)
+        bt = frame.transform(onb)
+        hess = frame.h_matrix(left(frame, bt), bt, p)
+        damp = 1e-12 * max(1.0, float(np.trace(hess)) / len(onb))
+        try:
+            step = np.linalg.solve(hess + damp * np.eye(len(onb)), -grad)
+            if not np.isfinite(step).all() or float(step @ grad) >= 0.0:
+                step = None
+        except np.linalg.LinAlgError:
+            step = None
+        if step is None:
+            step = -grad / max(float(np.linalg.norm(grad)), 1e-300)
+        slope = float(step @ grad)
+        roundoff = 64.0 * np.finfo(float).eps * (abs(f) + 1.0)
+        scale = 1.0
+        accepted = False
+        while scale >= 1e-14:
+            trials += 1
+            moved = retract(state, scale * step)
+            if moved is not None:
+                f_new = _objective(moved[1], p, alg)
+                if f_new <= f + 1e-4 * scale * slope + roundoff:
+                    accepted = True
+                    break
+            scale *= 0.5
+            if trials >= max_iter:
+                break
+        if not accepted:
+            return state, f, resid, trials
+        (state, w), f = moved, f_new
 
 
 def best_approximant(
@@ -305,10 +354,10 @@ def best_approximant(
 ) -> ProjectionResult:
     """Minimize ||z - y||_p over y in S by damped Newton on coefficients.
 
-    The iteration starts from the trace-orthogonal projection (or ``x0``),
-    uses the exact H-form Hessian, falls back to gradient steps with
-    backtracking when the Newton direction is unusable, and terminates when
-    the optimality certificate max_k |tau((z-y)^{p-1} b_k)| drops below
+    The iteration (``_newton``) starts from the trace-orthogonal projection
+    (or ``x0``), uses the exact H-form Hessian, falls back to gradient steps
+    with backtracking when the Newton direction is unusable, and terminates
+    when the optimality certificate max_k |tau((z-y)^{p-1} b_k)| drops below
     ``tol``.  For p = 2 this reproduces the linear projection in one step.
     """
     p = core._check_even_p(p)
@@ -322,58 +371,20 @@ def best_approximant(
     if len(onb) == 0:
         return ProjectionResult(np.zeros_like(z), z.copy(), 0.0, 0, p, np.zeros(0))
 
-    c = S.coords(z) if x0 is None else np.asarray(x0, dtype=float).copy()
-    iterations = 0
-    w = z - S.combine(c)
-    f = _objective(w, p, alg)
-    while True:
-        grad, resid = _grad_and_residual(w, onb, p, alg)
-        if resid <= tol:
-            break
-        if iterations >= max_iter:
-            raise ConvergenceError(
-                f"best approximant certificate {resid:.3e} above tol {tol:.1e} "
-                f"after {iterations} iterations"
-            )
-        hess = _hessian(w, onb, p, alg)
-        step = None
-        damp = 1e-12 * max(1.0, float(np.trace(hess)) / max(len(onb), 1))
-        try:
-            step = np.linalg.solve(hess + damp * np.eye(len(onb)), -grad)
-            if not np.isfinite(step).all() or float(step @ grad) >= 0.0:
-                step = None
-        except np.linalg.LinAlgError:
-            step = None
-        if step is None:
-            gnorm = float(np.linalg.norm(grad))
-            step = -grad / max(gnorm, 1e-300)
-        # Armijo backtracking; near the optimum the decrease sinks below
-        # floating-point resolution of f, so steps within roundoff of the
-        # bound are accepted and termination rests on the certificate
-        slope = float(step @ grad)
-        roundoff = 64.0 * np.finfo(float).eps * (abs(f) + 1.0)
-        t = 1.0
-        accepted = False
-        while t >= 1e-14:
-            iterations += 1
-            c_new = c + t * step
-            w_new = z - S.combine(c_new)
-            f_new = _objective(w_new, p, alg)
-            if f_new <= f + 1e-4 * t * slope + roundoff:
-                accepted = True
-                break
-            t *= 0.5
-            if iterations >= max_iter:
-                break
-        if not accepted:
-            raise ConvergenceError(
-                f"best approximant line search stagnated at certificate {resid:.3e} "
-                f"(tol {tol:.1e})"
-            )
-        c, w, f = c_new, w_new, f_new
+    def retract(c, s):
+        # the residual w = z - y moves by +s when the coefficients of y move by -s
+        c = c - s
+        return c, z - S.combine(c)
 
+    c = S.coords(z) if x0 is None else np.asarray(x0, dtype=float).copy()
+    c, _, resid, trials = _newton(c, z - S.combine(c), retract, lambda frame, bt: bt, onb, p, alg, tol, max_iter)
+    if resid > tol:
+        raise ConvergenceError(
+            f"best approximant certificate {resid:.3e} above tol {tol:.1e} "
+            f"after {trials} line-search trials"
+        )
     projection = S.combine(c)
-    return ProjectionResult(projection, z - projection, resid, iterations, p, c)
+    return ProjectionResult(projection, z - projection, resid, trials, p, c)
 
 
 def hermitian_best_approximant(x: np.ndarray, S: SkewSubspace, p: int, **kw) -> ProjectionResult:
@@ -384,14 +395,7 @@ def hermitian_best_approximant(x: np.ndarray, S: SkewSubspace, p: int, **kw) -> 
     on the Hermitian side.
     """
     res = best_approximant(1j * np.asarray(x, dtype=complex), S, p, **kw)
-    return ProjectionResult(
-        -1j * res.projection,
-        -1j * res.residual,
-        res.optimality_residual,
-        res.iterations,
-        res.p,
-        res.coefficients,
-    )
+    return replace(res, projection=-1j * res.projection, residual=-1j * res.residual)
 
 
 def minimal_lifting(z: np.ndarray, S: SkewSubspace, p: int, tol: float = 1e-10) -> np.ndarray:
@@ -408,7 +412,7 @@ def lifting_certificate(z: np.ndarray, S: SkewSubspace, p: int) -> float:
     onb = S.onb()
     if len(onb) == 0:
         return 0.0
-    return _grad_and_residual(np.asarray(z, dtype=complex), onb, p, S.ambient)[1]
+    return float(np.max(np.abs(_first_variation(np.asarray(z, dtype=complex), onb, p, S.ambient))))
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ from ncgeo.serialization import canonical_dumps
 from ncgeo.suites import (
     SuiteConfig,
     _lattice_search,
+    _minimal_symbol_for,
     default_model_specs,
     run_verification_suite,
 )
@@ -55,16 +56,6 @@ def spaces():
 def _report(number, name, ok, detail):
     print(f"ACCEPTANCE {number:02d} {name}: {'PASS' if ok else 'FAIL'} ({detail})")
     assert ok, f"criterion {number} ({name}): {detail}"
-
-
-def _minimal_symbol(space, rng, p, target_norm):
-    z = space.horizontal_project(core.random_skew(space.ambient, rng, 1.0))
-    z = best_approximant(z, space.isotropy, p, tol=1e-12).residual
-    nz = operator_norm(z)
-    if nz < 1e-9:
-        return z
-    z = z * (target_norm / nz)
-    return best_approximant(z, space.isotropy, p, tol=1e-12).residual
 
 
 def test_criterion_01_clarkson():
@@ -241,7 +232,7 @@ def test_criterion_08_coset_equals_curve_infimum(spaces):
         for k in range(20):
             rng = trial_stream(SEED, f"iguales-{name}", k)
             p = (2, 4)[k % 2]
-            z0 = _minimal_symbol(sp, rng, p, 0.5)
+            z0 = _minimal_symbol_for(sp, rng, p, 0.5)
             g = unitary_exp(sp.isotropy.combine(0.4 * rng.standard_normal(sp.isotropy.dim)))
             v = unitary_exp(z0) @ g
             dq = quotient_distance(sp, alg.identity(), v, p, multistarts=6, seed=k).value
@@ -312,7 +303,7 @@ def test_criterion_10_minimality_band(spaces):
         p = 4
         for j in range(4):
             rng = trial_stream(SEED, f"band-{name}", j)
-            z = _minimal_symbol(sp, rng, p, 1.0)
+            z = _minimal_symbol_for(sp, rng, p, 1.0)
             nz = operator_norm(z)
             if nz < 1e-9:
                 continue

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 
 from ncgeo import core
 from ncgeo.core import TracialAlgebra, operator_norm, p_norm, principal_log, unitary_exp
@@ -24,6 +25,7 @@ from ncgeo.geometry import (
     orbit_gap,
     quotient_distance,
     quotient_length,
+    quotient_speeds,
     rectifiable_path_length,
     reparametrized_exp_curve,
     unitary_distance,
@@ -43,7 +45,7 @@ SPACES = {
 
 def _trivial_isotropy_space(alg):
     iso = SkewSubspace(alg, [])
-    return HomSpace(alg, "coset", alg.identity(), iso, iso.complement(), 1.0, {2: 1e-9, 4: 1e-9})
+    return HomSpace(alg, "coset", alg.identity(), iso, 1.0, {2: 1e-9, 4: 1e-9})
 
 
 def _minimal_symbol(space, rng, p=4, scale=0.3):
@@ -183,6 +185,20 @@ def test_horizontal_exp_curve_quotient_length(rng):
     z = _minimal_symbol(sp, rng)
     c = exp_curve(z, 33)
     assert quotient_length(c, sp, 4) == pytest.approx(p_norm(z, 4, sp.ambient), abs=1e-9)
+
+
+def test_quotient_speeds_match_cold_solves(rng):
+    sp = SPACES["diag-m2"]
+    alg = sp.ambient
+    gamma = loop_deformed_exp_curve(core.random_skew(alg, rng, 0.5), core.random_skew(alg, rng, 0.3), 0.5, n_nodes=17)
+    vel = gamma.left_velocities()
+    projections, speeds = quotient_speeds(vel, sp, 4, tol=1e-12)
+    for v, q, s in zip(vel, projections, speeds):
+        cold = best_approximant(v, sp.isotropy, 4, tol=1e-12)
+        assert operator_norm(q - cold.projection) < 1e-9
+        assert s == pytest.approx(p_norm(cold.residual, 4, alg), abs=1e-12)
+    speeds = quotient_speeds(vel, sp, 4)[1]
+    assert quotient_length(gamma, sp, 4) == float(scipy.integrate.simpson(speeds, x=gamma.grid))
 
 
 def test_quotient_length_independent_of_lift(rng):
@@ -372,6 +388,15 @@ def test_action_isotropy_fixes_basepoint(rng):
         y = sp.isotropy.combine(0.5 * rng.standard_normal(sp.isotropy.dim))
         g = unitary_exp(y)
         assert sp.isotropy_defect(g) < 1e-9
+
+
+def test_isotropy_defect_raises_inside_an_expectation_kind():
+    # a commutant-of-projection isotropy needs its projection; the error
+    # surfaces instead of falling back to the generic-basis comparison
+    iso = SkewSubspace(M4, [1j * np.diag([1.0, 0.0, 0.0, 0.0])], kind="commutant-of-projection")
+    sp = HomSpace(M4, "coset", M4.identity(), iso, 2.0, {4: 1.0})
+    with pytest.raises(ValueError, match="needs the projection"):
+        sp.isotropy_defect(np.eye(4, dtype=complex))
 
 
 def test_action_rejects_invalid_points(rng):

@@ -8,9 +8,9 @@ import pytest
 from ncgeo import core
 from ncgeo.core import TracialAlgebra, operator_norm, p_norm
 from ncgeo.projection import (
+    ConvergenceError,
     SkewSubspace,
-    _grad_and_residual,
-    _hessian,
+    _first_variation,
     best_approximant,
     conditional_expectation,
     hermitian_best_approximant,
@@ -19,7 +19,7 @@ from ncgeo.projection import (
     quotient_norm,
     standard_skew_basis,
 )
-from ncgeo.suites import _lattice_search
+from ncgeo.suites import _LATTICE_SLAB_ROWS, _lattice_search
 
 M3 = TracialAlgebra.full(3)
 M4 = TracialAlgebra.full(4)
@@ -193,6 +193,22 @@ def test_best_approximant_empty_subspace(rng):
     assert operator_norm(res.residual - z) == 0.0
 
 
+def test_combine_sums_the_orthonormal_basis(rng):
+    S = _random_subspace(M4, rng, 3)
+    c = rng.standard_normal(3)
+    assert np.allclose(S.combine(c), sum(ck * bk for ck, bk in zip(c, S.onb())), rtol=0, atol=1e-14)
+    empty = SkewSubspace(M3, []).combine(np.zeros(0))
+    assert empty.shape == (3, 3)
+    assert not empty.any()
+
+
+def test_best_approximant_reports_non_convergence(rng):
+    S = _random_subspace(M4, rng, 5)
+    z = core.random_skew(M4, rng)
+    with pytest.raises(ConvergenceError, match=r"certificate \d\.\d{3}e[-+]\d+ above tol 1\.0e-10 after 1 line-search trials"):
+        best_approximant(z, S, 6, max_iter=1)
+
+
 def test_best_approximant_of_member_is_itself(rng):
     S = _random_subspace(M4, rng, 3)
     c = rng.standard_normal(3)
@@ -301,11 +317,13 @@ def test_phi_bijection_identities(rng):
         assert p_norm(best_approximant(img, S, 4).projection, 4, M4) < 1e-8
 
 
-def power_sum_hessian(w, onb, p, alg):
-    """Reference Hessian H_w(b_j, b_l) by the explicit power-sum formula."""
+def power_sum_hessian(w, onb, p, alg, left_factors=None):
+    """Reference Hessian H_w(l_j, b_l) by the explicit power-sum formula
+    (l_j = b_j unless left factors are given)."""
     powers = [np.linalg.matrix_power(w, k) for k in range(p - 1)]
-    out = np.empty((len(onb), len(onb)))
-    for j, bj in enumerate(onb):
+    left_factors = onb if left_factors is None else left_factors
+    out = np.empty((len(left_factors), len(onb)))
+    for j, bj in enumerate(left_factors):
         left = sum(powers[p - 2 - k] @ bj @ powers[k] for k in range(p - 1))
         for l, bl in enumerate(onb):
             out[j, l] = np.real((-1) ** (p // 2) * p * core.trace_tau(left @ bl, alg))
@@ -319,18 +337,31 @@ def power_sum_hessian(w, onb, p, alg):
     ids=["m3", "m6", "m2xm2", "m2+m3"],
 )
 def test_hessian_matches_power_sum_oracle(alg, p, rng):
+    # the Newton loop's Hessian H_w(l_j, b_k) from the eigenframe of w, with
+    # the left factors of the best approximant (l = b) and of the coset
+    # polish (l = F(ad w)^{-1} b), and its first variation tau(w^{p-1} b_k)
     S = _random_subspace(alg, rng, min(7, alg.dim**2))
     onb = S.onb()
     for _ in range(3):
         w = core.random_skew(alg, rng)
         ref = power_sum_hessian(w, onb, p, alg)
-        hess = _hessian(w, onb, p, alg)
+        frame = core.Eigenframe(w, alg)
+        bt = frame.transform(onb)
+        hess = frame.h_matrix(bt, bt, p)
         assert np.max(np.abs(hess - ref)) <= 1e-12 * np.max(np.abs(ref))
-        grad, resid = _grad_and_residual(w, onb, p, alg)
+        t = _first_variation(w, onb, p, alg)
         wp1 = np.linalg.matrix_power(w, p - 1)
-        t = np.array([np.real(core._tau_product(wp1, bk, alg)) for bk in onb])
-        assert np.allclose(grad, -((-1) ** (p // 2)) * p * t, rtol=1e-12, atol=1e-13)
-        assert resid == pytest.approx(np.max(np.abs(t)), rel=1e-12)
+        t_ref = np.array([np.real(core._tau_product(wp1, bk, alg)) for bk in onb])
+        assert np.allclose(t, t_ref, rtol=1e-12, atol=1e-13)
+
+        # F(ad w)^{-1} exists for ||w|| < pi/2
+        w = w / operator_norm(w)
+        left = [core.apply_analytic_ad(w, "F_inv", bk) for bk in onb]
+        ref = power_sum_hessian(w, onb, p, alg, left)
+        frame = core.Eigenframe(w, alg)
+        bt = frame.transform(onb)
+        hess = frame.h_matrix(bt / frame.ad_symbol(core._sym_F), bt, p)
+        assert np.max(np.abs(hess - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 # ---------------------------------------------------------------------------
@@ -351,17 +382,20 @@ def _lattice_oracle(z, S, p, alg):
     def sweep(c0, half_width, pitch):
         g1 = np.arange(c0[0] - half_width, c0[0] + half_width + pitch / 2, pitch)
         g2 = np.arange(c0[1] - half_width, c0[1] + half_width + pitch / 2, pitch)
-        cc1, cc2 = np.meshgrid(g1, g2, indexing="ij")
-        w = (
-            z[None, None]
-            - cc1[..., None, None] * b[0][None, None]
-            - cc2[..., None, None] * b[1][None, None]
-        )
-        w2 = w @ w
-        wp = w2
-        for _ in range(p // 2 - 1):
-            wp = wp @ w2
-        vals = sign * np.einsum("...ii,i->...", wp, wvec).real
+        # the objective grid is filled in slabs of rows to bound its memory
+        vals = np.empty((len(g1), len(g2)))
+        for lo in range(0, len(g1), _LATTICE_SLAB_ROWS):
+            cc1, cc2 = np.meshgrid(g1[lo : lo + _LATTICE_SLAB_ROWS], g2, indexing="ij")
+            w = (
+                z[None, None]
+                - cc1[..., None, None] * b[0][None, None]
+                - cc2[..., None, None] * b[1][None, None]
+            )
+            w2 = w @ w
+            wp = w2
+            for _ in range(p // 2 - 1):
+                wp = wp @ w2
+            vals[lo : lo + len(cc1)] = sign * np.einsum("...ii,i->...", wp, wvec).real
         k = np.unravel_index(np.argmin(vals), vals.shape)
         interior = 0 < k[0] < len(g1) - 1 and 0 < k[1] < len(g2) - 1
         return np.array([g1[k[0]], g2[k[1]]]), interior
