@@ -133,15 +133,21 @@ class TracialAlgebra:
             raise ValueError("inner_dim is only defined for tensor_m2 algebras")
         return self.dim // 2
 
-    def block_slices(self):
-        out, start = [], 0
-        for d in self.block_dims:
-            out.append(slice(start, start + d))
-            start += d
-        return out
+    def block_slices(self) -> tuple[slice, ...]:
+        """The row/column slice of each diagonal block (computed once per shape)."""
+        return _block_slices(self.block_dims)
 
     def identity(self) -> np.ndarray:
         return np.eye(self.dim, dtype=complex)
+
+
+@functools.lru_cache(maxsize=None)
+def _block_slices(block_dims):
+    out, start = [], 0
+    for d in block_dims:
+        out.append(slice(start, start + d))
+        start += d
+    return tuple(out)
 
 
 @functools.lru_cache(maxsize=None)
@@ -174,7 +180,7 @@ def _symmetric_up_to(x, sign, tol) -> bool:
     """Whether x = sign x* for x, or for every matrix of a stack (m, n, n)."""
     x = np.asarray(x)
     tol = ENTRY_TOL * x.shape[-1] if tol is None else tol
-    defect = _max_entries(x - sign * np.swapaxes(x, -1, -2).conj())
+    defect = _max_entries(x - sign * x.mT.conj())
     return bool(np.all(defect <= tol * np.maximum(1.0, _max_entries(x))))
 
 
@@ -228,9 +234,12 @@ def _tau_product(x: np.ndarray, y: np.ndarray, alg: TracialAlgebra) -> complex:
 
 
 def _tau_stack(x: np.ndarray, stack: np.ndarray, alg: TracialAlgebra) -> np.ndarray:
-    """tau(x b_k) for every b_k of a stack of shape (m, n, n), in one contraction."""
-    xd = np.asarray(x).T * _diag_weights(alg)
-    return stack.reshape(len(stack), xd.size) @ xd.ravel()
+    """tau(x b_k) for every b_k of a stack of shape (m, n, n), in one contraction
+    per x; x is one matrix (result (m,)) or a stack (K, n, n) (result (K, m))."""
+    x = np.asarray(x)
+    size = x.shape[-1] ** 2
+    xd = (x.mT * _diag_weights(alg)).reshape(*x.shape[:-2], size, 1)
+    return (stack.reshape(len(stack), size) @ xd)[..., 0]
 
 
 def inner_tau(a: np.ndarray, b: np.ndarray, alg: TracialAlgebra) -> float:
@@ -246,9 +255,10 @@ def _block_eigvalsh(x, alg):
 
 
 def _block_svdvals(x, alg):
-    vals = np.empty(alg.dim)
+    """Blockwise singular values of x, or of each matrix of a stack (K, n, n)."""
+    vals = np.empty(x.shape[:-1])
     for sl in alg.block_slices():
-        vals[sl] = np.linalg.svd(x[sl, sl], compute_uv=False)
+        vals[..., sl] = np.linalg.svd(x[..., sl, sl], compute_uv=False)
     return vals
 
 
@@ -261,10 +271,16 @@ def p_norm(x: np.ndarray, p: float, alg: TracialAlgebra) -> float:
     x = _check_dim(x, alg)
     if np.isinf(p):
         return operator_norm(x)
+    return float(_p_norms(x, p, alg))
+
+
+def _p_norms(x: np.ndarray, p: float, alg: TracialAlgebra) -> np.ndarray:
+    """Finite p-norms of each matrix of a stack (K, n, n) from one batched
+    blockwise SVD (the value of p_norm for each, bit for bit)."""
     if p < 1:
         raise ValueError("p_norm requires p >= 1")
     s = _block_svdvals(x, alg)
-    return float(np.dot(_diag_weights(alg), s**p) ** (1.0 / p))
+    return (_diag_weights(alg) @ (s**p)[..., None])[..., 0] ** (1.0 / p)
 
 
 # ---------------------------------------------------------------------------
@@ -273,10 +289,21 @@ def p_norm(x: np.ndarray, p: float, alg: TracialAlgebra) -> float:
 
 
 def random_hermitian(alg: TracialAlgebra, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    out = np.zeros((alg.dim, alg.dim), dtype=complex)
+    return _random_hermitians(alg, rng, 1, scale)[0]
+
+
+def _random_hermitians(alg: TracialAlgebra, rng: np.random.Generator, count: int, scale: float = 1.0) -> np.ndarray:
+    """``count`` successive draws of random_hermitian as one stack: the
+    normals are drawn in one call, in the order the draws take them (per
+    draw, per block, a real and an imaginary d x d matrix)."""
+    normals = rng.standard_normal((count, sum(2 * d * d for d in alg.block_dims)))
+    out = np.zeros((count, alg.dim, alg.dim), dtype=complex)
+    start = 0
     for sl, d in zip(alg.block_slices(), alg.block_dims):
-        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        out[sl, sl] = scale * (a + a.conj().T) / (2.0 * np.sqrt(d))
+        g = normals[:, start : start + 2 * d * d].reshape(count, 2, d, d)
+        a = g[:, 0] + 1j * g[:, 1]
+        out[:, sl, sl] = scale * (a + a.conj().mT) / (2.0 * np.sqrt(d))
+        start += 2 * d * d
     return out
 
 
@@ -546,42 +573,48 @@ def _check_even_p(p) -> int:
 
 
 class Eigenframe:
-    """Blockwise eigenframe w = V diag(i lam) V* of a skew-Hermitian element.
+    """Blockwise eigenframe w = V diag(i lam) V* of a skew-Hermitian element,
+    or of each element of a stack w of shape (K, n, n).
 
     Each block is diagonalized on its own, so V commutes with the trace
     weights and tau(V x~ V*) = sum_a d_a x~_aa (a full eigendecomposition
     could mix blocks sharing an eigenvalue and detach the weights).  Powers
     of w and functions of ad w act on x~ = V* x V as entrywise multipliers
     (Daleckii-Krein), so a stack of directions costs one batched transform.
-    w must be a skew-Hermitian element of the algebra; the callers check
-    their inputs once, not at every Newton iterate.
+    A stacked frame has lam of shape (K, n) and frame of shape (K, n, n); its
+    transforms and H-form matrices carry the same leading axis.  w must be
+    skew-Hermitian and in the algebra; the callers check their inputs once,
+    not at every Newton iterate.
     """
 
     def __init__(self, w: np.ndarray, alg: TracialAlgebra):
-        self.lam = np.empty(alg.dim)
-        self.frame = np.zeros((alg.dim, alg.dim), dtype=complex)
+        self.lam = np.empty(w.shape[:-1])
+        self.frame = np.zeros(w.shape, dtype=complex)
         for sl in alg.block_slices():
-            self.lam[sl], self.frame[sl, sl] = np.linalg.eigh(-1j * w[sl, sl])
+            self.lam[..., sl], self.frame[..., sl, sl] = np.linalg.eigh(-1j * w[..., sl, sl])
         self.weights = _diag_weights(alg)
 
     def transform(self, x: np.ndarray) -> np.ndarray:
-        """x~ = V* x V for one matrix or a stack of shape (m, n, n)."""
-        return self.frame.conj().T @ x @ self.frame
+        """x~ = V* x V for one matrix or a stack of shape (m, n, n); a stacked
+        frame gives shape (K, m, n, n)."""
+        v = self.frame if self.frame.ndim == 2 else self.frame[:, None]
+        return v.conj().mT @ x @ v
 
     def ad_symbol(self, fn) -> np.ndarray:
         """Multiplier of fn(ad w) on x~: the symbol at i(lam_b - lam_a), placed at
         (a, b); fn takes the real angle gaps (as _sym_F and _sym_G do)."""
-        return fn(self.lam[None, :] - self.lam[:, None])
+        return fn(self.lam[..., None, :] - self.lam[..., :, None])
 
     def h_matrix(self, left: np.ndarray, right: np.ndarray, p: int) -> np.ndarray:
         """H_jl = H_w(b_j, c_l) from transformed stacks left = (b~_j), right = (c~_l):
-        -p Re sum_ab d_a gamma_ab b~_ab c~_ba with gamma_ab = sum_k lam_a^(p-2-k) lam_b^k."""
-        powers = self.lam[None, :] ** np.arange(p - 1)[:, None]
-        gamma = powers[::-1].T @ powers
-        size = gamma.size
-        x = (left * (self.weights[:, None] * gamma)).reshape(len(left), size)
-        y = np.swapaxes(right, 1, 2).reshape(len(right), size)
-        return -p * np.real(x @ y.T)
+        -p Re sum_ab d_a gamma_ab b~_ab c~_ba with gamma_ab = sum_k lam_a^(p-2-k) lam_b^k.
+        Stacked frames take and give a leading axis K: (K, m, n, n) -> (K, m, m)."""
+        powers = self.lam[..., None, :] ** np.arange(p - 1)[:, None]
+        gamma = powers[..., ::-1, :].mT @ powers
+        lead, size = left.shape[:-3], gamma.shape[-1] ** 2
+        x = (left * (self.weights[:, None] * gamma)[..., None, :, :]).reshape(*lead, left.shape[-3], size)
+        y = right.mT.reshape(*lead, right.shape[-3], size)
+        return -p * (x @ y.mT).real
 
 
 def h_form(a: np.ndarray, b: np.ndarray, c: np.ndarray, p: int, alg: TracialAlgebra) -> float:

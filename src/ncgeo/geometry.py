@@ -48,7 +48,7 @@ from .projection import (
     ConvergenceError,
     SkewSubspace,
     _newton,
-    best_approximant,
+    best_approximants,
     conditional_expectation,
     lifting_certificate,
 )
@@ -381,17 +381,10 @@ def curve_length_p(curve: SampledCurve, p, alg: TracialAlgebra) -> float:
 def quotient_speeds(vel: np.ndarray, space: HomSpace, p, tol: float = 1e-10):
     """Nodewise projections Q(v) and quotient speeds ||v - Q(v)||_p of a
     stack of velocities, where Q is the certified best approximant onto the
-    isotropy algebra; each solve is warm-started from the previous node's
-    coefficients.  Returns (projections, speeds)."""
-    projections = np.empty_like(vel)
-    speeds = np.empty(len(vel))
-    warm = None
-    for k, v in enumerate(vel):
-        res = best_approximant(v, space.isotropy, int(p), tol=tol, x0=warm)
-        warm = res.coefficients
-        projections[k] = res.projection
-        speeds[k] = core.p_norm(res.residual, p, space.ambient)
-    return projections, speeds
+    isotropy algebra: one stacked cold solve (``best_approximants``) and one
+    batched blockwise SVD.  Returns (projections, speeds)."""
+    res = best_approximants(vel, space.isotropy, int(p), tol=tol)
+    return res.projection, core._p_norms(res.residual, p, space.ambient)
 
 
 def quotient_length(curve: SampledCurve, space: HomSpace, p, tol: float = 1e-10) -> float:
@@ -468,17 +461,18 @@ def _coset_polish(base, g, G, p, alg, tol):
     iterate.  Trials on the cut locus, where the log is not smooth, are halved.
     """
 
-    def retract(g, d):
-        g_try = g @ unitary_exp(G.combine(d))
+    def retract(ids, g, d):
+        # one instance: the loop runs with K = 1
+        g_try = g[0] @ unitary_exp(G.combine(d[0]))
         if core.operator_norm(np.eye(alg.dim) - base @ g_try) >= 2.0 - 1e-6:
-            return None
-        return g_try, principal_log(base @ g_try)
+            return g, np.full_like(g, np.nan)
+        return g_try[None], principal_log(base @ g_try)[None]
 
     def left(frame, bt):
-        return bt / frame.ad_symbol(core._sym_F)
+        return bt / frame.ad_symbol(core._sym_F)[:, None]
 
-    g, f, resid, _ = _newton(g, principal_log(base @ g), retract, left, G.onb(), p, alg, tol)
-    return g, f, resid
+    g, f, resid, _ = _newton(g[None], principal_log(base @ g)[None], retract, left, G.onb(), p, alg, tol)
+    return g[0], float(f[0]), float(resid[0])
 
 
 def quotient_distance(
@@ -736,16 +730,15 @@ def epsilon_isometric_lift(
     # certify sup_t ||w_eps(t) + Q(Gamma* dGamma)(t)||_p < epsilon: the
     # polygonal matches -Q exactly at the nodes, so the band is measured at
     # the midpoints (chord-log velocity, second-order accurate); the
-    # adjacent-jump modulus < epsilon/3 is kept as the continuity fallback
-    band = 0.0
+    # adjacent-jump modulus < epsilon/3 is kept as the continuity fallback;
+    # the midpoint projections are one stacked solve
     h = curve.grid[1] - curve.grid[0]
     w_mid = w_curve.values((curve.grid[:-1] + curve.grid[1:]) / 2.0)
-    for k in range(curve.n_intervals):
-        chord = principal_log(curve.nodes[k].conj().T @ curve.nodes[k + 1])
-        v_half = (chord - chord.conj().T) / (2.0 * h)
-        res = best_approximant(v_half, space.isotropy, p, tol=tol)
-        band = max(band, core.p_norm(w_mid[k] + res.projection, p, alg))
-    jumps = max(core.p_norm(alpha[k + 1] - alpha[k], p, alg) for k in range(len(alpha) - 1))
+    chords = np.array([principal_log(a.conj().T @ b) for a, b in zip(curve.nodes[:-1], curve.nodes[1:])])
+    v_half = (chords - chords.mT.conj()) / (2.0 * h)
+    q_half = best_approximants(v_half, space.isotropy, p, tol=tol).projection
+    band = float(np.max(core._p_norms(w_mid + q_half, p, alg), initial=0.0))
+    jumps = float(np.max(core._p_norms(alpha[1:] - alpha[:-1], p, alg)))
     if band > 0.8 * epsilon and jumps >= epsilon / 3.0:
         raise ValueError(
             "curve grid too coarse for the requested epsilon: the vertical "

@@ -6,7 +6,8 @@ orbits of partial isometries.
 Each constructor wires the exact isotropy basis and the projection bounds:
 K = 3 for central subalgebras, K = 1 where the best approximant coincides
 with the conditional expectation (diagonal algebra, projection orbits),
-and inflated empirical estimates where no closed bound is available.
+and inflated empirical estimates where no closed bound is available
+(their samples are drawn as one stack and projected in one stacked solve).
 C = 2 whenever the isotropy is the unitary group of a subalgebra (the
 horizontal projection is 1 - E with E a trace-preserving conditional
 expectation).
@@ -29,6 +30,7 @@ from .geometry import HomSpace
 from .projection import (
     SkewSubspace,
     best_approximant,
+    best_approximants,
     conditional_expectation,
     hermitian_best_approximant,
     standard_skew_basis,
@@ -105,32 +107,26 @@ def _corner_skew_basis(alg: TracialAlgebra, frame: np.ndarray) -> list:
     return out
 
 
+def _unit_samples(alg: TracialAlgebra, rng: np.random.Generator, samples: int) -> np.ndarray:
+    """``samples`` successive draws of random_skew, scaled to unit operator
+    norm (one batched SVD); draws of norm below 1e-12 are dropped."""
+    zs = 1j * core._random_hermitians(alg, rng, samples)
+    norms = np.linalg.svd(zs, compute_uv=False)[:, 0]
+    keep = norms >= 1e-12
+    return zs[keep] / norms[keep, None, None]
+
+
 def _estimate_c(space_iso: SkewSubspace, alg: TracialAlgebra, samples: int = 2000) -> float:
     """Empirical lower bound of ||1 - P_G|| on unit vectors, inflated x1.5."""
-    rng = np.random.default_rng(_CONSTANTS_SEED)
-    worst = 0.0
-    for _ in range(samples):
-        z = core.random_skew(alg, rng)
-        nz = core.operator_norm(z)
-        if nz < 1e-12:
-            continue
-        z = z / nz
-        worst = max(worst, core.operator_norm(z - space_iso.project(z)))
-    return 1.5 * worst
+    zs = _unit_samples(alg, np.random.default_rng(_CONSTANTS_SEED), samples)
+    return 1.5 * core._max_operator_norm(zs - space_iso.project(zs))
 
 
 def _estimate_k(space_iso: SkewSubspace, alg: TracialAlgebra, p: int, samples: int = 400) -> float:
     """Empirical lower bound of sup ||Q_p(z)|| / ||z||, inflated x1.5."""
-    rng = np.random.default_rng(_CONSTANTS_SEED + p)
-    worst = 0.0
-    for _ in range(samples):
-        z = core.random_skew(alg, rng)
-        nz = core.operator_norm(z)
-        if nz < 1e-12:
-            continue
-        q = best_approximant(z / nz, space_iso, p, tol=1e-9).projection
-        worst = max(worst, core.operator_norm(q))
-    return 1.5 * max(worst, 1e-6)
+    zs = _unit_samples(alg, np.random.default_rng(_CONSTANTS_SEED + p), samples)
+    q = best_approximants(zs, space_iso, p, tol=1e-9).projection
+    return 1.5 * max(core._max_operator_norm(q), 1e-6)
 
 
 def build_model_space(spec: ModelSpec) -> HomSpace:

@@ -29,6 +29,15 @@ the trace weight of eigenvector a the Hessian is one more contraction,
     hess_jk f = p Re sum_ab d_a gamma_ab b~_j[a, b] conj(b~_k[a, b]),
     gamma_ab = sum_{i=0}^{p-2} lam_a^{p-2-i} lam_b^i.
 
+The loop has a leading stack axis: ``best_approximants`` takes K
+independent inputs (K, n, n) and iterates them in lockstep, with one
+stacked eigendecomposition, Hessian, Newton solve and line-search trial for
+all instances still iterating.  Each instance keeps its own certificate,
+damping, steepest-descent fallback, Armijo backtracking and trial budget,
+and drops out once it is done, so its numbers are those of a solve on its
+own; ``best_approximant`` is the case K = 1 and the coset polish runs the
+loop with K = 1 too.
+
 The module also provides trace-preserving conditional expectations onto
 the enumerated subalgebra kinds used by the model spaces, and the quotient
 norm inf_y ||z - y|| (exact via Q for even p, a certified upper bound via
@@ -37,6 +46,7 @@ pattern search for p = inf).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -53,10 +63,13 @@ __all__ = [
     "conditional_expectation",
     "hermitian_best_approximant",
     "best_approximant",
+    "best_approximants",
     "minimal_lifting",
     "lifting_certificate",
     "quotient_norm",
 ]
+
+_EPS = np.finfo(float).eps
 
 #: subalgebra descriptor kinds accepted by conditional_expectation
 EXPECTATION_KINDS = ("center-blocks", "diag-m2", "special-diag-m2", "commutant-of-projection")
@@ -110,15 +123,21 @@ class SkewSubspace:
         return self._onb
 
     def coords(self, z: np.ndarray) -> np.ndarray:
-        """Coefficients of the trace-orthogonal projection of z."""
+        """Coefficients of the trace-orthogonal projection of z, or of each
+        matrix of a stack (K, n, n) (shape (K, dim))."""
         b = self.onb()
-        zd = np.asarray(z, dtype=complex) * core._diag_weights(self.ambient)
-        return np.real(b.reshape(len(b), zd.size).conj() @ zd.ravel())
+        z = np.asarray(z, dtype=complex)
+        size = z.shape[-1] ** 2
+        zd = (z * core._diag_weights(self.ambient)).reshape(*z.shape[:-2], size, 1)
+        return (b.reshape(len(b), size).conj() @ zd).real[..., 0]
 
     def combine(self, c: np.ndarray) -> np.ndarray:
+        """sum_k c_k b_k over the orthonormal basis; a stack of coefficient
+        vectors (K, dim) gives a stack (K, n, n)."""
         b = self.onb()
         n = self.ambient.dim
-        return (np.asarray(c, dtype=float) @ b.reshape(len(b), n * n)).reshape(n, n)
+        c = np.asarray(c, dtype=float)
+        return (c[..., None, :] @ b.reshape(len(b), n * n)).reshape(*c.shape[:-1], n, n)
 
     def project(self, z: np.ndarray) -> np.ndarray:
         """Trace-orthogonal (p = 2) projection onto the span."""
@@ -279,69 +298,191 @@ class ProjectionResult:
     coefficients: np.ndarray
 
 
-def _objective(w: np.ndarray, p: int, alg: TracialAlgebra) -> float:
-    # ||w||_p^p = (-1)^(p/2) tau(w^p) for skew-Hermitian w
-    wp = np.linalg.matrix_power(w, p)
-    return float(np.real((-1) ** (p // 2) * core.trace_tau(wp, alg)))
+def _powers(w: np.ndarray, p: int):
+    """(w^{p-1}, w^p) of one matrix or of each matrix of a stack, for even p.
+
+    Each power is multiplied as np.linalg.matrix_power multiplies it (binary
+    powering over the squares w^(2^j), (w w) w for the exponent 3), so the
+    values are the same bit for bit; the two powers share the squares.
+    """
+    squares = [w]
+    while 2 ** len(squares) <= p:
+        squares.append(squares[-1] @ squares[-1])
+
+    def power(e):
+        if e == 3:
+            return squares[1] @ w
+        out = None
+        for j, z in enumerate(squares):
+            if e >> j & 1:
+                out = z if out is None else out @ z
+        return out
+
+    return power(p - 1), power(p)
 
 
-def _first_variation(w, onb, p, alg):
-    """Re tau(w^{p-1} b_k) over the stacked basis; its max modulus certifies w."""
-    return np.real(core._tau_stack(np.linalg.matrix_power(w, p - 1), onb, alg))
+def _objective(w: np.ndarray, p: int, alg: TracialAlgebra):
+    """f = ||w||_p^p = (-1)^(p/2) tau(w^p) of each skew-Hermitian w of a
+    stack (K, n, n), as a list, and the stack of w^{p-1}."""
+    wp1, wp = _powers(w, p)
+    f = (core._diag_weights(alg) @ wp.diagonal(0, -2, -1)[..., None]).real[..., 0]
+    return ((-1) ** (p // 2) * f).tolist(), wp1
+
+
+def _first_variation(wp1, onb, alg):
+    """Re tau(w^{p-1} b_k) over the stacked basis from w^{p-1} (one matrix or
+    a stack of them); its max modulus certifies w."""
+    return core._tau_stack(wp1, onb, alg).real
+
+
+def _descent_steps(hess, grad):
+    """Damped Newton steps -hess^{-1} grad of a stack, each replaced by the
+    unit steepest-descent step where it is unusable; returns the steps and
+    their slopes step . grad (a list)."""
+    try:
+        step = np.linalg.solve(hess, -grad[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        step = np.full_like(grad, np.nan)
+        for i, (h, g) in enumerate(zip(hess, grad)):
+            try:
+                step[i] = np.linalg.solve(h, -g)
+            except np.linalg.LinAlgError:
+                pass
+    slope = (step[:, None, :] @ grad[:, :, None])[:, 0, 0].tolist()
+    for i, sl in enumerate(slope):
+        # a step with a non-finite entry has a non-finite slope
+        if not sl < 0.0 or sl == -math.inf and not np.isfinite(step[i]).all():
+            step[i] = -grad[i] / max(float(np.linalg.norm(grad[i])), 1e-300)
+            slope[i] = float(step[i] @ grad[i])
+    return step, slope
 
 
 def _newton(state, w, retract, left, onb, p, alg, tol, max_iter=10_000):
-    """Damped Newton with Armijo backtracking on f = ||w||_p^p.
+    """Damped Newton with Armijo backtracking on f = ||w||_p^p for K
+    instances in lockstep, stacked along the leading axis of ``state`` and ``w``.
 
-    ``retract(state, s)`` returns the ``(state, w)`` moved by the step s,
-    along which f has slope (-1)^(p/2) p Re tau(w^{p-1} b_k) s_k, or None
-    for an unusable trial, halved like a rejected one.  The Hessian is
-    H_w(l_j, b_k) with l~ = ``left(frame, b~)`` in the eigenframe of w; an
-    unusable Newton direction falls back to steepest descent.  Trials within
-    roundoff of the Armijo bound are accepted, so termination rests on the
-    certificate.  Returns ``(state, f, certificate, trials)`` after at most
-    ``max_iter`` trials; the certificate is above tol when the budget ran
-    out or the line search stagnated.
+    ``retract(ids, state, s)`` returns the ``(state, w)`` of the instances
+    ``ids`` (indices into the stack) moved by the steps s, along which f has
+    slope (-1)^(p/2) p Re tau(w^{p-1} b_k) s_k; a trial that cannot be
+    evaluated returns a NaN w, which fails the Armijo test and is halved
+    like a rejected one.  The Hessian is H_w(l_j, b_k) with l~ = ``left(frame, b~)``
+    in the stacked eigenframe of w; an unusable Newton direction falls back
+    to steepest descent.  Trials within roundoff of the Armijo bound are
+    accepted, so termination rests on the certificate.  Each instance keeps
+    its own certificate, damping, line search and budget of ``max_iter``
+    trials, and leaves the loop once it is certified, out of budget or
+    stagnated; the matrix work of the instances still iterating is batched,
+    their scalar bookkeeping is done per instance.  Returns the stacked
+    ``(state, f, certificate, trials)``; a certificate above tol means the
+    budget ran out or the line search stagnated.
     """
     sign = (-1) ** (p // 2)
-    f = _objective(w, p, alg)
-    trials = 0
-    while True:
-        t = _first_variation(w, onb, p, alg)
-        resid = float(np.max(np.abs(t)))
-        if resid <= tol or trials >= max_iter:
-            return state, f, resid, trials
+    eye = np.eye(len(onb))
+    out_state = np.empty_like(state)
+    out_f, out_resid, out_trials = [0.0] * len(w), [0.0] * len(w), [0] * len(w)
+    ids, state, w = np.arange(len(w)), state.copy(), w.copy()
+    (f, wp1), trials = _objective(w, p, alg), [0] * len(w)
+
+    def leave(going, resid):
+        # store the instances that leave, keep the others
+        nonlocal ids, state, w, wp1, f, trials
+        for j, g in enumerate(going):
+            if not g:
+                i = ids[j]
+                out_state[i], out_f[i], out_resid[i], out_trials[i] = state[j], f[j], resid[j], trials[j]
+        keep = [j for j, g in enumerate(going) if g]
+        ids, state, w, wp1 = ids[keep], state[keep], w[keep], wp1[keep]
+        f, trials = [f[j] for j in keep], [trials[j] for j in keep]
+        return keep
+
+    while len(ids):
+        t = _first_variation(wp1, onb, alg)
+        resid = np.abs(t).max(axis=1).tolist()
+        going = [r > tol and n < max_iter for r, n in zip(resid, trials)]
+        if not all(going):
+            keep = leave(going, resid)
+            if not len(ids):
+                break
+            t, resid = t[keep], [resid[j] for j in keep]
         grad = sign * p * t
         frame = core.Eigenframe(w, alg)
         bt = frame.transform(onb)
         hess = frame.h_matrix(left(frame, bt), bt, p)
-        damp = 1e-12 * max(1.0, float(np.trace(hess)) / len(onb))
-        try:
-            step = np.linalg.solve(hess + damp * np.eye(len(onb)), -grad)
-            if not np.isfinite(step).all() or float(step @ grad) >= 0.0:
-                step = None
-        except np.linalg.LinAlgError:
-            step = None
-        if step is None:
-            step = -grad / max(float(np.linalg.norm(grad)), 1e-300)
-        slope = float(step @ grad)
-        roundoff = 64.0 * np.finfo(float).eps * (abs(f) + 1.0)
-        scale = 1.0
-        accepted = False
-        while scale >= 1e-14:
-            trials += 1
-            moved = retract(state, scale * step)
-            if moved is not None:
-                f_new = _objective(moved[1], p, alg)
-                if f_new <= f + 1e-4 * scale * slope + roundoff:
-                    accepted = True
-                    break
+        damp = [1e-12 * max(1.0, tr / len(onb)) for tr in hess.trace(0, 1, 2).tolist()]
+        step, slope = _descent_steps(hess + np.multiply.outer(damp, eye), grad)
+        roundoff = [64.0 * _EPS * (abs(fj) + 1.0) for fj in f]
+        # the line searches in lockstep: the instances still backtracking
+        # (positions pend among the live ones, selected by rows) share the
+        # scale; every live instance takes the first trial
+        accepted, pend, rows, scale = [False] * len(ids), range(len(ids)), slice(None), 1.0
+        while True:
+            moved, w_new = retract(ids[rows], state[rows], scale * step[rows])
+            f_new, wp1_new = _objective(w_new, p, alg)
+            still = []
+            for k, j in enumerate(pend):
+                trials[j] += 1
+                if f_new[k] <= f[j] + 1e-4 * scale * slope[j] + roundoff[j]:
+                    accepted[j], f[j] = True, f_new[k]
+                    state[j], w[j], wp1[j] = moved[k], w_new[k], wp1_new[k]
+                elif trials[j] < max_iter:
+                    still.append(j)
             scale *= 0.5
-            if trials >= max_iter:
+            if scale < 1e-14 or not still:
                 break
-        if not accepted:
-            return state, f, resid, trials
-        (state, w), f = moved, f_new
+            pend = rows = still
+        if not all(accepted):
+            leave(accepted, resid)
+    return out_state, np.array(out_f), np.array(out_resid), np.array(out_trials, dtype=int)
+
+
+def best_approximants(
+    zs: np.ndarray,
+    S: SkewSubspace,
+    p: int,
+    tol: float = 1e-10,
+    max_iter: int = 10_000,
+) -> ProjectionResult:
+    """Best approximants Q(z) of every z of a stack zs (K, n, n), solved in lockstep.
+
+    Each instance runs the damped Newton iteration of ``best_approximant``
+    (``_newton``) from its trace-orthogonal projection with its own
+    certificate and budget.  The result stacks the instances: projections
+    and residuals (K, n, n), certificates and trial counts (K,), and
+    coefficients (K, dim S).  Raises one ConvergenceError naming the first
+    uncertified instance.
+    """
+    p = core._check_even_p(p)
+    alg = S.ambient
+    zs = np.asarray(zs, dtype=complex)
+    n = alg.dim
+    if zs.ndim != 3 or zs.shape[1:] != (n, n):
+        raise ValueError(f"best_approximants takes a stack of shape (K, {n}, {n}), got {zs.shape}")
+    if not core.is_skew_hermitian(zs, tol=1e-9 * n):
+        raise ValueError("best_approximant requires a skew-Hermitian input")
+    if not core.in_algebra(zs, alg):
+        raise ValueError("best_approximant requires an element of the algebra (no off-block entries)")
+    K, onb = len(zs), S.onb()
+    if len(onb) == 0 or K == 0:
+        return ProjectionResult(np.zeros_like(zs), zs.copy(), np.zeros(K), np.zeros(K, dtype=int), p,
+                                np.zeros((K, len(onb))))
+
+    def retract(ids, c, s):
+        # the residual w = z - y moves by +s when the coefficients of y move by -s
+        c = c - s
+        return c, zs[ids] - S.combine(c)
+
+    c = S.coords(zs)
+    c, _, resid, trials = _newton(c, zs - S.combine(c), retract, lambda frame, bt: bt, onb, p, alg, tol, max_iter)
+    bad = [k for k, r in enumerate(resid.tolist()) if r > tol]
+    if bad:
+        k = bad[0]
+        where = f" (instance {k} of {K})" if K > 1 else ""
+        raise ConvergenceError(
+            f"best approximant certificate {resid[k]:.3e} above tol {tol:.1e} "
+            f"after {trials[k]} line-search trials{where}"
+        )
+    projection = S.combine(c)
+    return ProjectionResult(projection, zs - projection, resid, trials, p, c)
 
 
 def best_approximant(
@@ -350,41 +491,19 @@ def best_approximant(
     p: int,
     tol: float = 1e-10,
     max_iter: int = 10_000,
-    x0: np.ndarray | None = None,
 ) -> ProjectionResult:
     """Minimize ||z - y||_p over y in S by damped Newton on coefficients.
 
-    The iteration (``_newton``) starts from the trace-orthogonal projection
-    (or ``x0``), uses the exact H-form Hessian, falls back to gradient steps
-    with backtracking when the Newton direction is unusable, and terminates
-    when the optimality certificate max_k |tau((z-y)^{p-1} b_k)| drops below
+    The iteration (``_newton``) starts from the trace-orthogonal projection,
+    uses the exact H-form Hessian, falls back to gradient steps with
+    backtracking when the Newton direction is unusable, and terminates when
+    the optimality certificate max_k |tau((z-y)^{p-1} b_k)| drops below
     ``tol``.  For p = 2 this reproduces the linear projection in one step.
+    This is the one-instance case of ``best_approximants``.
     """
-    p = core._check_even_p(p)
-    alg = S.ambient
-    z = np.asarray(z, dtype=complex)
-    if not core.is_skew_hermitian(z, tol=1e-9 * alg.dim):
-        raise ValueError("best_approximant requires a skew-Hermitian input")
-    if not core.in_algebra(z, alg):
-        raise ValueError("best_approximant requires an element of the algebra (no off-block entries)")
-    onb = S.onb()
-    if len(onb) == 0:
-        return ProjectionResult(np.zeros_like(z), z.copy(), 0.0, 0, p, np.zeros(0))
-
-    def retract(c, s):
-        # the residual w = z - y moves by +s when the coefficients of y move by -s
-        c = c - s
-        return c, z - S.combine(c)
-
-    c = S.coords(z) if x0 is None else np.asarray(x0, dtype=float).copy()
-    c, _, resid, trials = _newton(c, z - S.combine(c), retract, lambda frame, bt: bt, onb, p, alg, tol, max_iter)
-    if resid > tol:
-        raise ConvergenceError(
-            f"best approximant certificate {resid:.3e} above tol {tol:.1e} "
-            f"after {trials} line-search trials"
-        )
-    projection = S.combine(c)
-    return ProjectionResult(projection, z - projection, resid, trials, p, c)
+    res = best_approximants(np.asarray(z, dtype=complex)[None], S, p, tol, max_iter)
+    return ProjectionResult(res.projection[0], res.residual[0], float(res.optimality_residual[0]),
+                            int(res.iterations[0]), res.p, res.coefficients[0])
 
 
 def hermitian_best_approximant(x: np.ndarray, S: SkewSubspace, p: int, **kw) -> ProjectionResult:
@@ -412,7 +531,8 @@ def lifting_certificate(z: np.ndarray, S: SkewSubspace, p: int) -> float:
     onb = S.onb()
     if len(onb) == 0:
         return 0.0
-    return float(np.max(np.abs(_first_variation(np.asarray(z, dtype=complex), onb, p, S.ambient))))
+    wp1 = np.linalg.matrix_power(np.asarray(z, dtype=complex), p - 1)
+    return float(np.max(np.abs(_first_variation(wp1, onb, S.ambient))))
 
 
 # ---------------------------------------------------------------------------
@@ -421,20 +541,24 @@ def lifting_certificate(z: np.ndarray, S: SkewSubspace, p: int) -> float:
 
 
 def _pattern_search(fun, c0, step, shrink=0.5, min_step=1e-7, max_sweeps=400):
+    """Compass search; ``fun`` maps a stack of coefficient vectors to their
+    values.  The +step and -step polls of a coordinate are evaluated in one
+    call; the -step poll is dropped when +step is accepted, since from the
+    moved point it returns to the previous one."""
     c = np.asarray(c0, dtype=float).copy()
-    f = fun(c)
+    f = fun(c[None])[0]
     m = len(c)
     sweeps = 0
     while step > min_step and sweeps < max_sweeps:
         sweeps += 1
         improved = False
         for k in range(m):
-            for s in (step, -step):
-                trial = c.copy()
-                trial[k] += s
-                ft = fun(trial)
+            polls = np.repeat(c[None], 2, axis=0)
+            polls[:, k] += (step, -step)
+            for trial, ft in zip(polls, fun(polls)):
                 if ft < f - 1e-15:
                     c, f, improved = trial, ft, True
+                    break
         if not improved:
             step *= shrink
     return c, f
@@ -461,16 +585,15 @@ def quotient_norm(
         if S.dim == 0:
             val, c = core.operator_norm(z), np.zeros(0)
         else:
-            def fun(c):
-                return core.operator_norm(z - S.combine(c))
+            def fun(cs):
+                return np.linalg.svd(z - S.combine(cs), compute_uv=False)[:, 0]
 
-            c, val = S.coords(z), None
-            val = fun(c)
-            c0, v0 = np.zeros(S.dim), fun(np.zeros(S.dim))
-            if v0 < val:
-                c, val = c0, v0
+            starts = np.stack([S.coords(z), np.zeros(S.dim)])
+            vals = fun(starts)
+            c, val = (starts[1], vals[1]) if vals[1] < vals[0] else (starts[0], vals[0])
             if refine:
                 c, val = _pattern_search(fun, c, step=0.25 * max(val, 1e-6))
+            val = float(val)
         if return_witness:
             return val, S.combine(c)
         return val

@@ -12,6 +12,7 @@ its property at the configured tolerance.
 from __future__ import annotations
 
 import concurrent.futures
+import json
 import math
 import os
 import platform
@@ -47,6 +48,7 @@ from .models import (
 )
 from .projection import SkewSubspace, best_approximant, orthonormal_basis
 from .rng import trial_stream
+from .serialization import SchemaError
 
 __all__ = [
     "SuiteConfig",
@@ -118,7 +120,7 @@ class SuiteConfig:
             raise ValueError("trials must be >= 1")
         if not self.dims or any(d < 1 for d in self.dims):
             raise ValueError("dims must be positive")
-        if not self.p_list or any(p < 1 for p in self.p_list):
+        if not self.p_list or any(not p >= 1 for p in self.p_list):
             raise ValueError("p_list entries must be >= 1")
         for name in self.suites:
             if name not in SUITE_NAMES:
@@ -126,8 +128,8 @@ class SuiteConfig:
         for name, val in self.tolerances.items():
             if name not in DEFAULT_TOLERANCES:
                 raise ValueError(f"unknown tolerance name {name!r}")
-            if not val > 0:
-                raise ValueError(f"tolerance {name!r} must be positive")
+            if not 0 < val < math.inf:
+                raise ValueError(f"tolerance {name!r} must be positive and finite")
 
     def tol(self, name: str) -> float:
         return float(self.tolerances.get(name, DEFAULT_TOLERANCES[name]))
@@ -150,25 +152,45 @@ class SuiteConfig:
 
     @classmethod
     def from_json(cls, obj) -> "SuiteConfig":
+        """The config of a JSON object.  A value of the wrong type or out of
+        range raises SchemaError naming its path, such as ``config.dims[0]``;
+        integers must be JSON integers (not booleans, not 2.0)."""
         if not isinstance(obj, dict):
-            raise ValueError("config must be a JSON object")
+            raise SchemaError("config: expected an object")
         unknown = set(obj) - {"seed", "dims", "p_list", "trials", "tolerances", "suites"}
         if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+            raise SchemaError(f"config: unknown keys {sorted(unknown)}")
         kw = {}
-        if "seed" in obj:
-            kw["seed"] = int(obj["seed"])
-        if "trials" in obj:
-            kw["trials"] = int(obj["trials"])
-        if "dims" in obj:
-            kw["dims"] = tuple(obj["dims"])
-        if "p_list" in obj:
-            kw["p_list"] = tuple(obj["p_list"])
+        for key in ("seed", "trials"):
+            if key in obj:
+                kw[key] = _json_value(obj[key], f"config.{key}", int)
+        for key, kind in (("dims", int), ("p_list", float), ("suites", str)):
+            if key in obj:
+                items = obj[key]
+                if not isinstance(items, list):
+                    raise SchemaError(f"config.{key}: expected an array")
+                kw[key] = tuple(_json_value(x, f"config.{key}[{i}]", kind) for i, x in enumerate(items))
         if "tolerances" in obj:
-            kw["tolerances"] = dict(obj["tolerances"])
-        if "suites" in obj:
-            kw["suites"] = tuple(obj["suites"])
-        return cls(**kw)
+            tols = obj["tolerances"]
+            if not isinstance(tols, dict):
+                raise SchemaError("config.tolerances: expected an object")
+            kw["tolerances"] = {k: _json_value(v, f"config.tolerances.{k}", float) for k, v in tols.items()}
+        try:
+            return cls(**kw)
+        except ValueError as exc:
+            raise SchemaError(f"config: {exc}") from exc
+
+
+def _json_value(x, where: str, kind: type):
+    """x as a JSON integer (int), number (float) or string (str), else SchemaError."""
+    if kind is str:
+        ok = isinstance(x, str)
+    else:
+        ok = isinstance(x, int if kind is int else (int, float)) and not isinstance(x, bool)
+    if not ok:
+        name = {int: "an integer", float: "a number", str: "a string"}[kind]
+        raise SchemaError(f"{where}: expected {name}, got {json.dumps(x)}")
+    return x
 
 
 @dataclass

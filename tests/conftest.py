@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ncgeo import projection
 from ncgeo.core import TracialAlgebra
 
 
@@ -32,3 +33,17 @@ def m2_plus_m3():
 @pytest.fixture
 def m2_tensor():
     return TracialAlgebra.tensor_square(2)
+
+
+@pytest.fixture
+def newton_stack_sizes(monkeypatch):
+    """The stack size of every call of the damped-Newton loop, recorded."""
+    sizes = []
+    newton = projection._newton
+
+    def spy(state, w, *args, **kw):
+        sizes.append(len(w))
+        return newton(state, w, *args, **kw)
+
+    monkeypatch.setattr(projection, "_newton", spy)
+    return sizes

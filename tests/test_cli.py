@@ -118,6 +118,22 @@ def test_verify_config_rejections(files, capsys):
     assert main(["verify", "--config", cfg]) == 2
     cfg = _write(files / "cfg3.json", {"bogus": 1})
     assert main(["verify", "--config", cfg]) == 2
+    # wrong types exit 2 with one line naming the offending path
+    cases = [
+        ({"p_list": ["inf"]}, "config.p_list[0]"),
+        ({"seed": None}, "config.seed"),
+        ({"tolerances": {"clarkson": "x"}}, "config.tolerances.clarkson"),
+        ({"dims": [2.5]}, "config.dims[0]"),
+        ({"dims": [2, True]}, "config.dims[1]"),
+        ({"trials": False}, "config.trials"),
+        ({"suites": "core"}, "config.suites"),
+    ]
+    for k, (obj, path) in enumerate(cases):
+        capsys.readouterr()
+        cfg = _write(files / f"bad{k}.json", obj)
+        assert main(["verify", "--config", cfg]) == 2, obj
+        err = capsys.readouterr().err
+        assert err.startswith(f"ncgeo: {path}: expected") and err.count("\n") == 1, err
 
 
 def test_verify_runs_and_is_deterministic(files, capsys, monkeypatch):

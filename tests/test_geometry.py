@@ -618,6 +618,15 @@ def test_lift_excess_bound_random_curves(eps, rng):
             assert sp.point_equal(res.beta.nodes[k], gamma.nodes[k], tol=1e-7)
 
 
+def test_lift_solves_nodes_and_bands_in_two_stacked_calls(rng, newton_stack_sizes):
+    # the 65 nodal speeds and the 64 midpoint bands are two lockstep solves,
+    # not a per-node loop
+    sp = SPACES["diag-m2"]
+    gamma = loop_deformed_exp_curve(core.random_skew(sp.ambient, rng, 0.4), core.random_skew(sp.ambient, rng, 0.3), 0.4)
+    epsilon_isometric_lift(gamma, sp, 4, 1e-2)
+    assert newton_stack_sizes == [65, 64]
+
+
 def test_lift_rejects_coarse_grid_for_tiny_epsilon(rng):
     sp = SPACES["diag-m2"]
     alg = sp.ambient

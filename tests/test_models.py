@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from ncgeo import core
+from ncgeo import core, models
 from ncgeo.core import TracialAlgebra, operator_norm, p_norm, unitary_exp
 from ncgeo.geometry import minimal_geodesic, minimality_probe
 from ncgeo.models import (
@@ -165,6 +165,43 @@ def test_block_diagonal_fixed_offdiagonal_killed(rng):
     z_off = z - z_diag
     res = best_approximant(z_off, sp.isotropy, 4)
     assert p_norm(res.projection, 4, alg) < 1e-9
+
+
+def _serial_unit_samples(alg, seed, samples):
+    """The sampled constants' draws one at a time: per draw and block a real,
+    then an imaginary d x d normal matrix, Hermitized, times i, scaled to unit
+    operator norm; draws of norm below 1e-12 are dropped."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(samples):
+        z = np.zeros((alg.dim, alg.dim), dtype=complex)
+        for sl, d in zip(alg.block_slices(), alg.block_dims):
+            a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            z[sl, sl] = 1j * (a + a.conj().T) / (2.0 * np.sqrt(d))
+        nz = operator_norm(z)
+        if nz >= 1e-12:
+            out.append(z / nz)
+    return out
+
+
+@pytest.mark.parametrize("name", ["special-diag-m2", "partial-isometry-orbit"])
+def test_sampled_constants_match_serial_draws(name):
+    # the stacked estimates draw, normalize and project the same samples as
+    # a loop of single draws and single solves
+    sp = SPACES[name]
+    iso, alg = sp.isotropy, sp.ambient
+    zs = _serial_unit_samples(alg, models._CONSTANTS_SEED, 2000)
+    c = 1.5 * max(operator_norm(z - iso.project(z)) for z in zs)
+    assert models._estimate_c(iso, alg) == c
+    zs = _serial_unit_samples(alg, models._CONSTANTS_SEED + 4, 400)
+    k = 1.5 * max(max(operator_norm(best_approximant(z, iso, 4, tol=1e-9).projection) for z in zs), 1e-6)
+    assert models._estimate_k(iso, alg, 4) == k
+
+
+def test_estimate_k_is_one_stacked_solve(newton_stack_sizes):
+    sp = SPACES["special-diag-m2"]
+    models._estimate_k(sp.isotropy, sp.ambient, 4)
+    assert newton_stack_sizes == [400]
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from ncgeo.projection import (
     SkewSubspace,
     _first_variation,
     best_approximant,
+    best_approximants,
     conditional_expectation,
     hermitian_best_approximant,
     minimal_lifting,
@@ -349,8 +350,8 @@ def test_hessian_matches_power_sum_oracle(alg, p, rng):
         bt = frame.transform(onb)
         hess = frame.h_matrix(bt, bt, p)
         assert np.max(np.abs(hess - ref)) <= 1e-12 * np.max(np.abs(ref))
-        t = _first_variation(w, onb, p, alg)
         wp1 = np.linalg.matrix_power(w, p - 1)
+        t = _first_variation(wp1, onb, alg)
         t_ref = np.array([np.real(core._tau_product(wp1, bk, alg)) for bk in onb])
         assert np.allclose(t, t_ref, rtol=1e-12, atol=1e-13)
 
@@ -362,6 +363,159 @@ def test_hessian_matches_power_sum_oracle(alg, p, rng):
         bt = frame.transform(onb)
         hess = frame.h_matrix(bt / frame.ad_symbol(core._sym_F), bt, p)
         assert np.max(np.abs(hess - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+# ---------------------------------------------------------------------------
+# the stacked solve against the serial one-instance Newton loop
+# ---------------------------------------------------------------------------
+
+
+def serial_best_approximant(z, S, p, tol=1e-10, max_iter=10_000):
+    """The one-instance damped Newton + Armijo loop that best_approximants
+    stacks, kept here as its oracle: (coefficients, certificate, trials,
+    Newton steps)."""
+    alg, onb, sign = S.ambient, S.onb(), (-1) ** (p // 2)
+
+    def objective(w):
+        return float(np.real(sign * core.trace_tau(np.linalg.matrix_power(w, p), alg)))
+
+    c = S.coords(z)
+    w = z - S.combine(c)
+    f, trials, steps = objective(w), 0, 0
+    while True:
+        t = np.real(core._tau_stack(np.linalg.matrix_power(w, p - 1), onb, alg))
+        resid = float(np.max(np.abs(t)))
+        if resid <= tol or trials >= max_iter:
+            return c, resid, trials, steps
+        steps += 1
+        grad = sign * p * t
+        frame = core.Eigenframe(w, alg)
+        bt = frame.transform(onb)
+        hess = frame.h_matrix(bt, bt, p)
+        damp = 1e-12 * max(1.0, float(np.trace(hess)) / len(onb))
+        try:
+            step = np.linalg.solve(hess + damp * np.eye(len(onb)), -grad)
+            if not np.isfinite(step).all() or float(step @ grad) >= 0.0:
+                step = None
+        except np.linalg.LinAlgError:
+            step = None
+        if step is None:
+            step = -grad / max(float(np.linalg.norm(grad)), 1e-300)
+        slope = float(step @ grad)
+        roundoff = 64.0 * np.finfo(float).eps * (abs(f) + 1.0)
+        scale, accepted = 1.0, False
+        while scale >= 1e-14:
+            trials += 1
+            c_new = c - scale * step
+            w_new = z - S.combine(c_new)
+            f_new = objective(w_new)
+            if f_new <= f + 1e-4 * scale * slope + roundoff:
+                accepted = True
+                break
+            scale *= 0.5
+            if trials >= max_iter:
+                break
+        if not accepted:
+            return c, resid, trials, steps
+        c, w, f = c_new, w_new, f_new
+
+
+def _check_against_serial(zs, S, p, tol=1e-10):
+    res = best_approximants(zs, S, p, tol=tol)
+    assert res.projection.shape == res.residual.shape == zs.shape
+    assert res.coefficients.shape == (len(zs), S.dim)
+    backtracked = 0
+    for k, z in enumerate(zs):
+        c, resid, trials, steps = serial_best_approximant(z, S, p, tol)
+        assert np.max(np.abs(res.coefficients[k] - c), initial=0.0) <= 1e-12
+        assert res.iterations[k] == trials
+        assert res.optimality_residual[k] == resid and resid <= tol
+        assert np.max(np.abs(res.residual[k] - (z - res.projection[k]))) == 0.0
+        backtracked += trials > steps
+    return res, backtracked
+
+
+@pytest.mark.parametrize("n, dim", [(4, 5), (6, 12)])
+@pytest.mark.parametrize("p", [4, 6])
+def test_best_approximants_match_serial_solves(n, dim, p, rng):
+    alg = TracialAlgebra.full(n)
+    S = _random_subspace(alg, rng, dim)
+    zs = np.array([core.random_skew(alg, rng, scale) for scale in (0.1, 0.5, 1.0, 2.0, 5.0, 1.0, 0.3)])
+    _check_against_serial(zs, S, p)
+    # the one-instance case
+    single = best_approximant(zs[2], S, p)
+    c, _, trials, _ = serial_best_approximant(zs[2], S, p)
+    assert np.max(np.abs(single.coefficients - c)) <= 1e-12 and single.iterations == trials
+
+
+def test_best_approximants_weighted_shared_eigenvalue(rng):
+    # M2 (+) M3 with weights (0.3, 0.7): the two blocks of w share the
+    # eigenvalue 0.7i, so a full eigendecomposition could mix them
+    alg = TracialAlgebra.direct_sum((2, 3), (0.3, 0.7))
+    S = _random_subspace(alg, rng, 6)
+    zs = []
+    for _ in range(4):
+        w = np.zeros((5, 5), dtype=complex)
+        for sl, lam in zip(alg.block_slices(), ([0.7, -0.4], [0.7, 0.2, -1.1])):
+            q = core.random_unitary(TracialAlgebra.full(len(lam)), rng)
+            w[sl, sl] = (q * (1j * np.array(lam))) @ q.conj().T
+        zs.append(w + S.combine(0.05 * rng.standard_normal(S.dim)))
+    zs.append(core.random_skew(alg, rng))
+    for p in (4, 6):
+        _check_against_serial(np.array(zs), S, p)
+
+
+def test_best_approximants_mixes_zero_and_many_step_instances():
+    # members of S certify at 0 trials; at p = 8 several of the others
+    # backtrack, so the lockstep line searches hold instances at different
+    # scales and positions
+    gen = np.random.default_rng(6)
+    S = _random_subspace(M4, gen, 8)
+    zs = [core.random_skew(M4, gen, (0.5, 1.0, 2.0)[i % 3]) for i in range(24)]
+    members = [orthonormal_basis(S).combine(gen.standard_normal(8)) for _ in range(2)]
+    zs = np.array(members[:1] + zs[:10] + members[1:] + zs[10:])
+    res, backtracked = _check_against_serial(zs, S, 8)
+    assert res.iterations[0] == res.iterations[11] == 0
+    assert res.iterations.max() >= 5 and backtracked >= 3
+
+
+def test_best_approximants_empty_stack_and_empty_subspace(rng):
+    S = _random_subspace(M3, rng, 2)
+    res = best_approximants(np.zeros((0, 3, 3), dtype=complex), S, 4)
+    assert res.projection.shape == (0, 3, 3) and res.coefficients.shape == (0, 2)
+    assert res.iterations.shape == res.optimality_residual.shape == (0,)
+    zs = np.array([core.random_skew(M3, rng) for _ in range(3)])
+    res = best_approximants(zs, SkewSubspace(M3, []), 4)
+    assert not res.projection.any() and np.array_equal(res.residual, zs)
+    assert res.coefficients.shape == (3, 0) and not res.iterations.any()
+    with pytest.raises(ValueError):
+        best_approximants(zs[0], S, 4)
+
+
+def test_best_approximants_names_the_failing_instance(rng):
+    S = _random_subspace(M4, rng, 5)
+    member = orthonormal_basis(S).combine(rng.standard_normal(5))
+    zs = np.array([member, core.random_skew(M4, rng), core.random_skew(M4, rng)])
+    with pytest.raises(ConvergenceError, match=r"after 1 line-search trials \(instance 1 of 3\)"):
+        best_approximants(zs, S, 6, max_iter=1)
+
+
+def test_best_approximants_quotes_the_certificate_of_the_failing_instance():
+    # the member of S certifies at once and leaves; z's full Newton step is
+    # rejected, so z runs out of budget inside the line search and leaves
+    # with its own certificate, not the member's
+    gen = np.random.default_rng(2)
+    S = _random_subspace(M4, gen, 5)
+    z = core.random_skew(M4, gen, 3.0)
+    member = orthonormal_basis(S).combine(gen.standard_normal(5))
+    _, resid, trials, steps = serial_best_approximant(z, S, 8, max_iter=1)
+    assert (trials, steps) == (1, 1) and resid > 1.0
+    with pytest.raises(ConvergenceError) as err:
+        best_approximants(np.array([member, z]), S, 8, max_iter=1)
+    assert str(err.value) == (
+        f"best approximant certificate {resid:.3e} above tol 1.0e-10 "
+        "after 1 line-search trials (instance 1 of 2)"
+    )
 
 
 # ---------------------------------------------------------------------------
