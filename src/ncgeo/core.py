@@ -340,9 +340,9 @@ def _exp_from_frame(theta: np.ndarray, frame: np.ndarray) -> np.ndarray:
 
 
 def unitary_exp(z: np.ndarray) -> np.ndarray:
-    """e^z for skew-Hermitian z, through the eigenframe of -iz."""
+    """e^z for skew-Hermitian z or each matrix of a stack, through the eigenframe of -iz."""
     z = np.asarray(z, dtype=complex)
-    if not is_skew_hermitian(z, tol=1e-10 * z.shape[0]):
+    if not is_skew_hermitian(z, tol=1e-10 * z.shape[-1]):
         raise ValueError("unitary_exp requires a skew-Hermitian argument")
     return _exp_from_frame(*_skew_frame(z))
 

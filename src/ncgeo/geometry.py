@@ -14,11 +14,11 @@ distance by
 
     qd_p(u.x, v.x) = min_{g in G_x} d_p(u, v g),
 
-computed here by a seeded multistart quasi-Newton optimizer over the
-isotropy algebra with an exact first-variation gradient and a stationarity
+computed here by the damped-Newton loop of the best approximant
+(``projection._newton``) run once over a stack of seeded starts in the
+isotropy group, with an exact first-variation gradient and a stationarity
 certificate (stationarity is equivalent to the minimal-lifting criterion
-tau(w^{p-1} y) = 0 for all isotropy directions y), then polished by the
-damped-Newton loop of the best approximant (``projection._newton``).
+tau(w^{p-1} y) = 0 for all isotropy directions y).
 
 The module also contains: the lifting ODE dz/dt = G(ad z)^{-1} w(t) solved
 by a classical 4th-order one-step method with step halving against a
@@ -39,15 +39,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.integrate
-import scipy.optimize
 
-from . import core
+from . import core, projection
 from .core import AdAnalytic, TracialAlgebra, principal_log, unitary_exp
 from .projection import (
     EXPECTATION_KINDS,
     ConvergenceError,
     SkewSubspace,
-    _newton,
     best_approximants,
     conditional_expectation,
     lifting_certificate,
@@ -421,7 +419,8 @@ def unitary_distance(u: np.ndarray, v: np.ndarray, p, alg: TracialAlgebra) -> fl
 
 @dataclass
 class QuotientDistanceResult:
-    """Coset distance value with its stationarity certificate."""
+    """Coset distance value with its stationarity certificate; ``starts``
+    counts the Newton instances run, one per start point."""
 
     value: float
     g_opt: np.ndarray
@@ -431,48 +430,6 @@ class QuotientDistanceResult:
 
     def __float__(self):
         return self.value
-
-
-def _coset_value_and_grad(base, c, G, p, alg):
-    """||w||_p^p at w = log(base e^{B(c)}) and its gradient (-1)^(p/2) p tau(w^{p-1} F(ad B) b_k).
-
-    In the trace pairing F(ad B) transposes to F(-ad B) = G(ad B), so the
-    symbol is applied once, to w^{p-1}, which is then paired with the stacked basis.
-    """
-    Bc = G.combine(c)
-    calc = AdAnalytic(Bc)
-    w = principal_log(base @ calc.exp())
-    sign = (-1) ** (p // 2)
-    f = float(np.real(sign * core.trace_tau(np.linalg.matrix_power(w, p), alg)))
-    pulled = calc.apply("G", np.linalg.matrix_power(w, p - 1))
-    grad = sign * p * np.real(core._tau_stack(pulled, G.onb(), alg))
-    return f, grad
-
-
-def _coset_polish(base, g, G, p, alg, tol):
-    """Multiplicative damped Newton (``_newton``) on the stationarity residual.
-
-    Right-translations g -> g e^{d} have first variation
-    (-1)^(p/2) p tau(w^{p-1} b_k) and, at the optimum, Hessian
-    H_w(F(ad w)^{-1} b_j, b_k); the residual max_k |tau(w^{p-1} b_k)| is the
-    minimal-lifting certificate for w.  In the eigenframe of w, F(ad w)^{-1}
-    is the multiplier 1/F(i(lam_b - lam_a)); the angle gaps of a principal
-    logarithm stay below 2 pi, where F has no zero, so it exists at every
-    iterate.  Trials on the cut locus, where the log is not smooth, are halved.
-    """
-
-    def retract(ids, g, d):
-        # one instance: the loop runs with K = 1
-        g_try = g[0] @ unitary_exp(G.combine(d[0]))
-        if core.operator_norm(np.eye(alg.dim) - base @ g_try) >= 2.0 - 1e-6:
-            return g, np.full_like(g, np.nan)
-        return g_try[None], principal_log(base @ g_try)[None]
-
-    def left(frame, bt):
-        return bt / frame.ad_symbol(core._sym_F)[:, None]
-
-    g, f, resid, _ = _newton(g[None], principal_log(base @ g)[None], retract, left, G.onb(), p, alg, tol)
-    return g[0], float(f[0]), float(resid[0])
 
 
 def quotient_distance(
@@ -487,11 +444,22 @@ def quotient_distance(
     """Coset distance min_{g in G_x} d_p(u, v g) with a stationarity certificate.
 
     By bi-invariance of d_p the two-sided infimum over the isotropy group
-    collapses to a right translation of v.  The coefficient optimization
-    uses the exact gradient of ||log(u* v e^{B(c)})||_p^p (removable through
-    the F-symbol of the ad operator), multistarted from seeded points of
-    the isotropy algebra, then polished by a multiplicative Newton step to
-    certify max_k |tau(w^{p-1} b_k)| <= tol at the reported minimizer.
+    collapses to a right translation of v.  One lockstep run of the
+    damped-Newton loop (``projection._newton``) minimizes f = ||w||_p^p,
+    w = log(u* v g), from every start: a step moves g to g e^{B(d)}, along
+    which f has first variation (-1)^(p/2) p tau(w^{p-1} b_k) and, at the
+    optimum, Hessian H_w(F(ad w)^{-1} b_j, b_k).  F(ad w)^{-1} exists at every
+    iterate, since the angle gaps of a principal logarithm stay below 2 pi.
+    A trial within 1e-6 of the cut locus, where the log is not smooth, is
+    halved; a start on it is kept, evaluated with the total principal log.
+
+    Newton stays in the cut-locus cell of its start, so the starts spread
+    out: the identity, the isotropy part of log(u* v) undone, and three
+    seeded points per further start up to ``multistarts``, alternately a
+    point of the coefficient box [-pi, pi]^m and an isotropy direction of
+    uniform norm in [0.2 pi, 0.8 pi] (3 multistarts - 4 instances for
+    multistarts >= 2).  The answer is the certified instance of lowest f or,
+    when none certifies, the instance of lowest f with its certificate.
     """
     p = core._check_even_p(p)
     alg = space.ambient
@@ -505,10 +473,8 @@ def quotient_distance(
         return QuotientDistanceResult(core.p_norm(w, p, alg), np.eye(alg.dim, dtype=complex), 0.0, 1, p)
 
     rng = np.random.default_rng(seed)
-    starts = [np.zeros(m)]
-    direct = principal_log(base)
-    starts.append(-G.coords(direct))
-    for j in range(max(0, multistarts - len(starts))):
+    starts = [np.zeros(m), -G.coords(principal_log(base))]
+    for j in range(3 * max(0, multistarts - len(starts))):
         if j % 2 == 0:
             # wide coverage of the fundamental domain (the wrapped angles
             # create several basins at large distances)
@@ -520,36 +486,22 @@ def quotient_distance(
                 y = y * (rng.uniform(0.2, 0.8) * math.pi / nrm)
             starts.append(G.coords(y))
 
-    bounds = [(-math.pi - 0.5, math.pi + 0.5)] * m
+    def retract(ids, g, d):
+        # a trial within 1e-6 of the cut locus gets a NaN w
+        g = g @ unitary_exp(G.combine(d))
+        ug, w = base @ g, np.full_like(g, np.nan)
+        for k in np.flatnonzero(np.linalg.svd(np.eye(alg.dim) - ug, compute_uv=False)[:, 0] < 2.0 - 1e-6):
+            w[k] = principal_log(ug[k])
+        return g, w
 
-    def sweep(start_points):
-        best = None
-        for c0 in start_points:
-            res = scipy.optimize.minimize(
-                lambda c: _coset_value_and_grad(base, c, G, p, alg),
-                np.clip(c0, -math.pi, math.pi),
-                jac=True,
-                method="L-BFGS-B",
-                bounds=bounds,
-                options={"maxiter": 300, "ftol": 1e-16, "gtol": 1e-12},
-            )
-            if best is None or res.fun < best.fun:
-                best = res
-        return best
+    def left(frame, bt):
+        return bt / frame.ad_symbol(core._sym_F)[:, None]
 
-    best = sweep(starts)
-    g = unitary_exp(G.combine(best.x))
-    n_starts = len(starts)
-    if core.operator_norm(np.eye(alg.dim) - base @ g) >= 2.0 - 1e-6:
-        # every start drifted to the cut locus where the log loses
-        # smoothness: retry once from jittered points
-        jittered = [c + rng.uniform(-0.3, 0.3, size=m) for c in starts]
-        retry = sweep(jittered)
-        n_starts += len(jittered)
-        if retry.fun < best.fun:
-            g = unitary_exp(G.combine(retry.x))
-    g, f, resid = _coset_polish(base, g, G, p, alg, tol)
-    return QuotientDistanceResult(max(f, 0.0) ** (1.0 / p), g, resid, n_starts, p)
+    g = unitary_exp(G.combine(np.array(starts)))
+    w = np.array([principal_log(ug) for ug in base @ g])
+    g, f, resid, _ = projection._newton(g, w, retract, left, G.onb(), p, alg, tol)
+    k = np.lexsort((f, resid > tol))[0]
+    return QuotientDistanceResult(max(f[k], 0.0) ** (1.0 / p), g[k], float(resid[k]), len(starts), p)
 
 
 # ---------------------------------------------------------------------------

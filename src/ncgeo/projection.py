@@ -18,7 +18,7 @@ is smooth and strictly convex in c with exact gradient and Hessian
 
 so a damped Newton iteration converges with a first-order certificate:
 w is the minimal residual if and only if tau(w^{p-1} b_k) = 0 for all k.
-The coset polish in ``geometry`` minimizes ||w||_p^p under the same
+The coset distance in ``geometry`` minimizes ||w||_p^p under the same
 certificate and runs on the same damped Newton + Armijo loop (``_newton``).
 
 Each iterate costs one blockwise eigendecomposition w = V diag(i lam) V*
@@ -35,8 +35,8 @@ stacked eigendecomposition, Hessian, Newton solve and line-search trial for
 all instances still iterating.  Each instance keeps its own certificate,
 damping, steepest-descent fallback, Armijo backtracking and trial budget,
 and drops out once it is done, so its numbers are those of a solve on its
-own; ``best_approximant`` is the case K = 1 and the coset polish runs the
-loop with K = 1 too.
+own; ``best_approximant`` is the case K = 1, and the coset distance runs one
+instance per multistart.
 
 The module also provides trace-preserving conditional expectations onto
 the enumerated subalgebra kinds used by the model spaces, and the quotient
@@ -371,10 +371,12 @@ def _newton(state, w, retract, left, onb, p, alg, tol, max_iter=10_000):
     accepted, so termination rests on the certificate.  Each instance keeps
     its own certificate, damping, line search and budget of ``max_iter``
     trials, and leaves the loop once it is certified, out of budget or
-    stagnated; the matrix work of the instances still iterating is batched,
-    their scalar bookkeeping is done per instance.  Returns the stacked
+    stagnated (its line search failed, or an accepted trial lowered f by
+    roundoff at most and the next certificate did not fall); the matrix work
+    of the instances still iterating is batched, their scalar bookkeeping is
+    done per instance.  Returns the stacked
     ``(state, f, certificate, trials)``; a certificate above tol means the
-    budget ran out or the line search stagnated.
+    budget ran out or the instance stagnated.
     """
     sign = (-1) ** (p // 2)
     eye = np.eye(len(onb))
@@ -382,10 +384,12 @@ def _newton(state, w, retract, left, onb, p, alg, tol, max_iter=10_000):
     out_f, out_resid, out_trials = [0.0] * len(w), [0.0] * len(w), [0] * len(w)
     ids, state, w = np.arange(len(w)), state.copy(), w.copy()
     (f, wp1), trials = _objective(w, p, alg), [0] * len(w)
+    # whether the last accepted trial lowered f by roundoff at most; the certificate before it
+    flat, prev = [False] * len(w), [math.inf] * len(w)
 
     def leave(going, resid):
         # store the instances that leave, keep the others
-        nonlocal ids, state, w, wp1, f, trials
+        nonlocal ids, state, w, wp1, f, trials, flat, prev
         for j, g in enumerate(going):
             if not g:
                 i = ids[j]
@@ -393,17 +397,19 @@ def _newton(state, w, retract, left, onb, p, alg, tol, max_iter=10_000):
         keep = [j for j, g in enumerate(going) if g]
         ids, state, w, wp1 = ids[keep], state[keep], w[keep], wp1[keep]
         f, trials = [f[j] for j in keep], [trials[j] for j in keep]
+        flat, prev = [flat[j] for j in keep], [prev[j] for j in keep]
         return keep
 
     while len(ids):
         t = _first_variation(wp1, onb, alg)
         resid = np.abs(t).max(axis=1).tolist()
-        going = [r > tol and n < max_iter for r, n in zip(resid, trials)]
+        going = [r > tol and n < max_iter and not (fl and r >= pr) for r, n, fl, pr in zip(resid, trials, flat, prev)]
         if not all(going):
             keep = leave(going, resid)
             if not len(ids):
                 break
             t, resid = t[keep], [resid[j] for j in keep]
+        prev = resid
         grad = sign * p * t
         frame = core.Eigenframe(w, alg)
         bt = frame.transform(onb)
@@ -422,7 +428,7 @@ def _newton(state, w, retract, left, onb, p, alg, tol, max_iter=10_000):
             for k, j in enumerate(pend):
                 trials[j] += 1
                 if f_new[k] <= f[j] + 1e-4 * scale * slope[j] + roundoff[j]:
-                    accepted[j], f[j] = True, f_new[k]
+                    accepted[j], flat[j], f[j] = True, f[j] - f_new[k] <= roundoff[j], f_new[k]
                     state[j], w[j], wp1[j] = moved[k], w_new[k], wp1_new[k]
                 elif trials[j] < max_iter:
                     still.append(j)

@@ -120,8 +120,8 @@ class SuiteConfig:
             raise ValueError("trials must be >= 1")
         if not self.dims or any(d < 1 for d in self.dims):
             raise ValueError("dims must be positive")
-        if not self.p_list or any(not p >= 1 for p in self.p_list):
-            raise ValueError("p_list entries must be >= 1")
+        if not self.p_list or any(not 1 <= p < math.inf for p in self.p_list):
+            raise ValueError("p_list entries must be finite and >= 1")
         for name in self.suites:
             if name not in SUITE_NAMES:
                 raise ValueError(f"unknown suite {name!r}; expected a subset of {SUITE_NAMES}")
@@ -135,9 +135,7 @@ class SuiteConfig:
         return float(self.tolerances.get(name, DEFAULT_TOLERANCES[name]))
 
     def even_ps(self) -> tuple:
-        evens = sorted(
-            {int(p) for p in self.p_list if not np.isinf(p) and float(p).is_integer() and int(p) % 2 == 0 and p >= 2}
-        )
+        evens = sorted({int(p) for p in self.p_list if float(p).is_integer() and int(p) % 2 == 0 and p >= 2})
         return tuple(evens) or (2, 4)
 
     def to_json(self) -> dict:
@@ -182,13 +180,14 @@ class SuiteConfig:
 
 
 def _json_value(x, where: str, kind: type):
-    """x as a JSON integer (int), number (float) or string (str), else SchemaError."""
+    """x as a JSON integer (int), finite number (float) or string (str), else SchemaError."""
     if kind is str:
         ok = isinstance(x, str)
     else:
         ok = isinstance(x, int if kind is int else (int, float)) and not isinstance(x, bool)
+        ok = ok and (isinstance(x, int) or math.isfinite(x))
     if not ok:
-        name = {int: "an integer", float: "a number", str: "a string"}[kind]
+        name = {int: "an integer", float: "a finite number", str: "a string"}[kind]
         raise SchemaError(f"{where}: expected {name}, got {json.dumps(x)}")
     return x
 
@@ -312,7 +311,7 @@ def _clarkson_margin(a, b, p, alg, tol):
 def suite_core(cfg: SuiteConfig) -> list:
     records = []
     algs = [TracialAlgebra.full(d) for d in cfg.dims]
-    ps_all = sorted({1.5, 2.0} | {float(p) for p in cfg.p_list if not np.isinf(p)})
+    ps_all = sorted({1.5, 2.0} | {float(p) for p in cfg.p_list})
 
     def clarkson(k, rng):
         alg = algs[k % len(algs)]

@@ -121,6 +121,8 @@ def test_verify_config_rejections(files, capsys):
     # wrong types exit 2 with one line naming the offending path
     cases = [
         ({"p_list": ["inf"]}, "config.p_list[0]"),
+        # JSON's non-standard Infinity is refused before any trial runs
+        ('{"p_list": [2, Infinity]}', "config.p_list[1]"),
         ({"seed": None}, "config.seed"),
         ({"tolerances": {"clarkson": "x"}}, "config.tolerances.clarkson"),
         ({"dims": [2.5]}, "config.dims[0]"),
@@ -130,8 +132,12 @@ def test_verify_config_rejections(files, capsys):
     ]
     for k, (obj, path) in enumerate(cases):
         capsys.readouterr()
-        cfg = _write(files / f"bad{k}.json", obj)
-        assert main(["verify", "--config", cfg]) == 2, obj
+        cfg = files / f"bad{k}.json"
+        if isinstance(obj, str):
+            cfg.write_text(obj)
+        else:
+            _write(cfg, obj)
+        assert main(["verify", "--config", str(cfg)]) == 2, obj
         err = capsys.readouterr().err
         assert err.startswith(f"ncgeo: {path}: expected") and err.count("\n") == 1, err
 

@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.optimize
 
-from ncgeo import core
+from ncgeo import core, projection
 from ncgeo.core import TracialAlgebra, operator_norm, p_norm, principal_log, unitary_exp
 from ncgeo.geometry import (
     HomSpace,
@@ -32,6 +33,7 @@ from ncgeo.geometry import (
 )
 from ncgeo.models import ModelSpec, build_model_space
 from ncgeo.projection import SkewSubspace, best_approximant
+from ncgeo.suites import default_model_specs
 
 M3 = TracialAlgebra.full(3)
 M4 = TracialAlgebra.full(4)
@@ -244,28 +246,28 @@ def test_quotient_distance_same_fiber_is_zero(rng):
     assert qd.value < 1e-6
 
 
-def test_quotient_distance_center_oracle(rng):
+def _center_oracle(u, v, p, alg):
     # separable oracle: after reducing to the block phases, the coset
     # distance splits into independent one-dimensional minimizations
+    base = u.conj().T @ v
+    total = 0.0
+    for sl, d, wb in zip(alg.block_slices(), alg.block_dims, alg.trace_weights):
+        th = np.angle(np.linalg.eigvals(base[sl, sl]))
+        grid = np.linspace(-np.pi, np.pi, 400001)
+        shifted = (th[None, :] + grid[:, None] + np.pi) % (2 * np.pi) - np.pi
+        total += np.min(np.sum(np.abs(shifted) ** p, axis=1)) * (wb / d)
+    return total ** (1.0 / p)
+
+
+def test_quotient_distance_center_oracle(rng):
     sp = SPACES["center-quotient"]
     alg = sp.ambient
-    p = 4
-
-    def oracle(u, v):
-        base = u.conj().T @ v
-        total = 0.0
-        for sl, d, wb in zip(alg.block_slices(), alg.block_dims, alg.trace_weights):
-            th = np.angle(np.linalg.eigvals(base[sl, sl]))
-            grid = np.linspace(-np.pi, np.pi, 400001)
-            shifted = (th[None, :] + grid[:, None] + np.pi) % (2 * np.pi) - np.pi
-            total += np.min(np.sum(np.abs(shifted) ** p, axis=1)) * (wb / d)
-        return total ** (1.0 / p)
-
-    for trial in range(5):
+    for trial in range(12):
+        p = (4, 6)[trial % 2]
         u = core.random_unitary(alg, rng)
         v = core.random_unitary(alg, rng)
         qd = quotient_distance(sp, u, v, p, multistarts=16, seed=trial)
-        assert qd.value == pytest.approx(oracle(u, v), abs=1e-4)
+        assert qd.value == pytest.approx(_center_oracle(u, v, p, alg), abs=1e-4)
         assert qd.stationarity_residual < 1e-9
 
 
@@ -275,19 +277,131 @@ def test_quotient_distance_partial_isometry_oracle(rng):
     alg = sp.ambient
     q = sp.basepoint @ sp.basepoint.conj().T
     corner = np.eye(3, dtype=complex) - q
-    p = 4
     thetas = np.linspace(-np.pi, np.pi, 20001)
-    for trial in range(3):
+    gs = np.eye(3, dtype=complex)[None] + (np.exp(1j * thetas)[:, None, None] - 1.0) * corner[None]
+    for trial in range(8):
+        p = (4, 6)[trial % 2]
         u = core.random_unitary(alg, rng)
         v = core.random_unitary(alg, rng)
-        base = u.conj().T @ v
-        gs = np.eye(3, dtype=complex)[None] + (np.exp(1j * thetas)[:, None, None] - 1.0) * corner[None]
-        prods = base[None] @ gs
-        angles = np.angle(np.linalg.eigvals(prods))
+        angles = np.angle(np.linalg.eigvals((u.conj().T @ v)[None] @ gs))
         vals = np.mean(np.abs(angles) ** p, axis=1) ** (1.0 / p)
         qd = quotient_distance(sp, u, v, p, multistarts=6, seed=trial)
         assert qd.value <= vals.min() + 1e-6
         assert qd.value >= vals.min() - 1e-4
+        assert qd.stationarity_residual <= 1e-9
+
+
+def lbfgs_quotient_distance(space, u, v, p, multistarts=6, seed=0, tol=1e-9):
+    """The coset distance by an independent optimizer, as a reference
+    oracle: scipy L-BFGS-B from each start in turn (the identity, the
+    undone isotropy part of log(u* v), then seeded box points and isotropy
+    directions, alternately) on the box [-pi - 0.5, pi + 0.5]^m with the
+    exact gradient, one retry from jittered starts when the best run ends on
+    the cut locus, and a one-instance Newton polish.  Returns (value,
+    certificate)."""
+    alg, G = space.ambient, space.isotropy
+    base = u.conj().T @ v
+    m, sign = G.dim, (-1) ** (p // 2)
+    rng = np.random.default_rng(seed)
+    starts = [np.zeros(m), -G.coords(principal_log(base))]
+    for j in range(max(0, multistarts - 2)):
+        if j % 2 == 0:
+            starts.append(rng.uniform(-np.pi, np.pi, size=m))
+        else:
+            y = G.project(core.random_skew(alg, rng))
+            nrm = operator_norm(y)
+            if nrm > 1e-12:
+                y = y * (rng.uniform(0.2, 0.8) * np.pi / nrm)
+            starts.append(G.coords(y))
+
+    def value_and_grad(c):
+        # the gradient (-1)^(p/2) p tau(w^{p-1} F(ad B) b_k) with F(ad B)
+        # transposed to G(ad B) on w^{p-1}
+        calc = core.AdAnalytic(G.combine(c))
+        w = principal_log(base @ calc.exp())
+        f = float(np.real(sign * core.trace_tau(np.linalg.matrix_power(w, p), alg)))
+        pulled = calc.apply("G", np.linalg.matrix_power(w, p - 1))
+        return f, sign * p * np.real(core._tau_stack(pulled, G.onb(), alg))
+
+    def sweep(points):
+        runs = [
+            scipy.optimize.minimize(
+                value_and_grad, np.clip(c0, -np.pi, np.pi), jac=True, method="L-BFGS-B",
+                bounds=[(-np.pi - 0.5, np.pi + 0.5)] * m,
+                options={"maxiter": 300, "ftol": 1e-16, "gtol": 1e-12},
+            )
+            for c0 in points
+        ]
+        return min(runs, key=lambda r: r.fun)
+
+    best = sweep(starts)
+    g = unitary_exp(G.combine(best.x))
+    if operator_norm(np.eye(alg.dim) - base @ g) >= 2.0 - 1e-6:
+        retry = sweep([c + rng.uniform(-0.3, 0.3, size=m) for c in starts])
+        if retry.fun < best.fun:
+            g = unitary_exp(G.combine(retry.x))
+
+    def retract(ids, g, d):
+        g_try = g[0] @ unitary_exp(G.combine(d[0]))
+        if operator_norm(np.eye(alg.dim) - base @ g_try) >= 2.0 - 1e-6:
+            return g, np.full_like(g, np.nan)
+        return g_try[None], principal_log(base @ g_try)[None]
+
+    def left(frame, bt):
+        return bt / frame.ad_symbol(core._sym_F)[:, None]
+
+    _, f, resid, _ = projection._newton(g[None], principal_log(base @ g)[None], retract, left, G.onb(), p, alg, tol)
+    return max(float(f[0]), 0.0) ** (1.0 / p), float(resid[0])
+
+
+def test_quotient_distance_matches_the_lbfgs_oracle():
+    # a fixed pool at the suites' radii over the five default model kinds:
+    # the stacked Newton multistart never ends above the L-BFGS-B optimizer
+    spaces = [build_model_space(spec) for spec in default_model_specs()]
+    gen = np.random.default_rng(11)
+    for k in range(20):
+        sp = spaces[k % 5]
+        p, scale, multistarts = (4, 6)[k // 5 % 2], (0.25, 0.5, 0.8)[k % 3], (4, 6, 8)[k % 3]
+        u = unitary_exp(core.random_skew(sp.ambient, gen, scale))
+        v = unitary_exp(core.random_skew(sp.ambient, gen, scale))
+        qd = quotient_distance(sp, u, v, p, multistarts=multistarts, seed=k)
+        ref, _ = lbfgs_quotient_distance(sp, u, v, p, multistarts, seed=k)
+        assert qd.value <= ref + 1e-12
+        assert qd.stationarity_residual <= 1e-9
+
+
+def test_quotient_distance_is_one_newton_stack(rng, newton_stack_sizes):
+    # every start is one instance of one lockstep Newton solve: the identity,
+    # the undone isotropy part of log(u* v), and three seeded points for each
+    # further start
+    sp = SPACES["diag-m2"]
+    u, v = core.random_unitary(sp.ambient, rng), core.random_unitary(sp.ambient, rng)
+    for multistarts, size in ((1, 2), (2, 2), (4, 8), (6, 14)):
+        newton_stack_sizes.clear()
+        qd = quotient_distance(sp, u, v, 4, multistarts=multistarts)
+        assert newton_stack_sizes == [size] and qd.starts == size
+
+
+@pytest.mark.parametrize("kind", ["center-quotient", "diag-m2", "partial-isometry-orbit"])
+def test_quotient_distance_from_a_start_on_the_cut_locus(kind, rng):
+    # u* v has the eigenvalue -1, so the identity start lies on the cut locus,
+    # where the principal logarithm is total but not smooth; the start is
+    # kept, and the answer certifies and matches the oracles
+    sp = SPACES[kind]
+    alg = sp.ambient
+    q = core.random_unitary(alg, rng)
+    angles = rng.uniform(-2.5, 2.5, alg.dim)
+    angles[0] = np.pi
+    base = q @ np.diag(np.exp(1j * angles)) @ q.conj().T
+    u = core.random_unitary(alg, rng)
+    v = u @ base
+    assert operator_norm(np.eye(alg.dim) - base) == pytest.approx(2.0, abs=1e-12)
+    for p in (4, 6):
+        qd = quotient_distance(sp, u, v, p)
+        assert qd.stationarity_residual <= 1e-9
+        assert qd.value <= lbfgs_quotient_distance(sp, u, v, p)[0] + 1e-12
+        if kind == "center-quotient":
+            assert qd.value == pytest.approx(_center_oracle(u, v, p, alg), abs=1e-4)
 
 
 @pytest.mark.parametrize("trial, p", [(0, 4), (1, 6)])

@@ -373,7 +373,8 @@ def test_hessian_matches_power_sum_oracle(alg, p, rng):
 def serial_best_approximant(z, S, p, tol=1e-10, max_iter=10_000):
     """The one-instance damped Newton + Armijo loop that best_approximants
     stacks, kept here as its oracle: (coefficients, certificate, trials,
-    Newton steps)."""
+    Newton steps).  It stops on roundoff stagnation: an accepted trial that
+    lowered f by roundoff at most, followed by a certificate that did not fall."""
     alg, onb, sign = S.ambient, S.onb(), (-1) ** (p // 2)
 
     def objective(w):
@@ -382,11 +383,13 @@ def serial_best_approximant(z, S, p, tol=1e-10, max_iter=10_000):
     c = S.coords(z)
     w = z - S.combine(c)
     f, trials, steps = objective(w), 0, 0
+    flat, prev = False, np.inf
     while True:
         t = np.real(core._tau_stack(np.linalg.matrix_power(w, p - 1), onb, alg))
         resid = float(np.max(np.abs(t)))
-        if resid <= tol or trials >= max_iter:
+        if resid <= tol or trials >= max_iter or (flat and resid >= prev):
             return c, resid, trials, steps
+        prev = resid
         steps += 1
         grad = sign * p * t
         frame = core.Eigenframe(w, alg)
@@ -417,6 +420,7 @@ def serial_best_approximant(z, S, p, tol=1e-10, max_iter=10_000):
                 break
         if not accepted:
             return c, resid, trials, steps
+        flat = f - f_new <= roundoff
         c, w, f = c_new, w_new, f_new
 
 
@@ -516,6 +520,32 @@ def test_best_approximants_quotes_the_certificate_of_the_failing_instance():
         f"best approximant certificate {resid:.3e} above tol 1.0e-10 "
         "after 1 line-search trials (instance 1 of 2)"
     )
+
+
+def test_best_approximant_stops_on_roundoff_stagnation():
+    # at ||z|| = 17.9 and p = 8 the absolute certificate tol is below the
+    # roundoff of tau(w^7 b_k), and every roundoff-level trial is accepted:
+    # without the stagnation stop the loop spends its whole 10,000-trial
+    # budget (about 1.7 s per solve) before it raises
+    stalled = []
+    for s in range(10):
+        gen = np.random.default_rng(s)
+        S = SkewSubspace(M4, [core.random_skew(M4, gen) for _ in range(2)])
+        z = core.random_skew(M4, gen)
+        z = z * (17.9 / operator_norm(z))
+        c, resid, trials, _ = serial_best_approximant(z, S, 8)
+        assert trials <= 20
+        if resid <= 1e-10:
+            res = best_approximant(z, S, 8)
+            assert res.iterations == trials and np.max(np.abs(res.coefficients - c)) <= 1e-12
+            continue
+        stalled.append(s)
+        with pytest.raises(ConvergenceError, match=f"^best approximant certificate {resid:.3e} .* after {trials} "):
+            best_approximant(z, S, 8)
+        # in a stack the stalled instance leaves on its own schedule too
+        with pytest.raises(ConvergenceError, match=rf"after {trials} line-search trials \(instance 1 of 2\)"):
+            best_approximants(np.array([0.1 * z, z]), S, 8)
+    assert len(stalled) >= 5
 
 
 # ---------------------------------------------------------------------------
