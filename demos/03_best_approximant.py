@@ -6,13 +6,8 @@ import numpy as np
 
 from ncgeo import core
 from ncgeo.core import TracialAlgebra, p_norm
-from ncgeo.models import ModelSpec, build_model_space
-from ncgeo.projection import (
-    SkewSubspace,
-    best_approximant,
-    conditional_expectation,
-    quotient_norm,
-)
+from ncgeo.models import ModelSpec, build_model_space, conditional_expectation
+from ncgeo.projection import SkewSubspace, best_approximant, quotient_norm
 
 alg = TracialAlgebra.full(3)
 rng = np.random.default_rng(3)
@@ -35,7 +30,7 @@ print("\non the diagonal algebra of M (x) M_2 the projection is the block trunca
 sp = build_model_space(ModelSpec("diag-m2", blocks=(2,)))
 zt = core.random_skew(sp.ambient, rng)
 q = best_approximant(zt, sp.isotropy, 4).projection
-e = conditional_expectation(zt, sp.isotropy)
+e = conditional_expectation(zt, sp)
 print("  ||Q(z) - E(z)||_4 =", p_norm(q - e, 4, sp.ambient))
 
 print("\nquotient norms (inf over the subspace):")

@@ -32,7 +32,6 @@ from .projection import (
     ProjectionResult,
     ConvergenceError,
     orthonormal_basis,
-    conditional_expectation,
     best_approximant,
     minimal_lifting,
     lifting_certificate,
@@ -56,7 +55,9 @@ from .geometry import (
 )
 from .models import (
     ModelSpec,
+    MODELS,
     build_model_space,
+    conditional_expectation,
     center_q_checks,
     diag_m2_checks,
     special_diag_checks,

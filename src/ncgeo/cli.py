@@ -27,7 +27,7 @@ import numpy as np
 
 from . import core
 from .geometry import epsilon_isometric_lift, minimal_geodesic, quotient_distance, unitary_distance
-from .models import build_model_space
+from .models import MODELS, build_model_space
 from .projection import ConvergenceError, best_approximant, quotient_norm
 from .serialization import (
     SchemaError,
@@ -83,7 +83,10 @@ def cmd_verify(args) -> int:
 def cmd_distance(args) -> int:
     u = _load_matrix(args.u)
     v = _load_matrix(args.v)
-    alg = algebra_from_json(load_json_file(args.algebra)) if args.algebra else core.TracialAlgebra.full(u.shape[0])
+    if args.algebra:
+        alg = algebra_from_json(load_json_file(args.algebra), where=args.algebra)
+    else:
+        alg = core.TracialAlgebra.full(u.shape[0])
     d = unitary_distance(u, v, args.p, alg)
     _emit({"d_p": d, "p": float(args.p)})
     return 0
@@ -144,6 +147,8 @@ def cmd_geodesic(args) -> int:
     out["symbol"] = matrix_to_json(res.symbol)
     out["radius"] = space.radius(args.p)
     out["epsilon_band"] = space.epsilon_band(args.p)
+    # radius and band are built from c_O and K_p: bounds only if both are exact
+    out["constants"] = MODELS[space.model_kind].constants
     _emit(out)
     return 0
 
@@ -175,7 +180,7 @@ def cmd_fold(args) -> int:
         "uniform_norm_after": core.operator_norm(folded),
     }
     if args.algebra:
-        alg = algebra_from_json(load_json_file(args.algebra))
+        alg = algebra_from_json(load_json_file(args.algebra), where=args.algebra)
         out["p_norms"] = {
             str(p): {"before": core.p_norm(z, p, alg), "after": core.p_norm(folded, p, alg)}
             for p in (2, 4)

@@ -36,20 +36,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 import scipy.integrate
 
 from . import core, projection
 from .core import AdAnalytic, TracialAlgebra, principal_log, unitary_exp
-from .projection import (
-    EXPECTATION_KINDS,
-    ConvergenceError,
-    SkewSubspace,
-    best_approximants,
-    conditional_expectation,
-    lifting_certificate,
-)
+from .projection import ConvergenceError, SkewSubspace, best_approximants, lifting_certificate
 
 __all__ = [
     "SampledCurve",
@@ -263,7 +257,9 @@ class HomSpace:
     ``c_O`` bounds the uniform norm of the horizontal projection against
     the quotient norm; ``k_O_p`` maps each even p to a uniform bound on the
     best-approximant projection, exact where the model provides one and an
-    inflated empirical estimate otherwise.
+    inflated empirical estimate otherwise (``models.MODELS`` says which).
+    ``expectation(x, space)``, when given, is the conditional expectation
+    onto the isotropy subalgebra; coset membership is then g = E(g).
     """
 
     ambient: TracialAlgebra
@@ -273,6 +269,7 @@ class HomSpace:
     c_O: float
     k_O_p: dict
     model_kind: str = ""
+    expectation: Callable | None = None
 
     def __post_init__(self):
         if self.kind not in ("coset", "conjugation", "partial-isometry"):
@@ -295,15 +292,14 @@ class HomSpace:
 
     def epsilon_band(self, p) -> float:
         """(sqrt(2) - 1) / (C (1 + K_p)): the uniform-length band inside
-        which minimal symbols beat every competitor."""
+        which minimal symbols beat every competitor.  Where c_O or K_p is a
+        sampled estimate, so is the band: it is not a certified bound."""
         return (math.sqrt(2.0) - 1.0) / (self.c_O * (1.0 + self.k_O(p)))
 
     def radius(self, p) -> float:
-        """Initial-value minimality radius min(pi/3, eps/(2(1+K_p)))."""
+        """Initial-value minimality radius min(pi/3, eps/(2(1+K_p))); an
+        estimate, not a bound, where c_O or K_p is one."""
         return min(math.pi / 3.0, self.epsilon_band(p) / (2.0 * (1.0 + self.k_O(p))))
-
-    def vertical_project(self, z: np.ndarray) -> np.ndarray:
-        return self.isotropy.project(z)
 
     def horizontal_project(self, z: np.ndarray) -> np.ndarray:
         return z - self.isotropy.project(z)
@@ -311,8 +307,8 @@ class HomSpace:
     def isotropy_defect(self, g: np.ndarray) -> float:
         """Uniform-norm defect of membership of a unitary in the isotropy group."""
         if self.kind == "coset":
-            if self.isotropy.kind in EXPECTATION_KINDS:
-                return core.operator_norm(g - conditional_expectation(g, self.isotropy))
+            if self.expectation is not None:
+                return core.operator_norm(g - self.expectation(np.asarray(g, dtype=complex), self))
             # generic-basis isotropy: compare against the exponential of
             # the vertical part of the principal logarithm
             lg = principal_log(g)

@@ -1,16 +1,19 @@
-"""Constructors and special-case verifiers for the example homogeneous
-spaces: quotients by a central subalgebra, by the diagonal and the
-constant-diagonal algebras of M(x)M2, unitary orbits of projections, and
-orbits of partial isometries.
+"""The example homogeneous spaces: quotients by a central subalgebra, by
+the diagonal and the constant-diagonal algebras of M(x)M2, unitary orbits
+of projections, and orbits of partial isometries, with their
+special-case verifiers.
 
-Each constructor wires the exact isotropy basis and the projection bounds:
-K = 3 for central subalgebras, K = 1 where the best approximant coincides
-with the conditional expectation (diagonal algebra, projection orbits),
-and inflated empirical estimates where no closed bound is available
-(their samples are drawn as one stack and projected in one stacked solve).
-C = 2 whenever the isotropy is the unitary group of a subalgebra (the
-horizontal projection is 1 - E with E a trace-preserving conditional
-expectation).
+``MODELS`` maps each model kind to everything the kind decides: its
+builder (ambient algebra, basepoint, exact isotropy basis), its action,
+its trace-preserving conditional expectation onto the isotropy subalgebra
+(none for the partial-isometry orbit), and its exact constants: K = 3 for
+central subalgebras, K = 1 where the best approximant coincides with the
+conditional expectation (diagonal algebra, projection orbits), and C = 2
+whenever the isotropy is the unitary group of a subalgebra (the horizontal
+projection is 1 - E).  A constant the table leaves open is an inflated
+empirical estimate (its samples are drawn as one stack and projected in
+one stacked solve).  ``build_model_space`` is one lookup in the table, and
+the built HomSpace carries its expectation.
 
 The ``*_checks`` functions exercise the kind-specific inequalities and
 projection facts on random inputs
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -31,30 +35,24 @@ from .projection import (
     SkewSubspace,
     best_approximant,
     best_approximants,
-    conditional_expectation,
     hermitian_best_approximant,
+    orthonormal_basis,
     standard_skew_basis,
 )
 
 __all__ = [
     "ModelSpec",
+    "ModelKind",
+    "MODELS",
     "CheckResult",
     "ModelReport",
     "build_model_space",
+    "conditional_expectation",
     "validate_space",
     "center_q_checks",
     "diag_m2_checks",
     "special_diag_checks",
-    "MODEL_KINDS",
 ]
-
-MODEL_KINDS = (
-    "center-quotient",
-    "diag-m2",
-    "special-diag-m2",
-    "partial-isometry-orbit",
-    "projection-orbit",
-)
 
 #: fixed stream for the empirical constant estimates (deterministic builds)
 _CONSTANTS_SEED = 20260810
@@ -78,9 +76,11 @@ class ModelSpec:
     p_list: tuple = (2, 4)
 
     def __post_init__(self):
-        if self.kind not in MODEL_KINDS:
-            raise ValueError(f"unknown model kind {self.kind!r}; expected one of {MODEL_KINDS}")
+        if not isinstance(self.kind, str) or self.kind not in MODELS:
+            raise ValueError(f"unknown model kind {self.kind!r}; expected one of {tuple(MODELS)}")
         self.blocks = tuple(int(b) for b in self.blocks)
+        if not self.blocks or min(self.blocks) < 1:
+            raise ValueError("blocks must be a non-empty list of positive dimensions")
         self.p_list = tuple(core._check_even_p(p) for p in self.p_list)
         if self.e is not None:
             self.e = np.asarray(self.e, dtype=complex)
@@ -129,106 +129,149 @@ def _estimate_k(space_iso: SkewSubspace, alg: TracialAlgebra, p: int, samples: i
     return 1.5 * max(core._max_operator_norm(q), 1e-6)
 
 
-def build_model_space(spec: ModelSpec) -> HomSpace:
-    """Wire a HomSpace for the requested model kind.
+def _center_quotient(spec):
+    alg = TracialAlgebra.direct_sum(spec.blocks, spec.weights)
+    basis = []
+    n = alg.dim
+    for sl, d in zip(alg.block_slices(), alg.block_dims):
+        b = np.zeros((n, n), dtype=complex)
+        b[sl, sl] = 1j * np.eye(d)
+        basis.append(b)
+    return alg, alg.identity(), basis
 
-    Isotropy bases are exact per kind; every shipped isotropy group is
-    exponential (a unitary group of a subalgebra or of a corner).
-    """
-    if spec.kind == "center-quotient":
-        alg = TracialAlgebra.direct_sum(spec.blocks, spec.weights)
-        basis = []
-        n = alg.dim
-        for sl, d in zip(alg.block_slices(), alg.block_dims):
-            b = np.zeros((n, n), dtype=complex)
-            b[sl, sl] = 1j * np.eye(d)
-            basis.append(b)
-        iso = SkewSubspace(alg, basis, kind="center-blocks")
-        return _assemble(alg, "coset", alg.identity(), iso, spec, c_exact=2.0, k_exact=3.0,
-                         model_kind=spec.kind)
 
-    if spec.kind == "diag-m2":
-        m = spec.blocks[0]
-        alg = TracialAlgebra.tensor_square(m)
-        inner = TracialAlgebra.full(m)
-        basis = []
-        for b in standard_skew_basis(inner):
-            for corner in (0, 1):
-                big = np.zeros((2 * m, 2 * m), dtype=complex)
-                big[corner * m : (corner + 1) * m, corner * m : (corner + 1) * m] = b
-                basis.append(big)
-        iso = SkewSubspace(alg, basis, kind="diag-m2")
-        return _assemble(alg, "coset", alg.identity(), iso, spec, c_exact=2.0, k_exact=1.0,
-                         model_kind=spec.kind)
-
-    if spec.kind == "special-diag-m2":
-        m = spec.blocks[0]
-        alg = TracialAlgebra.tensor_square(m)
-        inner = TracialAlgebra.full(m)
-        basis = []
-        for b in standard_skew_basis(inner):
+def _tensor_diagonal(spec, placements):
+    """Isotropy of the M(x)M2 kinds: each skew basis element b of M put into
+    the diagonal corners named by each placement ((0,), (1,): diag-m2;
+    (0, 1): diag(b, b), special-diag-m2)."""
+    m = spec.blocks[0]
+    alg = TracialAlgebra.tensor_square(m)
+    basis = []
+    for b in standard_skew_basis(TracialAlgebra.full(m)):
+        for corners in placements:
             big = np.zeros((2 * m, 2 * m), dtype=complex)
-            big[:m, :m] = b
-            big[m:, m:] = b
+            for c in corners:
+                big[c * m : (c + 1) * m, c * m : (c + 1) * m] = b
             basis.append(big)
-        iso = SkewSubspace(alg, basis, kind="special-diag-m2")
-        return _assemble(alg, "coset", alg.identity(), iso, spec, c_exact=2.0, k_exact=None,
-                         model_kind=spec.kind)
-
-    if spec.kind == "projection-orbit":
-        if spec.e is not None:
-            n = spec.e.shape[0]
-            alg = TracialAlgebra.full(n) if not (n % 2 == 0) else TracialAlgebra.tensor_square(n // 2)
-            e = spec.e
-        else:
-            m = spec.blocks[0]
-            alg = TracialAlgebra.tensor_square(m)
-            e = np.zeros((2 * m, 2 * m), dtype=complex)
-            e[:m, :m] = np.eye(m)
-        lam, vecs = np.linalg.eigh(e)
-        ones = vecs[:, lam > 0.5]
-        zeros = vecs[:, lam <= 0.5]
-        basis = _corner_skew_basis(alg, ones) + _corner_skew_basis(alg, zeros)
-        iso = SkewSubspace(alg, basis, kind="commutant-of-projection", aux=e)
-        return _assemble(alg, "conjugation", e, iso, spec, c_exact=2.0, k_exact=1.0,
-                         model_kind=spec.kind)
-
-    if spec.kind == "partial-isometry-orbit":
-        if spec.v0 is not None:
-            v0 = spec.v0
-            n = v0.shape[0]
-        else:
-            n = spec.blocks[0]
-            if n < 2:
-                raise ValueError("partial-isometry-orbit needs ambient dimension >= 2")
-            v0 = np.zeros((n, n), dtype=complex)
-            for j in range(n - 1):
-                v0[j + 1, j] = 1.0
-        alg = TracialAlgebra.full(n)
-        q = v0 @ v0.conj().T
-        lam, vecs = np.linalg.eigh(q)
-        kernel = vecs[:, lam <= 0.5]
-        if kernel.shape[1] == 0:
-            raise ValueError("v0 must have co-rank >= 1 so the isotropy is nontrivial")
-        basis = _corner_skew_basis(alg, kernel)
-        iso = SkewSubspace(alg, basis, kind="annihilator-of-partial-isometry", aux=v0)
-        return _assemble(alg, "partial-isometry", v0, iso, spec, c_exact=None, k_exact=None,
-                         model_kind=spec.kind)
-
-    raise ValueError(f"unknown model kind {spec.kind!r}")
+    return alg, alg.identity(), basis
 
 
-def _assemble(alg, action_kind, basepoint, iso, spec, c_exact, k_exact, model_kind) -> HomSpace:
-    from .projection import orthonormal_basis
+def _projection_orbit(spec):
+    if spec.e is not None:
+        n = spec.e.shape[0]
+        alg = TracialAlgebra.full(n) if not (n % 2 == 0) else TracialAlgebra.tensor_square(n // 2)
+        e = spec.e
+    else:
+        m = spec.blocks[0]
+        alg = TracialAlgebra.tensor_square(m)
+        e = np.zeros((2 * m, 2 * m), dtype=complex)
+        e[:m, :m] = np.eye(m)
+    lam, vecs = np.linalg.eigh(e)
+    return alg, e, _corner_skew_basis(alg, vecs[:, lam > 0.5]) + _corner_skew_basis(alg, vecs[:, lam <= 0.5])
 
-    iso = orthonormal_basis(iso)
-    c = c_exact if c_exact is not None else _estimate_c(iso, alg)
-    k = {}
-    for p in spec.p_list:
-        k[p] = k_exact if k_exact is not None else _estimate_k(iso, alg, p)
-    space = HomSpace(alg, action_kind, basepoint, iso, c, k, model_kind)
+
+def _partial_isometry_orbit(spec):
+    if spec.v0 is not None:
+        v0, n = spec.v0, spec.v0.shape[0]
+    else:
+        n = spec.blocks[0]
+        if n < 2:
+            raise ValueError("partial-isometry-orbit needs ambient dimension >= 2")
+        v0 = np.zeros((n, n), dtype=complex)
+        for j in range(n - 1):
+            v0[j + 1, j] = 1.0
+    alg = TracialAlgebra.full(n)
+    lam, vecs = np.linalg.eigh(v0 @ v0.conj().T)
+    kernel = vecs[:, lam <= 0.5]
+    if kernel.shape[1] == 0:
+        raise ValueError("v0 must have co-rank >= 1 so the isotropy is nontrivial")
+    return alg, v0, _corner_skew_basis(alg, kernel)
+
+
+def _block_scalars(x, space):
+    """E onto the center: each block replaced by its normalized trace."""
+    alg = space.ambient
+    out = np.zeros_like(x)
+    for sl, d in zip(alg.block_slices(), alg.block_dims):
+        out[sl, sl] = (np.trace(x[sl, sl]) / d) * np.eye(d)
+    return out
+
+
+def _block_diagonal(x, space):
+    """E onto the diagonal algebra of M(x)M2: the off-diagonal corners dropped."""
+    m = space.ambient.inner_dim
+    out = np.zeros_like(x)
+    out[:m, :m], out[m:, m:] = x[:m, :m], x[m:, m:]
+    return out
+
+
+def _constant_diagonal(x, space):
+    """E onto {diag(x, x)}: both diagonal corners replaced by their mean."""
+    m = space.ambient.inner_dim
+    out = np.zeros_like(x)
+    out[:m, :m] = out[m:, m:] = (x[:m, :m] + x[m:, m:]) / 2.0
+    return out
+
+
+def _commutant(x, space):
+    """E onto the commutant of the basepoint projection e: exe + (1-e)x(1-e)."""
+    e = space.basepoint
+    rest = np.eye(space.ambient.dim) - e
+    return e @ x @ e + rest @ x @ rest
+
+
+@dataclass(frozen=True)
+class ModelKind:
+    """What a model kind decides: ``build(spec)`` gives the ambient algebra,
+    the basepoint and an isotropy basis; ``action`` is the HomSpace action
+    kind; ``expectation(x, space)`` is the conditional expectation onto the
+    isotropy subalgebra (None: no *-subalgebra); ``c_exact`` / ``k_exact``
+    are the closed-form c_O and K_p (None: sampled maxima x1.5)."""
+
+    build: Callable
+    action: str
+    expectation: Callable | None
+    c_exact: float | None
+    k_exact: float | None
+
+    @property
+    def constants(self) -> str:
+        """"exact" when c_O and every K_p are closed-form, else "estimated"."""
+        return "exact" if self.c_exact is not None and self.k_exact is not None else "estimated"
+
+
+#: every model kind; the one place that maps a kind to its data
+MODELS = {
+    "center-quotient": ModelKind(_center_quotient, "coset", _block_scalars, 2.0, 3.0),
+    "diag-m2": ModelKind(lambda s: _tensor_diagonal(s, ((0,), (1,))), "coset", _block_diagonal, 2.0, 1.0),
+    "special-diag-m2": ModelKind(lambda s: _tensor_diagonal(s, ((0, 1),)), "coset", _constant_diagonal, 2.0, None),
+    "partial-isometry-orbit": ModelKind(_partial_isometry_orbit, "partial-isometry", None, None, None),
+    "projection-orbit": ModelKind(_projection_orbit, "conjugation", _commutant, 2.0, 1.0),
+}
+
+
+def build_model_space(spec: ModelSpec) -> HomSpace:
+    """Wire a HomSpace for the requested model kind from its MODELS entry.
+
+    Every shipped isotropy group is exponential (a unitary group of a
+    subalgebra or of a corner).
+    """
+    model = MODELS[spec.kind]
+    alg, basepoint, basis = model.build(spec)
+    iso = orthonormal_basis(SkewSubspace(alg, basis))
+    c = model.c_exact if model.c_exact is not None else _estimate_c(iso, alg)
+    k = {p: model.k_exact if model.k_exact is not None else _estimate_k(iso, alg, p) for p in spec.p_list}
+    space = HomSpace(alg, model.action, basepoint, iso, c, k, spec.kind, model.expectation)
     _structural_checks(space)
     return space
+
+
+def conditional_expectation(x: np.ndarray, space: HomSpace) -> np.ndarray:
+    """The conditional expectation of x onto the isotropy subalgebra of a model
+    space (unital, positive, tau(E(x)) = tau(x)); ValueError for a kind without one."""
+    if space.expectation is None:
+        raise ValueError(f"model kind {space.model_kind!r} has no conditional expectation onto its isotropy")
+    return space.expectation(np.asarray(x, dtype=complex), space)
 
 
 def _structural_checks(space: HomSpace, tol: float = 1e-9):
@@ -384,23 +427,23 @@ def diag_m2_checks(space: HomSpace, p: int, trials: int = 200, seed: int = 0, to
     for _ in range(trials):
         z = core.random_skew(alg, rng)
         q = best_approximant(z, space.isotropy, p, tol=1e-11).projection
-        ez = conditional_expectation(z, space.isotropy)
+        ez = conditional_expectation(z, space)
         m_t = tol - core.p_norm(q - ez, p, alg)
         w_trunc = min(w_trunc, m_t)
         if m_t < 0:
             trunc_bad += 1
 
         h = core.random_hermitian(alg, rng)
-        off = h - conditional_expectation(h, space.isotropy)
+        off = h - conditional_expectation(h, space)
         m_o = core.p_norm(h, p, alg) + 1e-10 - core.p_norm(off, p, alg)
         w_off = min(w_off, m_o)
         if m_o < 0:
             off_bad += 1
-    z_diag = conditional_expectation(core.random_skew(alg, rng), space.isotropy)
+    z_diag = conditional_expectation(core.random_skew(alg, rng), space)
     r1 = best_approximant(z_diag, space.isotropy, p)
     fixed_ok = core.p_norm(r1.residual, p, alg) <= 1e-8
     z_off = core.random_skew(alg, rng)
-    z_off = z_off - conditional_expectation(z_off, space.isotropy)
+    z_off = z_off - conditional_expectation(z_off, space)
     r2 = best_approximant(z_off, space.isotropy, p)
     killed_ok = core.p_norm(r2.projection, p, alg) <= 1e-8
     rep.add("projection-is-truncation", trials, trunc_bad, w_trunc)
@@ -453,7 +496,7 @@ def special_diag_checks(space: HomSpace, p: int, trials: int = 200, seed: int = 
             ineq_bad += 1
 
         sym = _embed_blocks(a, b, c, m)
-        e_sym = conditional_expectation(sym, space.isotropy)
+        e_sym = conditional_expectation(sym, space)
         m_c = core.p_norm(sym, p, alg) + tol - core.p_norm(e_sym, p, alg)
         w_contract = min(w_contract, m_c)
         if m_c < 0:

@@ -38,10 +38,10 @@ and drops out once it is done, so its numbers are those of a solve on its
 own; ``best_approximant`` is the case K = 1, and the coset distance runs one
 instance per multistart.
 
-The module also provides trace-preserving conditional expectations onto
-the enumerated subalgebra kinds used by the model spaces, and the quotient
-norm inf_y ||z - y|| (exact via Q for even p, a certified upper bound via
-pattern search for p = inf).
+The module also provides the quotient norm inf_y ||z - y|| (exact via Q
+for even p, a certified upper bound via pattern search for p = inf).
+Conditional expectations onto the isotropy subalgebras of the model
+spaces live with the model table (``models.conditional_expectation``).
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ __all__ = [
     "ConvergenceError",
     "standard_skew_basis",
     "orthonormal_basis",
-    "conditional_expectation",
     "hermitian_best_approximant",
     "best_approximant",
     "best_approximants",
@@ -70,10 +69,6 @@ __all__ = [
 ]
 
 _EPS = np.finfo(float).eps
-
-#: subalgebra descriptor kinds accepted by conditional_expectation
-EXPECTATION_KINDS = ("center-blocks", "diag-m2", "special-diag-m2", "commutant-of-projection")
-
 
 class ConvergenceError(RuntimeError):
     """A solver (best approximant, lifting ODE) hit its cap without certifying its answer."""
@@ -86,18 +81,13 @@ class ConvergenceError(RuntimeError):
 
 @dataclass
 class SkewSubspace:
-    """A real-linear subspace of the skew-Hermitian part of an algebra.
-
-    ``kind`` tags the enumerated subalgebra descriptors ("basis" for a
-    generic span); ``aux`` carries the projection e or partial isometry v0
-    for the kinds that need one.  The basis is orthonormalized lazily in
-    the trace inner product <a, b> = Re tau(b* a).
+    """The real-linear span of a basis of skew-Hermitian elements of an
+    algebra.  The basis is orthonormalized lazily in the trace inner
+    product <a, b> = Re tau(b* a).
     """
 
     ambient: TracialAlgebra
     basis: list
-    kind: str = "basis"
-    aux: np.ndarray | None = None
     gram_tol: float = 1e-12
     _onb: np.ndarray | None = field(default=None, repr=False)
 
@@ -168,7 +158,7 @@ class SkewSubspace:
             norm = np.sqrt(max(core.inner_tau(r, r, self.ambient), 0.0))
             if norm > 1e-8:
                 kept.append(r / norm)
-        return SkewSubspace(self.ambient, kept, kind="basis")
+        return SkewSubspace(self.ambient, kept)
 
 
 def standard_skew_basis(alg: TracialAlgebra) -> list:
@@ -218,61 +208,9 @@ def _gram_schmidt(basis, alg, gram_tol):
 def orthonormal_basis(S: SkewSubspace) -> SkewSubspace:
     """Gram-Schmidt in the trace inner product; same span, deterministic."""
     onb = _gram_schmidt(S.basis, S.ambient, S.gram_tol)
-    out = SkewSubspace(S.ambient, list(onb), kind=S.kind, aux=S.aux, gram_tol=S.gram_tol)
+    out = SkewSubspace(S.ambient, list(onb), gram_tol=S.gram_tol)
     out._onb = onb
     return out
-
-
-# ---------------------------------------------------------------------------
-# conditional expectations
-# ---------------------------------------------------------------------------
-
-
-def _tensor_blocks(x: np.ndarray, alg: TracialAlgebra):
-    m = alg.inner_dim
-    return x[:m, :m], x[:m, m:], x[m:, :m], x[m:, m:]
-
-
-def conditional_expectation(x: np.ndarray, S: SkewSubspace) -> np.ndarray:
-    """Trace-invariant conditional expectation onto the subalgebra of S.
-
-    Supported kinds: per-block scalars of the center ("center-blocks"),
-    the diagonal algebra of M(x)M2 ("diag-m2"), the constant-diagonal
-    algebra {diag(x, x)} ("special-diag-m2"), and the commutant of a
-    projection ("commutant-of-projection").  E is unital, positive, and
-    satisfies tau(E(x)) = tau(x).
-    """
-    alg = S.ambient
-    x = np.asarray(x, dtype=complex)
-    if S.kind == "center-blocks":
-        out = np.zeros_like(x)
-        for sl, d in zip(alg.block_slices(), alg.block_dims):
-            out[sl, sl] = (np.trace(x[sl, sl]) / d) * np.eye(d)
-        return out
-    if S.kind == "diag-m2":
-        m = alg.inner_dim
-        out = np.zeros_like(x)
-        out[:m, :m] = x[:m, :m]
-        out[m:, m:] = x[m:, m:]
-        return out
-    if S.kind == "special-diag-m2":
-        x11, _, _, x22 = _tensor_blocks(x, alg)
-        avg = (x11 + x22) / 2.0
-        out = np.zeros_like(x)
-        m = alg.inner_dim
-        out[:m, :m] = avg
-        out[m:, m:] = avg
-        return out
-    if S.kind == "commutant-of-projection":
-        e = S.aux
-        if e is None:
-            raise ValueError("commutant-of-projection needs the projection in aux")
-        rest = np.eye(alg.dim) - e
-        return e @ x @ e + rest @ x @ rest
-    raise ValueError(
-        f"kind {S.kind!r} does not describe a supported *-subalgebra; "
-        f"expected one of {EXPECTATION_KINDS}"
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -4,15 +4,15 @@ Formats (documented in docs/schemas/):
 
   matrix    {"n": int, "re": [[...]], "im": [[...]]}, row-major
   algebra   {"blocks": [int, ...], "weights": [float, ...], "tensor_m2": bool}
-  subspace  {"ambient": <algebra>, "kind": str, "basis": [<matrix>, ...],
-             "aux": <matrix>?}
+  subspace  {"ambient": <algebra>, "basis": [<matrix>, ...]}
   curve     {"grid_n": int, "target": "unitary"|"orbit"|"algebra",
              "nodes": [<matrix>, ...], "velocities": [<matrix>, ...]?}
   modelspec {"kind": str, "blocks": [int, ...], "weights": [float, ...]?,
              "e": <matrix>?, "v0": <matrix>?, "p_list": [int, ...]}
   config    see SuiteConfig in ncgeo.suites
 
-Schema violations raise SchemaError with the offending path.  Canonical
+Schema violations, wrong JSON types included, raise SchemaError naming
+the offending path (``s.json.blocks[0]``).  Canonical
 dumps sort keys and use a fixed separator so equal objects serialize to
 identical bytes.
 """
@@ -20,12 +20,13 @@ identical bytes.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
 from .core import TracialAlgebra
 from .geometry import SampledCurve
-from .models import MODEL_KINDS, ModelSpec
+from .models import ModelSpec
 from .projection import SkewSubspace
 
 __all__ = [
@@ -57,21 +58,51 @@ def _need(obj: dict, key: str, where: str):
     return obj[key]
 
 
+_JSON_TYPE_NAMES = {int: "an integer", float: "a finite number", str: "a string", bool: "a boolean", list: "an array"}
+
+
+def _json_value(x, where: str, kind: type):
+    """x as a JSON integer (int), finite number (float), string (str),
+    boolean (bool) or array (list), else SchemaError naming ``where``.
+    Booleans are not numbers here, and 2.0 is not an integer."""
+    if kind in (int, float):
+        ok = isinstance(x, int if kind is int else (int, float)) and not isinstance(x, bool)
+        ok = ok and (isinstance(x, int) or math.isfinite(x))
+    else:
+        ok = isinstance(x, kind)
+    if not ok:
+        raise SchemaError(f"{where}: expected {_JSON_TYPE_NAMES[kind]}, got {json.dumps(x)}")
+    return x
+
+
+def _json_array(x, where: str, kind: type) -> tuple:
+    """x as a JSON array of ``kind`` entries (see _json_value); an entry of
+    the wrong type is named by its index, ``where[i]``."""
+    return tuple(_json_value(v, f"{where}[{i}]", kind) for i, v in enumerate(_json_value(x, where, list)))
+
+
+def _construct(where: str, cls, *args, **kw):
+    """cls(*args, **kw), its ValueError raised again as a SchemaError at ``where``."""
+    try:
+        return cls(*args, **kw)
+    except ValueError as exc:
+        raise SchemaError(f"{where}: {exc}") from exc
+
+
 def matrix_to_json(x: np.ndarray) -> dict:
     x = np.asarray(x, dtype=complex)
     return {"n": int(x.shape[0]), "re": x.real.tolist(), "im": x.imag.tolist()}
 
 
 def matrix_from_json(obj, where: str = "matrix") -> np.ndarray:
-    n = _need(obj, "n", where)
-    re = np.asarray(_need(obj, "re", where), dtype=float)
-    im = np.asarray(_need(obj, "im", where), dtype=float)
-    if re.shape != (n, n) or im.shape != (n, n):
-        raise SchemaError(f"{where}: re/im must be {n}x{n} row-major arrays")
-    x = re + 1j * im
-    if not np.all(np.isfinite(re)) or not np.all(np.isfinite(im)):
-        raise SchemaError(f"{where}: entries must be finite")
-    return x
+    n = _json_value(_need(obj, "n", where), f"{where}.n", int)
+    parts = []
+    for key in ("re", "im"):
+        rows = _json_array(_need(obj, key, where), f"{where}.{key}", list)
+        if n < 1 or len(rows) != n or any(len(r) != n for r in rows):
+            raise SchemaError(f"{where}: re/im must be {n}x{n} row-major arrays, n >= 1")
+        parts.append(np.array([_json_array(r, f"{where}.{key}[{i}]", float) for i, r in enumerate(rows)], dtype=float))
+    return parts[0] + 1j * parts[1]
 
 
 def algebra_to_json(alg: TracialAlgebra) -> dict:
@@ -83,34 +114,23 @@ def algebra_to_json(alg: TracialAlgebra) -> dict:
 
 
 def algebra_from_json(obj, where: str = "algebra") -> TracialAlgebra:
-    blocks = _need(obj, "blocks", where)
-    weights = _need(obj, "weights", where)
-    try:
-        return TracialAlgebra(tuple(int(b) for b in blocks), tuple(float(w) for w in weights),
-                              bool(obj.get("tensor_m2", False)))
-    except ValueError as exc:
-        raise SchemaError(f"{where}: {exc}") from exc
+    blocks = _json_array(_need(obj, "blocks", where), f"{where}.blocks", int)
+    weights = _json_array(_need(obj, "weights", where), f"{where}.weights", float)
+    tensor_m2 = _json_value(obj.get("tensor_m2", False), f"{where}.tensor_m2", bool)
+    return _construct(where, TracialAlgebra, blocks, tuple(float(w) for w in weights), tensor_m2)
 
 
 def subspace_to_json(S: SkewSubspace) -> dict:
-    out = {
-        "ambient": algebra_to_json(S.ambient),
-        "kind": S.kind,
-        "basis": [matrix_to_json(b) for b in S.basis],
-    }
-    if S.aux is not None:
-        out["aux"] = matrix_to_json(S.aux)
-    return out
+    return {"ambient": algebra_to_json(S.ambient), "basis": [matrix_to_json(b) for b in S.basis]}
 
 
 def subspace_from_json(obj, where: str = "subspace") -> SkewSubspace:
+    """The span of ``basis`` in ``ambient``; other keys (such as the
+    ``kind`` and ``aux`` of older documents) are ignored."""
     alg = algebra_from_json(_need(obj, "ambient", where), f"{where}.ambient")
-    basis = [matrix_from_json(m, f"{where}.basis[{i}]") for i, m in enumerate(obj.get("basis", []))]
-    aux = matrix_from_json(obj["aux"], f"{where}.aux") if "aux" in obj else None
-    try:
-        return SkewSubspace(alg, basis, kind=obj.get("kind", "basis"), aux=aux)
-    except ValueError as exc:
-        raise SchemaError(f"{where}: {exc}") from exc
+    items = _json_value(obj.get("basis", []), f"{where}.basis", list)
+    basis = [matrix_from_json(m, f"{where}.basis[{i}]") for i, m in enumerate(items)]
+    return _construct(where, SkewSubspace, alg, basis)
 
 
 def curve_to_json(curve: SampledCurve) -> dict:
@@ -125,24 +145,19 @@ def curve_to_json(curve: SampledCurve) -> dict:
 
 
 def curve_from_json(obj, where: str = "curve") -> SampledCurve:
-    n = _need(obj, "grid_n", where)
-    nodes = [matrix_from_json(m, f"{where}.nodes[{i}]") for i, m in enumerate(_need(obj, "nodes", where))]
-    if len(nodes) != n + 1:
+    n = _json_value(_need(obj, "grid_n", where), f"{where}.grid_n", int)
+    items = _json_value(_need(obj, "nodes", where), f"{where}.nodes", list)
+    nodes = [matrix_from_json(m, f"{where}.nodes[{i}]") for i, m in enumerate(items)]
+    if n < 1 or len(nodes) != n + 1:
         raise SchemaError(f"{where}: expected grid_n + 1 = {n + 1} nodes, got {len(nodes)}")
     vel = None
     if "velocities" in obj:
-        vel = [matrix_from_json(m, f"{where}.velocities[{i}]") for i, m in enumerate(obj["velocities"])]
+        items = _json_value(obj["velocities"], f"{where}.velocities", list)
+        vel = [matrix_from_json(m, f"{where}.velocities[{i}]") for i, m in enumerate(items)]
         if len(vel) != len(nodes):
             raise SchemaError(f"{where}: velocities must align with nodes")
-    try:
-        return SampledCurve(
-            np.linspace(0.0, 1.0, n + 1),
-            np.array(nodes),
-            target=obj.get("target", "unitary"),
-            velocities=np.array(vel) if vel is not None else None,
-        )
-    except ValueError as exc:
-        raise SchemaError(f"{where}: {exc}") from exc
+    target = _json_value(obj.get("target", "unitary"), f"{where}.target", str)
+    return _construct(where, SampledCurve, np.linspace(0.0, 1.0, n + 1), nodes, target=target, velocities=vel)
 
 
 def modelspec_to_json(spec: ModelSpec) -> dict:
@@ -157,20 +172,14 @@ def modelspec_to_json(spec: ModelSpec) -> dict:
 
 
 def modelspec_from_json(obj, where: str = "modelspec") -> ModelSpec:
-    kind = _need(obj, "kind", where)
-    if kind not in MODEL_KINDS:
-        raise SchemaError(f"{where}: kind must be one of {MODEL_KINDS}")
-    try:
-        return ModelSpec(
-            kind=kind,
-            blocks=tuple(int(b) for b in obj.get("blocks", (2,))),
-            weights=tuple(float(w) for w in obj["weights"]) if "weights" in obj else None,
-            e=matrix_from_json(obj["e"], f"{where}.e") if "e" in obj else None,
-            v0=matrix_from_json(obj["v0"], f"{where}.v0") if "v0" in obj else None,
-            p_list=tuple(int(p) for p in obj.get("p_list", (2, 4))),
-        )
-    except ValueError as exc:
-        raise SchemaError(f"{where}: {exc}") from exc
+    kw = {"kind": _json_value(_need(obj, "kind", where), f"{where}.kind", str)}
+    for key, kind in (("blocks", int), ("weights", float), ("p_list", int)):
+        if key in obj:
+            kw[key] = _json_array(obj[key], f"{where}.{key}", kind)
+    for key in ("e", "v0"):
+        if key in obj:
+            kw[key] = matrix_from_json(obj[key], f"{where}.{key}")
+    return _construct(where, ModelSpec, **kw)
 
 
 def canonical_dumps(obj) -> str:

@@ -12,7 +12,6 @@ its property at the configured tolerance.
 from __future__ import annotations
 
 import concurrent.futures
-import json
 import math
 import os
 import platform
@@ -48,7 +47,7 @@ from .models import (
 )
 from .projection import SkewSubspace, best_approximant, orthonormal_basis
 from .rng import trial_stream
-from .serialization import SchemaError
+from .serialization import SchemaError, _construct, _json_array, _json_value
 
 __all__ = [
     "SuiteConfig",
@@ -164,32 +163,13 @@ class SuiteConfig:
                 kw[key] = _json_value(obj[key], f"config.{key}", int)
         for key, kind in (("dims", int), ("p_list", float), ("suites", str)):
             if key in obj:
-                items = obj[key]
-                if not isinstance(items, list):
-                    raise SchemaError(f"config.{key}: expected an array")
-                kw[key] = tuple(_json_value(x, f"config.{key}[{i}]", kind) for i, x in enumerate(items))
+                kw[key] = _json_array(obj[key], f"config.{key}", kind)
         if "tolerances" in obj:
             tols = obj["tolerances"]
             if not isinstance(tols, dict):
                 raise SchemaError("config.tolerances: expected an object")
             kw["tolerances"] = {k: _json_value(v, f"config.tolerances.{k}", float) for k, v in tols.items()}
-        try:
-            return cls(**kw)
-        except ValueError as exc:
-            raise SchemaError(f"config: {exc}") from exc
-
-
-def _json_value(x, where: str, kind: type):
-    """x as a JSON integer (int), finite number (float) or string (str), else SchemaError."""
-    if kind is str:
-        ok = isinstance(x, str)
-    else:
-        ok = isinstance(x, int if kind is int else (int, float)) and not isinstance(x, bool)
-        ok = ok and (isinstance(x, int) or math.isfinite(x))
-    if not ok:
-        name = {int: "an integer", float: "a finite number", str: "a string"}[kind]
-        raise SchemaError(f"{where}: expected {name}, got {json.dumps(x)}")
-    return x
+        return _construct("config", cls, **kw)
 
 
 @dataclass

@@ -68,6 +68,19 @@ def test_qdistance_and_geodesic_commands(files, capsys, rng):
     out = json.loads(capsys.readouterr().out)
     assert out["length_p"] == pytest.approx(core.p_norm(z, 4, alg), abs=1e-6)
     assert out["minimality_certificate"] < 1e-8
+    assert out["constants"] == "exact"
+
+
+@pytest.mark.parametrize("kind, n", [("special-diag-m2", 4), ("partial-isometry-orbit", 3)])
+def test_geodesic_labels_estimated_constants(kind, n, files, capsys, rng):
+    # radius and epsilon_band rest on sampled c_O or K_p for these kinds
+    space = _write(files / "s.json", {"kind": kind, "blocks": [n if n % 2 else n // 2], "p_list": [4]})
+    z = core.random_skew(TracialAlgebra.full(n), rng, 0.05)
+    target = _write(files / "t.json", matrix_to_json(core.unitary_exp(z)))
+    assert main(["geodesic", "--space", space, "--target", target, "--p", "4"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["constants"] == "estimated"
+    assert out["minimality_certificate"] < 1e-8
 
 
 def test_lift_command(files, capsys, rng):
@@ -140,6 +153,40 @@ def test_verify_config_rejections(files, capsys):
         assert main(["verify", "--config", str(cfg)]) == 2, obj
         err = capsys.readouterr().err
         assert err.startswith(f"ncgeo: {path}: expected") and err.count("\n") == 1, err
+
+
+def test_document_rejections(files, capsys):
+    # a document of the wrong JSON type exits 2 with one line naming the
+    # offending path once ("{}" in a command stands for the document)
+    eye2 = _write(files / "eye2.json", matrix_to_json(np.eye(2)))
+    eye4 = _write(files / "eye4.json", matrix_to_json(np.eye(4)))
+    z3 = _write(files / "z3.json", matrix_to_json(np.zeros((3, 3))))
+    m3 = {"blocks": [3], "weights": [1.0], "tensor_m2": False}
+    distance = ["distance", "--u", eye2, "--v", eye2, "--p", "2", "--algebra", "{}"]
+    geodesic = ["geodesic", "--space", "{}", "--target", eye4, "--p", "4"]
+    cases = [
+        ({"blocks": 3, "weights": [1.0]}, distance, ".blocks"),
+        ({"blocks": "ab", "weights": [1.0]}, distance, ".blocks"),
+        ({"blocks": [2], "weights": [1.0], "tensor_m2": "no"}, ["fold", "--z", eye2, "--algebra", "{}"], ".tensor_m2"),
+        ({"ambient": m3, "basis": 5}, ["project", "--z", z3, "--subspace", "{}", "--p", "4"], ".basis"),
+        ({"ambient": {**m3, "tensor_m2": 1}, "basis": []}, ["project", "--z", z3, "--subspace", "{}", "--p", "4"],
+         ".ambient.tensor_m2"),
+        ({"n": 2, "re": "ab", "im": [[0, 0], [0, 0]]}, ["distance", "--u", "{}", "--v", eye2, "--p", "2"], ".re"),
+        ({"n": 2, "re": [[1, 0], [0, "ab"]], "im": [[0, 0], [0, 0]]}, ["fold", "--z", "{}"], ".re[1][1]"),
+        ({"n": "2", "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]}, ["fold", "--z", "{}"], ".n"),
+        ({"kind": "diag-m2", "blocks": 3}, geodesic, ".blocks"),
+        ({"kind": "diag-m2", "blocks": "ab"}, geodesic, ".blocks"),
+        ({"kind": "diag-m2", "blocks": [2], "p_list": "24"}, geodesic, ".p_list"),
+        ({"kind": ["diag-m2"], "blocks": [2]}, geodesic, ".kind"),
+        ({"kind": "diag-m2", "blocks": [2], "e": {"n": 1, "re": [[1]], "im": [[None]]}}, geodesic, ".e.im[0][0]"),
+    ]
+    for k, (doc, argv, suffix) in enumerate(cases):
+        path = _write(files / f"doc{k}.json", doc)
+        capsys.readouterr()
+        assert main([path if a == "{}" else a for a in argv]) == 2, doc
+        err = capsys.readouterr().err
+        assert err.startswith(f"ncgeo: {path}{suffix}: expected"), err
+        assert err.count(path) == 1 and err.count("\n") == 1, err
 
 
 def test_verify_runs_and_is_deterministic(files, capsys, monkeypatch):

@@ -504,15 +504,6 @@ def test_action_isotropy_fixes_basepoint(rng):
         assert sp.isotropy_defect(g) < 1e-9
 
 
-def test_isotropy_defect_raises_inside_an_expectation_kind():
-    # a commutant-of-projection isotropy needs its projection; the error
-    # surfaces instead of falling back to the generic-basis comparison
-    iso = SkewSubspace(M4, [1j * np.diag([1.0, 0.0, 0.0, 0.0])], kind="commutant-of-projection")
-    sp = HomSpace(M4, "coset", M4.identity(), iso, 2.0, {4: 1.0})
-    with pytest.raises(ValueError, match="needs the projection"):
-        sp.isotropy_defect(np.eye(4, dtype=complex))
-
-
 def test_action_rejects_invalid_points(rng):
     spc = build_model_space(ModelSpec("projection-orbit", blocks=(2,)))
     u = core.random_unitary(spc.ambient, rng)

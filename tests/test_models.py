@@ -8,9 +8,11 @@ from ncgeo import core, models
 from ncgeo.core import TracialAlgebra, operator_norm, p_norm, unitary_exp
 from ncgeo.geometry import minimal_geodesic, minimality_probe
 from ncgeo.models import (
+    MODELS,
     ModelSpec,
     build_model_space,
     center_q_checks,
+    conditional_expectation,
     diag_m2_checks,
     special_diag_checks,
     validate_space,
@@ -34,6 +36,10 @@ SPACES = {
 def test_spec_validation():
     with pytest.raises(ValueError):
         ModelSpec("unknown-kind")
+    with pytest.raises(ValueError):
+        ModelSpec(["diag-m2"])  # not a string, so not a key of MODELS
+    with pytest.raises(ValueError):
+        ModelSpec("diag-m2", blocks=())
     with pytest.raises(ValueError):
         ModelSpec("diag-m2", p_list=(3,))
     with pytest.raises(ValueError):
@@ -100,6 +106,39 @@ def test_exponential_isotropy_flag_checks_out(rng):
         lg = core.principal_log(g)
         assert sp.isotropy.contains(lg, tol=1e-8)
         assert sp.isotropy_defect(g) < 1e-8
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_expectation_table(name, rng):
+    # every kind with an expectation: E is unital, trace-preserving and
+    # idempotent and fixes the isotropy span, and the isotropy group's
+    # elements have no defect; every kind without one raises
+    sp = SPACES[name]
+    alg = sp.ambient
+    x = core.random_hermitian(alg, rng) + 1j * core.random_hermitian(alg, rng)
+    if MODELS[name].expectation is None:
+        with pytest.raises(ValueError):
+            conditional_expectation(x, sp)
+        return
+    ex = conditional_expectation(x, sp)
+    assert operator_norm(conditional_expectation(alg.identity(), sp) - alg.identity()) < 1e-13
+    assert abs(core.trace_tau(ex, alg) - core.trace_tau(x, alg)) < 1e-13
+    assert operator_norm(conditional_expectation(ex, sp) - ex) < 1e-13
+    for b in sp.isotropy.onb():
+        assert operator_norm(conditional_expectation(b, sp) - b) < 1e-13
+    for _ in range(5):
+        y = sp.isotropy.combine(rng.standard_normal(sp.isotropy.dim))
+        assert sp.isotropy_defect(unitary_exp(y)) < 1e-9
+
+
+def test_constants_provenance():
+    assert {k: m.constants for k, m in MODELS.items()} == {
+        "center-quotient": "exact",
+        "diag-m2": "exact",
+        "special-diag-m2": "estimated",
+        "partial-isometry-orbit": "estimated",
+        "projection-orbit": "exact",
+    }
 
 
 # ---------------------------------------------------------------------------

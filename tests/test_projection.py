@@ -7,13 +7,14 @@ import pytest
 
 from ncgeo import core
 from ncgeo.core import TracialAlgebra, operator_norm, p_norm
+from ncgeo.geometry import HomSpace
+from ncgeo.models import ModelSpec, build_model_space, conditional_expectation
 from ncgeo.projection import (
     ConvergenceError,
     SkewSubspace,
     _first_variation,
     best_approximant,
     best_approximants,
-    conditional_expectation,
     hermitian_best_approximant,
     minimal_lifting,
     orthonormal_basis,
@@ -128,29 +129,33 @@ def test_subspace_rejects_non_skew():
 # ---------------------------------------------------------------------------
 
 
+def _space(kind, **kw):
+    return build_model_space(ModelSpec(kind, **kw))
+
+
 def test_expectation_center_blocks(rng):
-    alg = TracialAlgebra.direct_sum((2, 3), (0.4, 0.6))
-    S = SkewSubspace(alg, [], kind="center-blocks")
+    sp = _space("center-quotient", blocks=(2, 3), weights=(0.4, 0.6))
+    alg = sp.ambient
     x = core.random_hermitian(alg, rng)
-    ex = conditional_expectation(x, S)
+    ex = conditional_expectation(x, sp)
     assert operator_norm(ex[:2, :2] - np.trace(x[:2, :2]) / 2 * np.eye(2)) < 1e-12
     assert abs(core.trace_tau(ex, alg) - core.trace_tau(x, alg)) < 1e-13
-    assert operator_norm(conditional_expectation(alg.identity(), S) - alg.identity()) < 1e-13
+    assert operator_norm(conditional_expectation(alg.identity(), sp) - alg.identity()) < 1e-13
 
 
 def test_expectation_diag_m2_is_block_truncation(rng):
-    S = SkewSubspace(T2, [], kind="diag-m2")
+    sp = _space("diag-m2", blocks=(2,))
     x = core.random_hermitian(T2, rng) + 1j * core.random_hermitian(T2, rng)
-    ex = conditional_expectation(x, S)
+    ex = conditional_expectation(x, sp)
     assert operator_norm(ex[:2, :2] - x[:2, :2]) < 1e-14
     assert operator_norm(ex[2:, 2:] - x[2:, 2:]) < 1e-14
     assert operator_norm(ex[:2, 2:]) == 0.0
 
 
 def test_expectation_special_diag(rng):
-    S = SkewSubspace(T2, [], kind="special-diag-m2")
+    sp = _space("special-diag-m2", blocks=(2,))
     x = core.random_hermitian(T2, rng)
-    ex = conditional_expectation(x, S)
+    ex = conditional_expectation(x, sp)
     avg = (x[:2, :2] + x[2:, 2:]) / 2
     assert operator_norm(ex[:2, :2] - avg) < 1e-14
     assert operator_norm(ex[2:, 2:] - avg) < 1e-14
@@ -158,28 +163,30 @@ def test_expectation_special_diag(rng):
 
 
 def test_expectation_is_positive(rng):
-    for kind, alg in (("diag-m2", T2), ("special-diag-m2", T2), ("center-blocks", M3)):
-        S = SkewSubspace(alg, [], kind=kind)
+    for sp in (_space("diag-m2", blocks=(2,)), _space("special-diag-m2", blocks=(2,)),
+               _space("center-quotient", blocks=(3,))):
         for _ in range(20):
-            h = core.random_hermitian(alg, rng)
+            h = core.random_hermitian(sp.ambient, rng)
             x = h @ h.conj().T
-            ex = conditional_expectation(x, S)
+            ex = conditional_expectation(x, sp)
             assert np.min(np.linalg.eigvalsh((ex + ex.conj().T) / 2)) > -1e-12
 
 
 def test_expectation_commutant_of_projection(rng):
     e = np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)
-    S = SkewSubspace(M4, [], kind="commutant-of-projection", aux=e)
+    sp = _space("projection-orbit", e=e)
     x = core.random_hermitian(M4, rng)
-    ex = conditional_expectation(x, S)
+    ex = conditional_expectation(x, sp)
     assert operator_norm(ex @ e - e @ ex) < 1e-12
-    assert abs(core.trace_tau(ex, M4) - core.trace_tau(x, M4)) < 1e-13
+    assert abs(core.trace_tau(ex, sp.ambient) - core.trace_tau(x, sp.ambient)) < 1e-13
 
 
 def test_expectation_rejects_unknown_kind(rng):
-    S = SkewSubspace(M3, [core.random_skew(M3, rng)], kind="basis")
+    # a space over a generic span carries no expectation
+    S = SkewSubspace(M3, [core.random_skew(M3, rng)])
+    sp = HomSpace(M3, "coset", M3.identity(), S, 1.0, {2: 1.0})
     with pytest.raises(ValueError):
-        conditional_expectation(core.random_hermitian(M3, rng), S)
+        conditional_expectation(core.random_hermitian(M3, rng), sp)
 
 
 # ---------------------------------------------------------------------------
@@ -606,13 +613,11 @@ def test_best_approximant_against_lattice_oracle(instance):
 def test_diag_m2_truncation_against_expectation(rng):
     # closed-form stationarity: E(z) satisfies the optimality criterion,
     # so strict convexity makes it the unique best approximant
-    from ncgeo.models import ModelSpec, build_model_space
-
     sp = build_model_space(ModelSpec("diag-m2", blocks=(2,), p_list=(4, 6)))
     for p in (4, 6):
         for _ in range(10):
             z = core.random_skew(T2, rng)
-            ez = conditional_expectation(z, sp.isotropy)
+            ez = conditional_expectation(z, sp)
             w = z - ez
             wp1 = np.linalg.matrix_power(w, p - 1)
             for bk in sp.isotropy.onb():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncgeo import core
 from ncgeo.core import TracialAlgebra
@@ -50,11 +52,15 @@ def test_algebra_round_trip():
 
 def test_subspace_round_trip(rng, m3):
     S = SkewSubspace(m3, [core.random_skew(m3, rng) for _ in range(2)])
-    back = subspace_from_json(subspace_to_json(S))
+    doc = subspace_to_json(S)
+    assert sorted(doc) == ["ambient", "basis"]
+    back = subspace_from_json(doc)
     assert back.dim == 2
-    assert back.kind == "basis"
     for a, b in zip(S.basis, back.basis):
         assert np.allclose(a, b, atol=0)
+    # documents written with a subalgebra tag and an aux matrix still load
+    old = {**doc, "kind": "commutant-of-projection", "aux": matrix_to_json(np.eye(3))}
+    assert all(np.array_equal(a, b) for a, b in zip(subspace_from_json(old).basis, back.basis))
     with pytest.raises(SchemaError):
         subspace_from_json({"ambient": algebra_to_json(m3), "basis": [matrix_to_json(np.eye(3))]})
 
@@ -76,6 +82,63 @@ def test_modelspec_round_trip():
     assert back.kind == spec.kind and back.blocks == spec.blocks and back.weights == spec.weights
     with pytest.raises(SchemaError):
         modelspec_from_json({"kind": "nope"})
+
+
+_KEYS = ["n", "re", "im", "blocks", "weights", "tensor_m2", "ambient", "basis", "kind", "aux", "e", "v0",
+         "p_list", "grid_n", "nodes", "velocities", "target"]
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from(["diag-m2", "projection-orbit", "center-quotient", "unitary"]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.sampled_from(_KEYS) | st.text(max_size=2), inner,
+                                                                max_size=6),
+    max_leaves=30,
+)
+
+
+_DROP = object()
+
+
+def _mutated(doc):
+    """doc, or a copy with one nested value replaced by arbitrary JSON or removed."""
+    if not isinstance(doc, (dict, list)) or not doc:
+        return _JSON
+    keys = list(doc) if isinstance(doc, dict) else list(range(len(doc)))
+
+    def put(k, v):
+        out = dict(doc) if isinstance(doc, dict) else list(doc)
+        if v is _DROP:
+            del out[k]
+        else:
+            out[k] = v
+        return out
+
+    return _JSON | st.sampled_from(keys).flatmap(
+        lambda k: (_mutated(doc[k]) | st.just(_DROP)).map(lambda v: put(k, v)))
+
+
+_EYE2 = matrix_to_json(np.eye(2))
+_E4 = matrix_to_json(np.diag([1.0, 0.0, 1.0, 0.0]))
+_ALG = {"blocks": [2, 3], "weights": [0.4, 0.6], "tensor_m2": False}
+_SKEW = {"n": 5, "re": np.zeros((5, 5)).tolist(), "im": np.diag([1.0, 1, 0, 0, 0]).tolist()}
+_VALID = [
+    (matrix_from_json, {"n": 2, "re": [[0.0, 1.0], [-1.0, 0.0]], "im": [[3.0, 0.0], [0.0, 0.0]]}),
+    (algebra_from_json, _ALG),
+    (subspace_from_json, {"ambient": _ALG, "basis": [_SKEW]}),
+    (modelspec_from_json, {"kind": "projection-orbit", "blocks": [2], "p_list": [2, 4], "e": _E4}),
+    (modelspec_from_json, {"kind": "center-quotient", "blocks": [2, 3], "weights": [0.4, 0.6]}),
+    (curve_from_json, {"grid_n": 1, "target": "unitary", "nodes": [_EYE2, _EYE2], "velocities": [_EYE2, _EYE2]}),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.sampled_from(_VALID).flatmap(lambda c: st.tuples(st.just(c[0]), _mutated(c[1]))))
+def test_loaders_raise_only_schema_errors(case):
+    # any JSON value, near-valid documents above all, loads or raises SchemaError
+    loader, doc = case
+    try:
+        loader(doc)
+    except SchemaError:
+        pass
 
 
 def test_canonical_dumps_is_stable():
