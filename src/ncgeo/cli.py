@@ -54,8 +54,12 @@ def _parse_p(text: str):
     return int(val) if val.is_integer() else val
 
 
-def _load_matrix(path: str) -> np.ndarray:
-    return matrix_from_json(load_json_file(path), where=path)
+def _load_matrix(path: str, n: int | None = None) -> np.ndarray:
+    """The matrix document at path; with n given, it must be n x n."""
+    m = matrix_from_json(load_json_file(path), where=path)
+    if n is not None and m.shape != (n, n):
+        raise SchemaError(f"{path}: expected a {n}x{n} matrix, got {m.shape[0]}x{m.shape[1]}")
+    return m
 
 
 def _load_space(path: str):
@@ -81,12 +85,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_distance(args) -> int:
-    u = _load_matrix(args.u)
-    v = _load_matrix(args.v)
-    if args.algebra:
-        alg = algebra_from_json(load_json_file(args.algebra), where=args.algebra)
-    else:
-        alg = core.TracialAlgebra.full(u.shape[0])
+    alg = algebra_from_json(load_json_file(args.algebra), where=args.algebra) if args.algebra else None
+    u = _load_matrix(args.u, alg.dim if alg else None)
+    alg = alg or core.TracialAlgebra.full(u.shape[0])
+    v = _load_matrix(args.v, alg.dim)
     d = unitary_distance(u, v, args.p, alg)
     _emit({"d_p": d, "p": float(args.p)})
     return 0
@@ -94,8 +96,8 @@ def cmd_distance(args) -> int:
 
 def cmd_qdistance(args) -> int:
     space = _load_space(args.space)
-    u = _load_matrix(args.u)
-    v = _load_matrix(args.v)
+    u = _load_matrix(args.u, space.ambient.dim)
+    v = _load_matrix(args.v, space.ambient.dim)
     res = quotient_distance(space, u, v, args.p, multistarts=args.multistarts, seed=args.seed)
     _emit(
         {
@@ -109,11 +111,11 @@ def cmd_qdistance(args) -> int:
 
 
 def cmd_project(args) -> int:
-    z = _load_matrix(args.z)
     if args.subspace:
         S = subspace_from_json(load_json_file(args.subspace), where=args.subspace)
     else:
         S = _load_space(args.space).isotropy
+    z = _load_matrix(args.z, S.ambient.dim)
     if np.isinf(args.p):
         val, witness = quotient_norm(z, S, np.inf, return_witness=True)
         _emit(
@@ -141,7 +143,7 @@ def cmd_project(args) -> int:
 
 def cmd_geodesic(args) -> int:
     space = _load_space(args.space)
-    target = _load_matrix(args.target)
+    target = _load_matrix(args.target, space.ambient.dim)
     res = minimal_geodesic(space, target, args.p, multistarts=args.multistarts, seed=args.seed)
     out = res.as_dict()
     out["symbol"] = matrix_to_json(res.symbol)

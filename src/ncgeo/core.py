@@ -409,12 +409,6 @@ def _ad_multiplier(theta: np.ndarray, fn_tag: str) -> np.ndarray:
     raise ValueError(f"unknown symbol tag {fn_tag!r}")
 
 
-def _ad_apply(theta: np.ndarray, frame: np.ndarray, fn_tag: str, b: np.ndarray) -> np.ndarray:
-    """phi(ad a) b from the eigenframe -ia = V diag(theta) V* (see _ad_multiplier)."""
-    frame_adj = frame.conj().T
-    return frame @ (_ad_multiplier(theta, fn_tag) * (frame_adj @ b @ frame)) @ frame_adj
-
-
 class AdAnalytic:
     """Analytic functions of ad a = R_a - L_a for a fixed skew-Hermitian a.
 
@@ -434,11 +428,13 @@ class AdAnalytic:
         self.theta, self.frame = _skew_frame(a)
 
     def apply(self, fn_tag: str, b: np.ndarray) -> np.ndarray:
-        return _ad_apply(self.theta, self.frame, fn_tag, np.asarray(b, dtype=complex))
+        v, v_adj = self.frame, self.frame.conj().T
+        return v @ (_ad_multiplier(self.theta, fn_tag) * (v_adj @ np.asarray(b, dtype=complex) @ v)) @ v_adj
 
-    def exp(self, t: float = 1.0) -> np.ndarray:
-        """e^{t a} from the cached eigenframe."""
-        return _exp_from_frame(t * self.theta, self.frame)
+    def exp(self, t=1.0) -> np.ndarray:
+        """e^{t a} from the cached eigenframe; an array of parameters t gives
+        the stack of e^{t_k a}."""
+        return _exp_from_frame(np.multiply.outer(t, self.theta), self.frame)
 
 
 def apply_analytic_ad(a: np.ndarray, fn_tag: str, b: np.ndarray) -> np.ndarray:
@@ -566,10 +562,11 @@ def fold_symbol(z: np.ndarray) -> np.ndarray:
 
 
 def _check_even_p(p) -> int:
-    p = int(p)
-    if p < 2 or p % 2:
-        raise ValueError("an even integer p >= 2 is required")
-    return p
+    """p as an int; a fractional, non-finite, odd or small p is a ValueError
+    (never truncated)."""
+    if not (float(p).is_integer() and p >= 2 and p % 2 == 0):
+        raise ValueError(f"an even integer p >= 2 is required (got {p})")
+    return int(p)
 
 
 class Eigenframe:

@@ -110,6 +110,51 @@ def test_lift_non_convergence_exits_three(files, capsys, rng, monkeypatch):
     assert "lifting ODE defect" in captured.err
 
 
+def _diag_m2_inputs(files, rng):
+    """A diag-m2 (2,) space, the identity, a target and a curve on it."""
+    space = _write(files / "s.json", {"kind": "diag-m2", "blocks": [2], "p_list": [2, 4]})
+    z = core.random_skew(TracialAlgebra.tensor_square(2), rng, 0.3)
+    eye = _write(files / "u.json", matrix_to_json(np.eye(4)))
+    target = _write(files / "t.json", matrix_to_json(core.unitary_exp(z)))
+    curve = _write(files / "c.json", curve_to_json(exp_curve(z, 33)))
+    return {
+        "qdistance": ["qdistance", "--space", space, "--u", eye, "--v", target],
+        "geodesic": ["geodesic", "--space", space, "--target", target],
+        "lift": ["lift", "--space", space, "--curve", curve, "--epsilon", "1e-2"],
+    }
+
+
+@pytest.mark.parametrize("command", ["qdistance", "geodesic", "lift"])
+def test_p_must_be_an_even_integer(command, files, capsys, rng):
+    # neither truncated (4.5 ran as 4) nor a traceback (inf overflowed int())
+    argv = _diag_m2_inputs(files, rng)[command]
+    for p in ("inf", "4.5"):
+        capsys.readouterr()
+        assert main(argv + ["--p", p]) == 2, p
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err == f"ncgeo: an even integer p >= 2 is required (got {p})\n"
+    assert main(argv + ["--p", "4.0"]) == 0
+    assert json.loads(capsys.readouterr().out)
+
+
+def test_matrix_sizes_are_checked(files, capsys):
+    space = _write(files / "s.json", {"kind": "diag-m2", "blocks": [2], "p_list": [2, 4]})
+    eye2 = _write(files / "eye2.json", matrix_to_json(np.eye(2)))
+    eye4 = _write(files / "eye4.json", matrix_to_json(np.eye(4)))
+    cases = [
+        (["qdistance", "--space", space, "--u", eye2, "--v", eye4, "--p", "4"], eye2, 4, 2),
+        (["qdistance", "--space", space, "--u", eye4, "--v", eye2, "--p", "4"], eye2, 4, 2),
+        (["geodesic", "--space", space, "--target", eye2, "--p", "4"], eye2, 4, 2),
+        (["project", "--z", eye2, "--space", space, "--p", "4"], eye2, 4, 2),
+        (["distance", "--u", eye2, "--v", eye4, "--p", "2"], eye4, 2, 4),
+    ]
+    for argv, path, n, got in cases:
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err == f"ncgeo: {path}: expected a {n}x{n} matrix, got {got}x{got}\n"
+
+
 def test_usage_errors(files, capsys):
     bad = _write(files / "bad.json", {"n": 2, "re": [[0.0, 0.0]], "im": [[0.0, 0.0]]})
     good = _write(files / "good.json", matrix_to_json(np.eye(2)))
