@@ -54,6 +54,12 @@ def _parse_p(text: str):
     return int(val) if val.is_integer() else val
 
 
+def _parse_seed(text: str) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer (got {text!r})")
+    return int(text)
+
+
 def _load_matrix(path: str, n: int | None = None) -> np.ndarray:
     """The matrix document at path; with n given, it must be n x n."""
     m = matrix_from_json(load_json_file(path), where=path)
@@ -216,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--v", required=True)
     q.add_argument("--p", type=_parse_p, required=True)
     q.add_argument("--multistarts", type=int, default=8)
-    q.add_argument("--seed", type=int, default=0)
+    q.add_argument("--seed", type=_parse_seed, default=0)
     q.set_defaults(fn=cmd_qdistance)
 
     pr = sub.add_parser("project", help="best approximant in a skew subspace")
@@ -233,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--target", required=True)
     g.add_argument("--p", type=_parse_p, required=True)
     g.add_argument("--multistarts", type=int, default=8)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=_parse_seed, default=0)
     g.set_defaults(fn=cmd_geodesic)
 
     lf = sub.add_parser("lift", help="almost-isometric lift of an orbit curve")

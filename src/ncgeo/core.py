@@ -12,19 +12,20 @@ The induced p-norms ||x||_p = tau(|x|^p)^(1/p) make M a finite dimensional
 noncommutative L^p space; p = inf denotes the operator norm.  On top of the
 trace and the norms this module provides:
 
-  * the unitary exponential and the principal logarithm of unitaries
-    (eigen-angles in (-pi, pi], the angle pi assigned to eigenvalue -1),
-  * analytic functions of the adjoint operator ad a = R_a - L_a evaluated
-    through the eigenframe of a (symbols F(w) = (e^w - 1)/w and
-    G(w) = (1 - e^{-w})/w together with their inverses, in closed form
-    e^{+-ix/2} sinc(x/2pi) on the imaginary axis w = ix),
-  * the differential of the exponential map e^a F(ad a) b,
+  * the blockwise eigenframe of a skew-Hermitian element or of a stack
+    (Eigenframe), the one derivative layer: the exponential e^{tw},
+    analytic functions of ad w = R_w - L_w as entrywise multipliers
+    (symbols F(w) = (e^w - 1)/w and G(w) = (1 - e^{-w})/w and their
+    inverses, in closed form e^{+-ix/2} sinc(x/2pi) on the imaginary axis
+    w = ix) and the degree-p bilinear form H_w(b, c) of a stack of
+    directions as one contraction; on it rest unitary_exp,
+    apply_analytic_ad, the differential e^a F(ad a) b of the exponential
+    map, h_form and quadratic_form,
+  * the principal logarithm of unitaries (eigen-angles in (-pi, pi], the
+    angle pi assigned to eigenvalue -1),
   * the spectral scale lambda_t and the generalized s-numbers mu_t as
-    right-continuous step functions on (0, 1],
-  * the 2pi-periodic sawtooth folding of Hermitian symbols, and
-  * the blockwise eigenframe of a skew-Hermitian element, in which the
-    degree-p bilinear form H_a(b, c) of a whole stack of directions is one
-    contraction, with the quadratic form built on it.
+    right-continuous step functions on (0, 1], and
+  * the 2pi-periodic sawtooth folding of Hermitian symbols.
 
 Matrices are plain complex numpy arrays; every function is pure.
 """
@@ -53,7 +54,6 @@ __all__ = [
     "random_unitary",
     "unitary_exp",
     "principal_log",
-    "AdAnalytic",
     "apply_analytic_ad",
     "exp_differential",
     "spectral_scale",
@@ -106,8 +106,9 @@ class TracialAlgebra:
                 raise ValueError("tensor_m2 requires a single even-dimensional block")
 
     @classmethod
+    @functools.cache
     def full(cls, n: int) -> "TracialAlgebra":
-        """The full matrix algebra M_n with trace tr/n."""
+        """The full matrix algebra M_n with trace tr/n (one instance per n)."""
         return cls((n,), (1.0,))
 
     @classmethod
@@ -324,27 +325,130 @@ def random_unitary(alg: TracialAlgebra, rng: np.random.Generator) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# exponential and principal logarithm
+# the eigenframe layer
 # ---------------------------------------------------------------------------
 
 
-def _skew_frame(z: np.ndarray):
-    """Eigen-angles (ascending) and eigenframe of skew-Hermitian z:
-    -iz = V diag(theta) V*, so ||z|| = max |theta|."""
-    return np.linalg.eigh(-1j * z)
+def _sym_F(x: np.ndarray) -> np.ndarray:
+    """F(ix) = (e^{ix} - 1)/(ix) = e^{ix/2} sinc(x/2pi) for real angle gaps x.
+
+    F is only ever evaluated on the imaginary axis (the spectrum of ad a for
+    skew-Hermitian a), where the closed form has no branch: F(0) = 1.
+    """
+    return np.exp(0.5j * x) * np.sinc(x / (2.0 * np.pi))
 
 
-def _exp_from_frame(theta: np.ndarray, frame: np.ndarray) -> np.ndarray:
-    """e^z = V diag(e^{i theta}) V* for one eigenframe or a stack of them."""
-    return (frame * np.exp(1j * theta)[..., None, :]) @ np.conj(np.swapaxes(frame, -1, -2))
+def _sym_G(x: np.ndarray) -> np.ndarray:
+    """G(ix) = (1 - e^{-ix})/(ix) = F(-ix) = e^{-ix/2} sinc(x/2pi)."""
+    return np.exp(-0.5j * x) * np.sinc(x / (2.0 * np.pi))
 
 
-def unitary_exp(z: np.ndarray) -> np.ndarray:
-    """e^z for skew-Hermitian z or each matrix of a stack, through the eigenframe of -iz."""
+class Eigenframe:
+    """Blockwise eigenframe w = V diag(i lam) V* of a skew-Hermitian element,
+    or of each element of a stack w of shape (K, n, n); without an algebra,
+    w is one block (the full matrix algebra).
+
+    Each block is diagonalized on its own, so V commutes with the trace
+    weights and tau(V x~ V*) = sum_a d_a x~_aa (a full eigendecomposition
+    could mix blocks sharing an eigenvalue and detach the weights).  Powers
+    of w, e^{tw} and functions of ad w act on x~ = V* x V as entrywise
+    multipliers (Daleckii-Krein), so a stack of directions costs one batched
+    transform.  A stacked frame has lam of shape (K, n) and frame of shape
+    (K, n, n); its transforms and H-form matrices carry the same leading
+    axis.  w must be skew-Hermitian and in the algebra; the public entry
+    points check their inputs once, not at every Newton iterate.
+    """
+
+    def __init__(self, w: np.ndarray, alg: TracialAlgebra | None = None):
+        alg = TracialAlgebra.full(w.shape[-1]) if alg is None else alg
+        self.lam = np.empty(w.shape[:-1])
+        self.frame = np.zeros(w.shape, dtype=complex)
+        for sl in alg.block_slices():
+            self.lam[..., sl], self.frame[..., sl, sl] = np.linalg.eigh(-1j * w[..., sl, sl])
+        self.weights = _diag_weights(alg)
+
+    def transform(self, x: np.ndarray) -> np.ndarray:
+        """x~ = V* x V for one matrix or a stack of shape (m, n, n); a stacked
+        frame gives shape (K, m, n, n)."""
+        v = self.frame if self.frame.ndim == 2 else self.frame[:, None]
+        return v.conj().mT @ x @ v
+
+    def ad_symbol(self, fn) -> np.ndarray:
+        """Multiplier of fn(ad w) on x~: the symbol at i(lam_b - lam_a), placed at
+        (a, b); fn takes the real angle gaps (as _sym_F and _sym_G do)."""
+        return fn(self.lam[..., None, :] - self.lam[..., :, None])
+
+    def apply(self, fn, b: np.ndarray) -> np.ndarray:
+        """fn(ad w) b = V (ad_symbol(fn) * b~) V* for one frame and one matrix b."""
+        v = self.frame
+        return v @ (self.ad_symbol(fn) * self.transform(b)) @ v.conj().mT
+
+    def exp(self, t=1.0) -> np.ndarray:
+        """e^{tw}; t broadcasts against the stack axes of the frame, so an
+        array of parameters gives the stack of e^{t_k w} for one frame, and
+        one parameter per frame the stack of e^{t_k w_k}."""
+        theta = np.asarray(t)[..., None] * self.lam
+        return (self.frame * np.exp(1j * theta)[..., None, :]) @ self.frame.conj().mT
+
+    def h_matrix(self, left: np.ndarray, right: np.ndarray, p: int) -> np.ndarray:
+        """H_jl = H_w(b_j, c_l) from transformed stacks left = (b~_j), right = (c~_l):
+        -p Re sum_ab d_a gamma_ab b~_ab c~_ba with gamma_ab = sum_k lam_a^(p-2-k) lam_b^k.
+        Stacked frames take and give a leading axis K: (K, m, n, n) -> (K, m, m)."""
+        powers = self.lam[..., None, :] ** np.arange(p - 1)[:, None]
+        gamma = powers[..., ::-1, :].mT @ powers
+        lead, size = left.shape[:-3], gamma.shape[-1] ** 2
+        x = (left * (self.weights[:, None] * gamma)[..., None, :, :]).reshape(*lead, left.shape[-3], size)
+        y = right.mT.reshape(*lead, right.shape[-3], size)
+        return -p * (x @ y.mT).real
+
+
+AdAnalytic = Eigenframe  # the old name, under which perfbench/spans.py traces __init__, apply and exp
+
+
+def _skew_argument(z: np.ndarray, caller: str) -> np.ndarray:
+    """z as a complex array; a z (or a stack) that is not skew-Hermitian is a ValueError."""
     z = np.asarray(z, dtype=complex)
     if not is_skew_hermitian(z, tol=1e-10 * z.shape[-1]):
-        raise ValueError("unitary_exp requires a skew-Hermitian argument")
-    return _exp_from_frame(*_skew_frame(z))
+        raise ValueError(f"{caller} requires a skew-Hermitian argument")
+    return z
+
+
+def unitary_exp(z: np.ndarray, t=1.0) -> np.ndarray:
+    """e^{tz} for skew-Hermitian z or each matrix of a stack; an array of
+    parameters t gives the stack of e^{t_k z} (Eigenframe.exp)."""
+    return Eigenframe(_skew_argument(z, "unitary_exp")).exp(t)
+
+
+#: the symbols of apply_analytic_ad, as functions of the real angle gaps
+_SYMBOLS = {"F": _sym_F, "G": _sym_G, "F_inv": lambda x: 1.0 / _sym_F(x), "G_inv": lambda x: 1.0 / _sym_G(x)}
+
+
+def apply_analytic_ad(a: np.ndarray, fn_tag: str, b: np.ndarray) -> np.ndarray:
+    """phi(ad a) b for phi in {F, G, F_inv, G_inv} (Eigenframe.apply); the
+    inverse symbols are guaranteed invertible only for ||a|| < pi/2."""
+    if fn_tag not in _SYMBOLS:
+        raise ValueError(f"unknown symbol tag {fn_tag!r}")
+    frame = Eigenframe(_skew_argument(a, "apply_analytic_ad"))
+    norm = float(np.abs(frame.lam).max(initial=0.0))
+    if fn_tag.endswith("_inv") and norm >= np.pi / 2:
+        raise ValueError(f"inverse symbols need ||a|| < pi/2 (got {norm:.6f}); "
+                         "invertibility is not guaranteed beyond")
+    return frame.apply(_SYMBOLS[fn_tag], np.asarray(b, dtype=complex))
+
+
+def exp_differential(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Differential of the exponential map at a: e^a F(ad a) b.
+
+    Equals int_0^1 e^{(1-t)a} b e^{ta} dt and is a p-norm contraction in b
+    for every p when a is skew-Hermitian.
+    """
+    frame = Eigenframe(_skew_argument(a, "exp_differential"))
+    return frame.exp() @ frame.apply(_sym_F, np.asarray(b, dtype=complex))
+
+
+# ---------------------------------------------------------------------------
+# the principal logarithm
+# ---------------------------------------------------------------------------
 
 
 def principal_log(u: np.ndarray) -> np.ndarray:
@@ -366,90 +470,6 @@ def principal_log(u: np.ndarray) -> np.ndarray:
     np.clip(theta, -np.pi, np.pi, out=theta)
     z = (q * (1j * theta)[None, :]) @ q.conj().T
     return (z - z.conj().T) / 2.0
-
-
-# ---------------------------------------------------------------------------
-# analytic functions of ad a
-# ---------------------------------------------------------------------------
-
-def _sym_F(x: np.ndarray) -> np.ndarray:
-    """F(ix) = (e^{ix} - 1)/(ix) = e^{ix/2} sinc(x/2pi) for real angle gaps x.
-
-    F is only ever evaluated on the imaginary axis (the spectrum of ad a for
-    skew-Hermitian a), where the closed form has no branch: F(0) = 1.
-    """
-    return np.exp(0.5j * x) * np.sinc(x / (2.0 * np.pi))
-
-
-def _sym_G(x: np.ndarray) -> np.ndarray:
-    """G(ix) = (1 - e^{-ix})/(ix) = F(-ix) = e^{-ix/2} sinc(x/2pi)."""
-    return np.exp(-0.5j * x) * np.sinc(x / (2.0 * np.pi))
-
-
-def _ad_multiplier(theta: np.ndarray, fn_tag: str) -> np.ndarray:
-    """Multiplier of phi(ad a) on V* b V for -ia = V diag(theta) V*, theta
-    ascending (as eigh returns it).
-
-    phi in {F, G, F_inv, G_inv} acts at (k, l) by phi(i(theta_l - theta_k));
-    the inverse symbols are guaranteed invertible only for ||a|| < pi/2.
-    """
-    gaps = theta[None, :] - theta[:, None]
-    if fn_tag == "F":
-        return _sym_F(gaps)
-    if fn_tag == "G":
-        return _sym_G(gaps)
-    if fn_tag in ("F_inv", "G_inv"):
-        norm = max(-theta[0], theta[-1]) if len(theta) else 0.0
-        if norm >= np.pi / 2:
-            raise ValueError(
-                "inverse symbols need ||a|| < pi/2 (got "
-                f"{norm:.6f}); invertibility is not guaranteed beyond"
-            )
-        return 1.0 / (_sym_F(gaps) if fn_tag == "F_inv" else _sym_G(gaps))
-    raise ValueError(f"unknown symbol tag {fn_tag!r}")
-
-
-class AdAnalytic:
-    """Analytic functions of ad a = R_a - L_a for a fixed skew-Hermitian a.
-
-    With a = U diag(i theta) U*, conjugation by U turns ad a into entrywise
-    multiplication by i(theta_l - theta_k) at position (k, l); an analytic
-    symbol phi acts by the multiplier phi(i(theta_l - theta_k)) (see
-    _ad_multiplier).
-
-    The instance caches the eigenframe, so several symbols can be applied
-    to the same a at the cost of one eigendecomposition.
-    """
-
-    def __init__(self, a: np.ndarray):
-        a = np.asarray(a, dtype=complex)
-        if not is_skew_hermitian(a, tol=1e-10 * a.shape[0]):
-            raise ValueError("ad-calculus requires a skew-Hermitian generator")
-        self.theta, self.frame = _skew_frame(a)
-
-    def apply(self, fn_tag: str, b: np.ndarray) -> np.ndarray:
-        v, v_adj = self.frame, self.frame.conj().T
-        return v @ (_ad_multiplier(self.theta, fn_tag) * (v_adj @ np.asarray(b, dtype=complex) @ v)) @ v_adj
-
-    def exp(self, t=1.0) -> np.ndarray:
-        """e^{t a} from the cached eigenframe; an array of parameters t gives
-        the stack of e^{t_k a}."""
-        return _exp_from_frame(np.multiply.outer(t, self.theta), self.frame)
-
-
-def apply_analytic_ad(a: np.ndarray, fn_tag: str, b: np.ndarray) -> np.ndarray:
-    """phi(ad a) b for phi in {F, G, F_inv, G_inv}; see AdAnalytic."""
-    return AdAnalytic(a).apply(fn_tag, b)
-
-
-def exp_differential(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Differential of the exponential map at a: e^a F(ad a) b.
-
-    Equals int_0^1 e^{(1-t)a} b e^{ta} dt and is a p-norm contraction in b
-    for every p when a is skew-Hermitian.
-    """
-    calc = AdAnalytic(a)
-    return calc.exp() @ calc.apply("F", b)
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +577,7 @@ def fold_symbol(z: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the eigenframe derivative layer and the degree-p bilinear form
+# the degree-p bilinear form
 # ---------------------------------------------------------------------------
 
 
@@ -567,51 +587,6 @@ def _check_even_p(p) -> int:
     if not (float(p).is_integer() and p >= 2 and p % 2 == 0):
         raise ValueError(f"an even integer p >= 2 is required (got {p})")
     return int(p)
-
-
-class Eigenframe:
-    """Blockwise eigenframe w = V diag(i lam) V* of a skew-Hermitian element,
-    or of each element of a stack w of shape (K, n, n).
-
-    Each block is diagonalized on its own, so V commutes with the trace
-    weights and tau(V x~ V*) = sum_a d_a x~_aa (a full eigendecomposition
-    could mix blocks sharing an eigenvalue and detach the weights).  Powers
-    of w and functions of ad w act on x~ = V* x V as entrywise multipliers
-    (Daleckii-Krein), so a stack of directions costs one batched transform.
-    A stacked frame has lam of shape (K, n) and frame of shape (K, n, n); its
-    transforms and H-form matrices carry the same leading axis.  w must be
-    skew-Hermitian and in the algebra; the callers check their inputs once,
-    not at every Newton iterate.
-    """
-
-    def __init__(self, w: np.ndarray, alg: TracialAlgebra):
-        self.lam = np.empty(w.shape[:-1])
-        self.frame = np.zeros(w.shape, dtype=complex)
-        for sl in alg.block_slices():
-            self.lam[..., sl], self.frame[..., sl, sl] = np.linalg.eigh(-1j * w[..., sl, sl])
-        self.weights = _diag_weights(alg)
-
-    def transform(self, x: np.ndarray) -> np.ndarray:
-        """x~ = V* x V for one matrix or a stack of shape (m, n, n); a stacked
-        frame gives shape (K, m, n, n)."""
-        v = self.frame if self.frame.ndim == 2 else self.frame[:, None]
-        return v.conj().mT @ x @ v
-
-    def ad_symbol(self, fn) -> np.ndarray:
-        """Multiplier of fn(ad w) on x~: the symbol at i(lam_b - lam_a), placed at
-        (a, b); fn takes the real angle gaps (as _sym_F and _sym_G do)."""
-        return fn(self.lam[..., None, :] - self.lam[..., :, None])
-
-    def h_matrix(self, left: np.ndarray, right: np.ndarray, p: int) -> np.ndarray:
-        """H_jl = H_w(b_j, c_l) from transformed stacks left = (b~_j), right = (c~_l):
-        -p Re sum_ab d_a gamma_ab b~_ab c~_ba with gamma_ab = sum_k lam_a^(p-2-k) lam_b^k.
-        Stacked frames take and give a leading axis K: (K, m, n, n) -> (K, m, m)."""
-        powers = self.lam[..., None, :] ** np.arange(p - 1)[:, None]
-        gamma = powers[..., ::-1, :].mT @ powers
-        lead, size = left.shape[:-3], gamma.shape[-1] ** 2
-        x = (left * (self.weights[:, None] * gamma)[..., None, :, :]).reshape(*lead, left.shape[-3], size)
-        y = right.mT.reshape(*lead, right.shape[-3], size)
-        return -p * (x @ y.mT).real
 
 
 def h_form(a: np.ndarray, b: np.ndarray, c: np.ndarray, p: int, alg: TracialAlgebra) -> float:

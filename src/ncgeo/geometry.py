@@ -43,7 +43,7 @@ import numpy as np
 import scipy.integrate
 
 from . import core, projection
-from .core import AdAnalytic, TracialAlgebra, principal_log, unitary_exp
+from .core import Eigenframe, TracialAlgebra, principal_log, unitary_exp
 from .projection import ConvergenceError, SkewSubspace, best_approximants, lifting_certificate
 
 __all__ = [
@@ -125,8 +125,7 @@ class SampledCurve:
         for k, u in enumerate(self.nodes):
             if not core.is_unitary(u, tol=tol * n):
                 raise ValueError(f"curve node {k} is not unitary within tolerance")
-        chords = [core.operator_norm(self.nodes[k + 1] - self.nodes[k]) for k in range(self.n_intervals)]
-        if max(chords) >= 2.0:
+        if core._max_operator_norm(self.nodes[1:] - self.nodes[:-1]) >= 2.0:
             raise ValueError("grid too coarse: adjacent nodes at uniform distance >= 2")
 
     def left_velocities(self) -> np.ndarray:
@@ -186,7 +185,7 @@ def exp_curve(z: np.ndarray, n_nodes: int = 65, u0: np.ndarray | None = None, ta
     """The one-parameter curve t |-> u0 e^{tz} with exact velocities."""
     z = np.asarray(z, dtype=complex)
     grid = np.linspace(0.0, 1.0, n_nodes)
-    nodes = AdAnalytic(z).exp(grid)
+    nodes = unitary_exp(z, grid)
     if u0 is not None:
         nodes = np.einsum("ij,kjl->kil", np.asarray(u0, dtype=complex), nodes)
     vel = np.repeat(z[None, :, :], n_nodes, axis=0)
@@ -204,8 +203,8 @@ def loop_deformed_exp_curve(
     z = np.asarray(z, dtype=complex)
     xi = np.asarray(xi, dtype=complex)
     grid = np.linspace(0.0, 1.0, n_nodes)
-    loops = AdAnalytic(xi).exp(amplitude * grid * (1.0 - grid))
-    nodes = AdAnalytic(z).exp(grid) @ loops
+    loops = unitary_exp(xi, amplitude * grid * (1.0 - grid))
+    nodes = unitary_exp(z, grid) @ loops
     vel = loops.conj().mT @ z @ loops + (amplitude * (1.0 - 2.0 * grid))[:, None, None] * xi
     return SampledCurve(grid, nodes, target=target, velocities=vel)
 
@@ -216,7 +215,7 @@ def reparametrized_exp_curve(z: np.ndarray, warp: float, n_nodes: int = 65, targ
         raise ValueError("warp must lie in [0, 1) to keep phi monotone")
     z = np.asarray(z, dtype=complex)
     grid = np.linspace(0.0, 1.0, n_nodes)
-    nodes = AdAnalytic(z).exp(grid - warp * np.sin(2 * np.pi * grid) / (2 * np.pi))
+    nodes = unitary_exp(z, grid - warp * np.sin(2 * np.pi * grid) / (2 * np.pi))
     vel = (1.0 - warp * np.cos(2 * np.pi * grid))[:, None, None] * z
     return SampledCurve(grid, nodes, target=target, velocities=vel)
 
@@ -227,8 +226,7 @@ def _geodesic_resample(curve: SampledCurve, new_params: np.ndarray) -> np.ndarra
     t = np.clip(new_params, 0.0, 1.0)
     k = np.minimum((t / h).astype(int), curve.n_intervals - 1)
     chords = np.array([principal_log(a.conj().T @ b) for a, b in zip(curve.nodes[k], curve.nodes[k + 1])])
-    theta, frame = core._skew_frame(chords)
-    return curve.nodes[k] @ core._exp_from_frame(((t - curve.grid[k]) / h)[:, None] * theta, frame)
+    return curve.nodes[k] @ Eigenframe(chords).exp((t - curve.grid[k]) / h)
 
 
 # ---------------------------------------------------------------------------
@@ -414,9 +412,6 @@ class QuotientDistanceResult:
     starts: int
     p: int
 
-    def __float__(self):
-        return self.value
-
 
 def quotient_distance(
     space: HomSpace,
@@ -518,9 +513,6 @@ class LiftResult:
     def z(self) -> SampledCurve:
         return SampledCurve(self.u.grid, np.array([principal_log(uk) for uk in self.u.nodes]), target="algebra")
 
-    def __iter__(self):
-        return iter((self.z, self.u))
-
 
 #: Gauss-Legendre points of the 6th-order Magnus step on [0, 1]
 _GAUSS3 = 0.5 + np.array([-1.0, 0.0, 1.0]) * math.sqrt(15.0) / 10.0
@@ -587,7 +579,7 @@ def lift_ode_solve(
         omega = _magnus6(*np.moveaxis(w_all[n_steps + 1 :].reshape(n_steps, 3, n, n), 1, 0), h)
         tangent = G.project(omega)
         drift = core._max_operator_norm(omega - tangent)
-        steps = core._exp_from_frame(*core._skew_frame(tangent))
+        steps = Eigenframe(tangent).exp()
         u_nodes = np.empty((n_steps + 1, n, n), dtype=complex)
         u_nodes[0] = np.eye(n)
         for i in range(n_steps):
@@ -646,8 +638,8 @@ def epsilon_isometric_lift(
     u solving du u* = w_eps turns Gamma into beta = Gamma u with
     ||beta* dbeta||_p <= quotient speed + epsilon pointwise.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must lie in (0, inf) (got {epsilon})")
     p = core._check_even_p(p)
     curve.validate_unitary()
     alg = space.ambient
@@ -824,11 +816,11 @@ def convexity_probe(u, v, w, p, alg: TracialAlgebra, n_nodes: int = 65) -> Conve
     else:
         proj = (core.inner_tau(zu, z, alg) / z2) * z
         collinear = core.p_norm(zu - proj, 2, alg) <= 1e-8 * math.sqrt(zu2)
-    calc = AdAnalytic(z)
+    frame = Eigenframe(z)
     grid = np.linspace(0.0, 1.0, n_nodes)
     vals = np.empty(n_nodes)
     for k, s in enumerate(grid):
-        vals[k] = unitary_distance(u, v @ calc.exp(s), p, alg) ** p
+        vals[k] = unitary_distance(u, v @ frame.exp(s), p, alg) ** p
     d2 = vals[2:] - 2 * vals[1:-1] + vals[:-2]
     return ConvexityReport(grid, vals, d2, collinear, float(np.min(d2)), float(np.mean(d2)))
 

@@ -396,6 +396,8 @@ def best_approximants(
     uncertified instance.
     """
     p = core._check_even_p(p)
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must lie in (0, inf) (got {tol})")
     alg = S.ambient
     zs = np.asarray(zs, dtype=complex)
     n = alg.dim

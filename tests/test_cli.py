@@ -138,6 +138,24 @@ def test_p_must_be_an_even_integer(command, files, capsys, rng):
     assert json.loads(capsys.readouterr().out)
 
 
+def test_bad_numeric_arguments_are_named(files, capsys, rng):
+    # a NaN tol used to print the uncertified start as the projection, a NaN
+    # epsilon failed only when the result was written, and a negative seed
+    # surfaced numpy's message
+    argv = _diag_m2_inputs(files, rng)
+    z = _write(files / "z.json", matrix_to_json(core.random_skew(TracialAlgebra.tensor_square(2), rng)))
+    project = ["project", "--z", z, "--space", argv["qdistance"][2], "--p", "4", "--tol"]
+    cases = [(project + [tol], "tol") for tol in ("nan", "inf", "0")]
+    cases += [(argv["lift"][:-1] + [eps, "--p", "4"], "epsilon") for eps in ("nan", "inf")]
+    cases += [(argv[command] + ["--p", "4", "--seed", "-1"], "--seed") for command in ("qdistance", "geodesic")]
+    for args, name in cases:
+        capsys.readouterr()
+        assert main(args) == 2, args
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert name in captured.err, captured.err
+
+
 def test_matrix_sizes_are_checked(files, capsys):
     space = _write(files / "s.json", {"kind": "diag-m2", "blocks": [2], "p_list": [2, 4]})
     eye2 = _write(files / "eye2.json", matrix_to_json(np.eye(2)))

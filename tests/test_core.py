@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from ncgeo import core
 from ncgeo.core import (
-    AdAnalytic,
     TracialAlgebra,
     apply_analytic_ad,
     exp_differential,
@@ -25,6 +24,7 @@ from ncgeo.core import (
     trace_tau,
     unitary_exp,
 )
+from ncgeo.geometry import exp_curve
 
 ALGS = {
     "m2": TracialAlgebra.full(2),
@@ -145,6 +145,29 @@ def test_exp_rejects_non_skew(m2):
         unitary_exp(np.diag([1.0, 2.0]).astype(complex))
 
 
+def test_frame_without_algebra_is_the_full_algebra_frame(rng, m4):
+    w = core.random_skew(m4, rng)
+    one, full = core.Eigenframe(w), core.Eigenframe(w, m4)
+    for attr in ("lam", "frame", "weights"):
+        assert np.array_equal(getattr(one, attr), getattr(full, attr))
+
+
+def test_stacked_exp_takes_one_parameter_per_frame(rng, m4):
+    ws = np.array([core.random_skew(m4, rng) for _ in range(5)])
+    ts = rng.uniform(-1.0, 1.0, 5)
+    for w, t, e in zip(ws, ts, core.Eigenframe(ws).exp(ts)):
+        assert np.max(np.abs(e - core.Eigenframe(w).exp(t))) <= 1e-15
+
+
+def test_exp_of_a_parameter_array(rng, m4):
+    z = core.random_skew(m4, rng)
+    ts = np.linspace(-1.0, 1.0, 9)
+    stack = unitary_exp(z, ts)
+    assert stack.shape == (9, 4, 4)
+    for t, e in zip(ts, stack):
+        assert operator_norm(e - unitary_exp(t * z)) <= 1e-14
+
+
 def test_log_of_identity(m3):
     assert operator_norm(principal_log(np.eye(3, dtype=complex))) < 1e-14
 
@@ -233,6 +256,25 @@ def test_ad_inverse_requires_small_generator(rng, m3):
         apply_analytic_ad(a, "F_inv", a)
 
 
+def test_entry_points_reject_non_skew_generators(rng, m3):
+    h, b = core.random_hermitian(m3, rng), core.random_skew(m3, rng)
+    calls = [
+        lambda: unitary_exp(h),
+        lambda: unitary_exp(h, np.linspace(0.0, 1.0, 3)),
+        lambda: apply_analytic_ad(h, "F", b),
+        lambda: exp_differential(h, b),
+        lambda: exp_curve(h),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="skew-Hermitian"):
+            call()
+
+
+def test_apply_analytic_ad_rejects_unknown_tag(rng, m3):
+    with pytest.raises(ValueError, match="unknown symbol tag"):
+        apply_analytic_ad(core.random_skew(m3, rng), "H", core.random_skew(m3, rng))
+
+
 def test_inverse_symbol_norm_bound(rng, m4):
     # ||F(ad a)^{-1}|| <= g(||a||) = ||a|| / sin(||a||) for ||a|| < pi/2
     for _ in range(15):
@@ -240,14 +282,14 @@ def test_inverse_symbol_norm_bound(rng, m4):
         a = a * (rng.uniform(0.05, 0.95) * (np.pi / 2) / max(operator_norm(a), 1e-12))
         r = operator_norm(a)
         bound = r / math.sin(r)
-        calc = AdAnalytic(a)
+        calc = core.Eigenframe(a)
         worst = 0.0
         for _ in range(100):
             b = core.random_skew(m4, rng)
             nb = operator_norm(b)
             if nb < 1e-12:
                 continue
-            worst = max(worst, operator_norm(calc.apply("F_inv", b)) / nb)
+            worst = max(worst, operator_norm(calc.apply(lambda x: 1.0 / core._sym_F(x), b)) / nb)
         assert worst <= bound + 1e-9
 
 

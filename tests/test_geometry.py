@@ -211,7 +211,7 @@ def test_quotient_length_independent_of_lift(rng):
     gamma = loop_deformed_exp_curve(z, xi, 0.5, n_nodes=33)
     y0 = sp.isotropy.combine(0.6 * rng.standard_normal(sp.isotropy.dim))
     # second lift: right-translate by a vertical curve u(t) = e^{phi(t) y0}
-    cy = core.AdAnalytic(y0)
+    cy = core.Eigenframe(y0)
     nodes = np.empty_like(gamma.nodes)
     vel = np.empty_like(gamma.nodes)
     for k, t in enumerate(gamma.grid):
@@ -317,10 +317,10 @@ def lbfgs_quotient_distance(space, u, v, p, multistarts=6, seed=0, tol=1e-9):
     def value_and_grad(c):
         # the gradient (-1)^(p/2) p tau(w^{p-1} F(ad B) b_k) with F(ad B)
         # transposed to G(ad B) on w^{p-1}
-        calc = core.AdAnalytic(G.combine(c))
+        calc = core.Eigenframe(G.combine(c))
         w = principal_log(base @ calc.exp())
         f = float(np.real(sign * core.trace_tau(np.linalg.matrix_power(w, p), alg)))
-        pulled = calc.apply("G", np.linalg.matrix_power(w, p - 1))
+        pulled = calc.apply(core._sym_G, np.linalg.matrix_power(w, p - 1))
         return f, sign * p * np.real(core._tau_stack(pulled, G.onb(), alg))
 
     def sweep(points):
@@ -560,7 +560,7 @@ def test_lift_rejects_field_outside_isotropy(rng):
 
 
 def _rk4_nodes(w_curve, G, n_steps):
-    """Per-step RK4 for dz/dt = G(ad z)^{-1} w(t), u = e^z: an AdAnalytic field
+    """Per-step RK4 for dz/dt = G(ad z)^{-1} w(t), u = e^z: an Eigenframe field
     per stage, an SVD restart test at 0.45 pi and a unitary_exp per node.
     Returns the z and u nodes and the largest projection jump."""
     n = G.ambient.dim
@@ -568,7 +568,7 @@ def _rk4_nodes(w_curve, G, n_steps):
     grid = np.linspace(0.0, 1.0, n_steps + 1)
 
     def field(t, zz):
-        return core.AdAnalytic(zz).apply("G_inv", w_curve.value(t))
+        return core.Eigenframe(zz).apply(lambda x: 1.0 / core._sym_G(x), w_curve.value(t))
 
     z = np.zeros((n, n), dtype=complex)
     u_base = np.eye(n, dtype=complex)
@@ -749,7 +749,7 @@ def test_lift_commuting_pair_recovers_symbol_norm(rng):
     alg = sp.ambient
     z = _minimal_symbol(sp, rng, scale=0.4)
     y = 0.3j * np.eye(4)
-    cz, cy = core.AdAnalytic(z), core.AdAnalytic(y)
+    cz, cy = core.Eigenframe(z), core.Eigenframe(y)
     grid = np.linspace(0, 1, 65)
     nodes = np.array([cz.exp(t) @ cy.exp(t) for t in grid])
     vel = np.array([cy.exp(-t) @ z @ cy.exp(t) + y for t in grid])
