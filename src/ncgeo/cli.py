@@ -273,7 +273,3 @@ def main(argv=None) -> int:
     except OSError as exc:
         sys.stderr.write(f"ncgeo: {exc}\n")
         return USAGE_ERROR
-
-
-if __name__ == "__main__":
-    sys.exit(main())

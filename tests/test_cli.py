@@ -1,16 +1,24 @@
 """Command-line surface: compute commands, exit codes, report determinism."""
 
+import itertools
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ncgeo
 from ncgeo import core
 from ncgeo.cli import main
 from ncgeo.core import TracialAlgebra
 from ncgeo.geometry import exp_curve
 from ncgeo.projection import ConvergenceError
 from ncgeo.serialization import canonical_dumps, curve_to_json, matrix_to_json
+from ncgeo.suites import _run_trials
 
 
 def _write(path, obj):
@@ -296,3 +304,34 @@ def test_verify_exit_one_on_violation(files, monkeypatch):
         },
     )
     assert main(["verify", "--config", cfg, "--report", str(files / "r.json")]) == 1
+
+
+@pytest.mark.parametrize("margins, bad", [((1.0, math.nan, -0.5), 2), ((math.nan, 1.0, 2.0), 1)])
+def test_nan_margin_is_a_violation_in_any_order(margins, bad):
+    for order in itertools.permutations(margins):
+        violations, worst = _run_trials(7, "nan-margins", len(order), lambda k, rng: order[k])
+        assert violations == bad, order
+        assert math.isnan(worst), order
+
+
+def test_verify_nan_margin_writes_report_and_exits_one(files, capsys, monkeypatch):
+    cfg = _write(files / "cfg.json", {"seed": 7, "dims": [2], "p_list": [2], "trials": 1, "suites": ["core"]})
+    monkeypatch.setattr("ncgeo.suites._clarkson_margin", lambda *args: math.nan)
+    report = files / "r.json"
+    assert main(["verify", "--config", cfg, "--report", str(report)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    rep = json.loads(report.read_text())
+    (rec,) = [r for r in rep["records"] if r["anchor"] == "clarkson-inequalities"]
+    assert rec["worst_margin"] is None
+    assert rec["violations"] == rec["trials"]
+    assert rep["passed"] is False
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(ncgeo.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-m", "ncgeo", "--help"], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert "verify" in out.stdout

@@ -21,7 +21,7 @@ from ncgeo.projection import (
     quotient_norm,
     standard_skew_basis,
 )
-from ncgeo.suites import _LATTICE_SLAB_ROWS, _lattice_search
+from ncgeo.suites import _lattice_search, _trace_polynomial
 
 M3 = TracialAlgebra.full(3)
 M4 = TracialAlgebra.full(4)
@@ -560,33 +560,37 @@ def test_best_approximant_stops_on_roundoff_stagnation():
 # ---------------------------------------------------------------------------
 
 
+#: grid rows of one matrix-power slab of the reference oracle (bounds its memory)
+_SLAB_ROWS = 64
+
+
+def _matrix_power_objective(z, b, g1, g2, p, alg):
+    """(-1)^(p/2) tau((z - c1 b0 - c2 b1)^p) on the grid g1 x g2, one matrix
+    power per grid point."""
+    cc1, cc2 = np.meshgrid(g1, g2, indexing="ij")
+    w = z[None, None] - cc1[..., None, None] * b[0][None, None] - cc2[..., None, None] * b[1][None, None]
+    w2 = w @ w
+    wp = w2
+    for _ in range(p // 2 - 1):
+        wp = wp @ w2
+    return (-1) ** (p // 2) * np.einsum("...ii,i->...", wp, core._diag_weights(alg)).real
+
+
 def _lattice_oracle(z, S, p, alg):
     """Exhaustive minimization of ||z - c1 b1 - c2 b2||_p^p over a coefficient
     lattice: pitch 1e-3 around the linear projection, then two 10x
-    refinements around the incumbent.  Independent of the Newton path."""
+    refinements around the incumbent.  Independent of the Newton path, and
+    of the suite's trace polynomial: every grid point is a matrix power."""
     onb = orthonormal_basis(S)
     b = np.array(onb.basis)
     center = onb.coords(z)
-    wvec = core._diag_weights(alg)
-    sign = (-1) ** (p // 2)
 
     def sweep(c0, half_width, pitch):
         g1 = np.arange(c0[0] - half_width, c0[0] + half_width + pitch / 2, pitch)
         g2 = np.arange(c0[1] - half_width, c0[1] + half_width + pitch / 2, pitch)
-        # the objective grid is filled in slabs of rows to bound its memory
-        vals = np.empty((len(g1), len(g2)))
-        for lo in range(0, len(g1), _LATTICE_SLAB_ROWS):
-            cc1, cc2 = np.meshgrid(g1[lo : lo + _LATTICE_SLAB_ROWS], g2, indexing="ij")
-            w = (
-                z[None, None]
-                - cc1[..., None, None] * b[0][None, None]
-                - cc2[..., None, None] * b[1][None, None]
-            )
-            w2 = w @ w
-            wp = w2
-            for _ in range(p // 2 - 1):
-                wp = wp @ w2
-            vals[lo : lo + len(cc1)] = sign * np.einsum("...ii,i->...", wp, wvec).real
+        vals = np.concatenate(
+            [_matrix_power_objective(z, b, g1[lo : lo + _SLAB_ROWS], g2, p, alg) for lo in range(0, len(g1), _SLAB_ROWS)]
+        )
         k = np.unravel_index(np.argmin(vals), vals.shape)
         interior = 0 < k[0] < len(g1) - 1 and 0 < k[1] < len(g2) - 1
         return np.array([g1[k[0]], g2[k[1]]]), interior
@@ -608,6 +612,26 @@ def test_best_approximant_against_lattice_oracle(instance):
     assert np.max(np.abs(res.coefficients - c_oracle)) < 1e-4
     q_oracle = orthonormal_basis(S).combine(c_oracle)
     assert p_norm(res.projection - q_oracle, 4, M3) < 1e-4
+    # the suite's trace-polynomial oracle lands on the same lattice point
+    np.testing.assert_array_equal(_lattice_search(z, S, 4, M3), c_oracle)
+
+
+@pytest.mark.parametrize("p", [4, 6])
+def test_trace_polynomial_matches_matrix_powers(p):
+    gen = np.random.default_rng(200 + p)
+    S = SkewSubspace(M3, [core.random_skew(M3, gen) for _ in range(2)])
+    z = core.random_skew(M3, gen, 0.6)
+    onb = orthonormal_basis(S)
+    b = np.array(onb.basis)
+    c0 = onb.coords(z)
+    A = _trace_polynomial(z - c0[0] * b[0] - c0[1] * b[1], b, p, M3)
+    powers = np.arange(p + 1)
+    # sampled points of the coarsest (pitch 1e-3) and the finest (1e-5) sweep
+    for half, pitch in ((550, 1e-3), (120, 1e-5)):
+        d1, d2 = gen.integers(-half, half + 1, size=(2, 12)) * pitch
+        poly = (d1[:, None] ** powers) @ A @ (d2[:, None] ** powers).T
+        ref = _matrix_power_objective(z, b, c0[0] + d1, c0[1] + d2, p, M3)
+        assert np.max(np.abs(poly - ref) / np.abs(ref)) < 1e-13
 
 
 def test_diag_m2_truncation_against_expectation(rng):
@@ -678,7 +702,8 @@ def test_hermitian_wrapper_round_trip(rng):
 
 
 def test_suite_lattice_oracle_memory_is_bounded():
-    # the suite's reference oracle sweeps a 1101 x 1101 coefficient grid
+    # the suite's oracle evaluates a 1101 x 1101 coefficient grid from its
+    # trace polynomial: only the grid of values, no grid of matrices
     gen = np.random.default_rng(104)
     S = SkewSubspace(M3, [core.random_skew(M3, gen) for _ in range(2)])
     z = core.random_skew(M3, gen, 0.6)
@@ -688,5 +713,5 @@ def test_suite_lattice_oracle_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 100e6
+    assert peak < 25e6
     assert np.max(np.abs(best_approximant(z, S, 4).coefficients - c)) < 1e-4
