@@ -263,7 +263,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        # an overflow shows as a non-finite value (and a ConvergenceError), not a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.fn(args)
     except (SchemaError, ValueError) as exc:
         sys.stderr.write(f"ncgeo: {exc}\n")
         return USAGE_ERROR

@@ -21,8 +21,9 @@ trace and the norms this module provides:
     directions as one contraction; on it rest unitary_exp,
     apply_analytic_ad, the differential e^a F(ad a) b of the exponential
     map, h_form and quadratic_form,
-  * the principal logarithm of unitaries (eigen-angles in (-pi, pi], the
-    angle pi assigned to eigenvalue -1),
+  * the principal logarithm of a unitary or a stack (eigen-angles in
+    (-pi, pi], pi at eigenvalue -1), from Eigenframe.from_unitary: no Schur
+    form, no per-matrix loop; exp, log and fold all diagonalize in Eigenframe,
   * the spectral scale lambda_t and the generalized s-numbers mu_t as
     right-continuous step functions on (0, 1], and
   * the 2pi-periodic sawtooth folding of Hermitian symbols.
@@ -36,7 +37,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "TracialAlgebra",
@@ -193,11 +193,16 @@ def is_skew_hermitian(x: np.ndarray, tol: float | None = None) -> bool:
     return _symmetric_up_to(x, -1.0, tol)
 
 
-def is_unitary(u: np.ndarray, tol: float | None = None) -> bool:
+def _unitary_defects(u: np.ndarray) -> np.ndarray:
+    """max |u*u - 1| entrywise of u, or of each matrix of a stack (K, n, n)."""
     u = np.asarray(u)
-    n = u.shape[0]
-    tol = ENTRY_TOL * n if tol is None else tol
-    return bool(_max_entries(u.conj().T @ u - np.eye(n)) <= tol)
+    return _max_entries(u.conj().mT @ u - np.eye(u.shape[-1]))
+
+
+def is_unitary(u: np.ndarray, tol: float | None = None) -> bool:
+    """Whether u, or every matrix of a stack (K, n, n), is unitary up to tol."""
+    tol = ENTRY_TOL * np.shape(u)[-1] if tol is None else tol
+    return bool(np.all(_unitary_defects(u) <= tol))
 
 
 def in_algebra(x: np.ndarray, alg: TracialAlgebra, tol: float = 1e-12) -> bool:
@@ -269,15 +274,14 @@ def p_norm(x: np.ndarray, p: float, alg: TracialAlgebra) -> float:
     Singular values are computed blockwise so that they pair with the trace
     weights of the block carrying them.
     """
-    x = _check_dim(x, alg)
-    if np.isinf(p):
-        return operator_norm(x)
-    return float(_p_norms(x, p, alg))
+    return float(_p_norms(_check_dim(x, alg), p, alg))
 
 
 def _p_norms(x: np.ndarray, p: float, alg: TracialAlgebra) -> np.ndarray:
-    """Finite p-norms of each matrix of a stack (K, n, n) from one batched
-    blockwise SVD (the value of p_norm for each, bit for bit)."""
+    """p-norms of each matrix of a stack (K, n, n) from one batched
+    (blockwise, for finite p) SVD: the value of p_norm for each, bit for bit."""
+    if np.isinf(p):
+        return np.linalg.svd(x, compute_uv=False)[..., 0]
     if p < 1:
         raise ValueError("p_norm requires p >= 1")
     s = _block_svdvals(x, alg)
@@ -367,6 +371,27 @@ class Eigenframe:
             self.lam[..., sl], self.frame[..., sl, sl] = np.linalg.eigh(-1j * w[..., sl, sl])
         self.weights = _diag_weights(alg)
 
+    @classmethod
+    def from_unitary(cls, u: np.ndarray) -> "Eigenframe":
+        """Frame of the principal log of a unitary u or a stack (K, n, n): lam
+        are its angles in (-pi, pi], pi at eigenvalue -1.  r = e^{-i phi} u puts
+        the middle of u's widest angle gap (>= 2pi/n) at -1, and the Cayley
+        transform (1 + r)^{-1}(r - 1) has angles tan(alpha/2) and condition
+        <= 1/sin(pi/2n) (Higham, Functions of Matrices, 2008, section 11)."""
+        alpha = np.sort(np.angle(np.linalg.eigvals(u)), axis=-1)
+        gaps = np.diff(alpha, axis=-1, append=alpha[..., :1] + 2 * np.pi)
+        k = gaps.argmax(axis=-1)[..., None]
+        phi = np.take_along_axis(alpha + gaps / 2.0, k, axis=-1) - np.pi
+        r = np.exp(-1j * phi)[..., None] * u
+        eye = np.eye(u.shape[-1])
+        x = np.linalg.solve(eye + r, r - eye)
+        frame = cls((x - x.conj().mT) / 2.0)
+        theta = 2.0 * np.arctan(frame.lam) + phi
+        theta -= 2 * np.pi * np.round(theta / (2 * np.pi))
+        theta[theta <= -np.pi + _BRANCH_SNAP] += 2 * np.pi
+        frame.lam = np.clip(theta, -np.pi, np.pi)
+        return frame
+
     def transform(self, x: np.ndarray) -> np.ndarray:
         """x~ = V* x V for one matrix or a stack of shape (m, n, n); a stacked
         frame gives shape (K, m, n, n)."""
@@ -452,24 +477,19 @@ def exp_differential(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def principal_log(u: np.ndarray) -> np.ndarray:
-    """Skew-Hermitian z with e^z = u and eigen-angles in (-pi, pi].
+    """Skew-Hermitian z with e^z = u and eigen-angles in (-pi, pi], for a
+    unitary u or each matrix of a stack (Eigenframe.from_unitary).
 
     The angle pi is assigned deterministically to eigenvalue -1, so the map
     is total on the unitary group and ||z|| <= pi always; ||z|| < pi exactly
     when ||1 - u|| < 2.
     """
     u = np.asarray(u, dtype=complex)
-    n = u.shape[0]
-    if not is_unitary(u, tol=1e-9 * n):
+    if not is_unitary(u, tol=1e-9 * u.shape[-1]):
         raise ValueError("principal_log requires a unitary argument")
-    t, q = scipy.linalg.schur(u, output="complex")
-    lam = np.diagonal(t).copy()
-    lam = lam / np.abs(lam)
-    theta = np.angle(lam)
-    theta[theta <= -np.pi + _BRANCH_SNAP] += 2 * np.pi
-    np.clip(theta, -np.pi, np.pi, out=theta)
-    z = (q * (1j * theta)[None, :]) @ q.conj().T
-    return (z - z.conj().T) / 2.0
+    frame = Eigenframe.from_unitary(u)
+    z = (frame.frame * (1j * frame.lam)[..., None, :]) @ frame.frame.conj().mT
+    return (z - z.conj().mT) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -571,8 +591,8 @@ def fold_symbol(z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=complex)
     if not is_hermitian(z, tol=1e-10 * z.shape[0]):
         raise ValueError("fold_symbol requires a Hermitian argument")
-    lam, frame = np.linalg.eigh(z)
-    folded = (frame * _sawtooth(lam)[None, :]) @ frame.conj().T
+    frame = Eigenframe(1j * z)
+    folded = (frame.frame * _sawtooth(frame.lam)[None, :]) @ frame.frame.conj().T
     return (folded + folded.conj().T) / 2.0
 
 

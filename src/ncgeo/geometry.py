@@ -121,10 +121,9 @@ class SampledCurve:
         return len(self.grid) - 1
 
     def validate_unitary(self, tol: float = 1e-9):
-        n = self.nodes.shape[-1]
-        for k, u in enumerate(self.nodes):
-            if not core.is_unitary(u, tol=tol * n):
-                raise ValueError(f"curve node {k} is not unitary within tolerance")
+        bad = np.flatnonzero(~(core._unitary_defects(self.nodes) <= tol * self.nodes.shape[-1]))
+        if bad.size:
+            raise ValueError(f"curve node {bad[0]} is not unitary within tolerance")
         if core._max_operator_norm(self.nodes[1:] - self.nodes[:-1]) >= 2.0:
             raise ValueError("grid too coarse: adjacent nodes at uniform distance >= 2")
 
@@ -132,12 +131,8 @@ class SampledCurve:
         """Gamma* dGamma at every node (stored exactly or by finite differences)."""
         if self.velocities is not None:
             return self.velocities
-        du = _differentiate_nodes(self.nodes, self.grid)
-        out = np.empty_like(self.nodes)
-        for k in range(len(self.grid)):
-            v = self.nodes[k].conj().T @ du[k]
-            out[k] = (v - v.conj().T) / 2.0
-        return out
+        v = self.nodes.conj().mT @ _differentiate_nodes(self.nodes, self.grid)
+        return (v - v.conj().mT) / 2.0
 
     def values(self, ts) -> np.ndarray:
         """Linear interpolation of an algebra-valued curve at every parameter of ts."""
@@ -225,8 +220,8 @@ def _geodesic_resample(curve: SampledCurve, new_params: np.ndarray) -> np.ndarra
     h = curve.grid[1] - curve.grid[0]
     t = np.clip(new_params, 0.0, 1.0)
     k = np.minimum((t / h).astype(int), curve.n_intervals - 1)
-    chords = np.array([principal_log(a.conj().T @ b) for a, b in zip(curve.nodes[k], curve.nodes[k + 1])])
-    return curve.nodes[k] @ Eigenframe(chords).exp((t - curve.grid[k]) / h)
+    chords = Eigenframe.from_unitary(curve.nodes[k].conj().mT @ curve.nodes[k + 1])
+    return curve.nodes[k] @ chords.exp((t - curve.grid[k]) / h)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +261,7 @@ class HomSpace:
 
     def act(self, u: np.ndarray, pt: np.ndarray) -> np.ndarray:
         if self.kind == "conjugation":
-            return u @ pt @ u.conj().T
+            return u @ pt @ u.conj().mT
         return u @ pt
 
     def orbit_point(self, u: np.ndarray) -> np.ndarray:
@@ -329,16 +324,18 @@ def apply_action(space: HomSpace, u: np.ndarray, pt: np.ndarray) -> np.ndarray:
 
 
 def orbit_gap(space: HomSpace, u: np.ndarray, v: np.ndarray) -> float:
-    """Cheap upper-bound distance between the orbit points of u and v.
+    """Cheap upper-bound distance between the orbit points of u and v, or
+    the largest over the pairs of two stacks (K, n, n).
 
     Coset kind: the 2-norm of the horizontal part of log(u* v), which is an
     upper bound for the quotient distance and vanishes exactly on equal
     cosets.  Matrix kinds: the 2-norm distance of the point matrices.
     """
     if space.kind == "coset":
-        lg = principal_log(u.conj().T @ v)
-        return core.p_norm(space.horizontal_project(lg), 2, space.ambient)
-    return core.p_norm(space.orbit_point(u) - space.orbit_point(v), 2, space.ambient)
+        gap = space.horizontal_project(principal_log(u.conj().mT @ v))
+    else:
+        gap = space.orbit_point(u) - space.orbit_point(v)
+    return float(np.max(core._p_norms(gap, 2, space.ambient)))
 
 
 # ---------------------------------------------------------------------------
@@ -355,9 +352,7 @@ def curve_length_p(curve: SampledCurve, p, alg: TracialAlgebra) -> float:
     if curve.target == "algebra":
         raise ValueError("curve_length_p measures unitary-group curves")
     curve.validate_unitary()
-    vel = curve.left_velocities()
-    speeds = [core.p_norm(v, p, alg) for v in vel]
-    return _simpson(speeds, curve.grid)
+    return _simpson(core._p_norms(curve.left_velocities(), p, alg), curve.grid)
 
 
 def quotient_speeds(vel: np.ndarray, space: HomSpace, p, tol: float = 1e-10):
@@ -386,8 +381,7 @@ def quotient_uniform_length(curve: SampledCurve, space: HomSpace) -> float:
     Uses the linear vertical projection as the competitor at every node,
     so each nodewise value bounds the quotient uniform speed from above.
     """
-    vel = curve.left_velocities()
-    speeds = [core.operator_norm(space.horizontal_project(v)) for v in vel]
+    speeds = core._p_norms(space.horizontal_project(curve.left_velocities()), np.inf, space.ambient)
     return _simpson(speeds, curve.grid)
 
 
@@ -448,13 +442,12 @@ def quotient_distance(
     base = np.asarray(u, dtype=complex).conj().T @ np.asarray(v, dtype=complex)
     if not core.in_algebra(base, alg):
         raise ValueError("quotient_distance requires unitaries of the algebra (no off-block entries)")
-    m = G.dim
+    m, w = G.dim, principal_log(base)
     if m == 0:
-        w = principal_log(base)
         return QuotientDistanceResult(core.p_norm(w, p, alg), np.eye(alg.dim, dtype=complex), 0.0, 1, p)
 
     rng = np.random.default_rng(seed)
-    starts = [np.zeros(m), -G.coords(principal_log(base))]
+    starts = [np.zeros(m), -G.coords(w)]
     for j in range(3 * max(0, multistarts - len(starts))):
         if j % 2 == 0:
             # wide coverage of the fundamental domain (the wrapped angles
@@ -470,18 +463,18 @@ def quotient_distance(
     def retract(ids, g, d):
         # a trial within 1e-6 of the cut locus gets a NaN w
         g = g @ unitary_exp(G.combine(d))
-        ug, w = base @ g, np.full_like(g, np.nan)
-        for k in np.flatnonzero(np.linalg.svd(np.eye(alg.dim) - ug, compute_uv=False)[:, 0] < 2.0 - 1e-6):
-            w[k] = principal_log(ug[k])
+        ug = base @ g
+        w = principal_log(ug)
+        w[~(core._p_norms(np.eye(alg.dim) - ug, np.inf, alg) < 2.0 - 1e-6)] = np.nan
         return g, w
 
     def left(frame, bt):
         return bt / frame.ad_symbol(core._sym_F)[:, None]
 
     g = unitary_exp(G.combine(np.array(starts)))
-    w = np.array([principal_log(ug) for ug in base @ g])
+    w = principal_log(base @ g)
     g, f, resid, _ = projection._newton(g, w, retract, left, G.onb(), p, alg, tol)
-    k = np.lexsort((f, resid > tol))[0]
+    k = np.lexsort((f, ~(resid <= tol)))[0]
     return QuotientDistanceResult(max(f[k], 0.0) ** (1.0 / p), g[k], float(resid[k]), len(starts), p)
 
 
@@ -511,7 +504,7 @@ class LiftResult:
 
     @functools.cached_property
     def z(self) -> SampledCurve:
-        return SampledCurve(self.u.grid, np.array([principal_log(uk) for uk in self.u.nodes]), target="algebra")
+        return SampledCurve(self.u.grid, principal_log(self.u.nodes), target="algebra")
 
 
 #: Gauss-Legendre points of the 6th-order Magnus step on [0, 1]
@@ -537,8 +530,6 @@ def lift_ode_solve(
     w_curve: SampledCurve,
     space: HomSpace,
     defect_tol: float = 1e-6,
-    drift_tol: float = 1e-9,
-    max_refinements: int = 6,
     min_nodes: int = 65,
 ) -> LiftResult:
     """Integrate du/dt = w(t) u, u(0) = 1, by the 6th-order Magnus method.
@@ -546,10 +537,10 @@ def lift_ode_solve(
     Steps subdivide the segments of the polygonal w, so every step
     generator Omega_i depends on w alone: all of them are one stacked
     computation, projected onto the isotropy algebra (the largest
-    displacement must stay below ``drift_tol``), exponentiated through one
+    displacement must stay below 1e-9), exponentiated through one
     batched eigendecomposition and multiplied up, u_{i+1} = e^{Omega_i} u_i.
-    The step count doubles until the defect ||du u* - w||, measured by
-    4th-order differences within each segment of w, is below
+    The step count doubles, at most 6 times, until the defect ||du u* - w||,
+    measured by 4th-order differences within each segment of w, is below
     ``defect_tol`` uniformly.
     """
     if w_curve.target != "algebra":
@@ -569,7 +560,7 @@ def lift_ode_solve(
     n = alg.dim
 
     last = None
-    for refinement in range(max_refinements + 1):
+    for refinement in range(7):
         n_steps = n_base * seg
         h = 1.0 / n_steps
         grid = np.linspace(0.0, 1.0, n_steps + 1)
@@ -597,12 +588,12 @@ def lift_ode_solve(
         vel = u_adj @ w_nodes @ u_nodes
         vel = (vel - vel.conj().mT) / 2.0
         last = LiftResult(SampledCurve(grid, u_nodes, target="unitary", velocities=vel), defect, drift, refinement)
-        if defect <= defect_tol and drift <= drift_tol:
+        if defect <= defect_tol and drift <= 1e-9:
             return last
         seg *= 2
     raise ConvergenceError(
         f"lifting ODE defect {last.defect:.3e} above {defect_tol:.1e} "
-        f"after {max_refinements} refinements"
+        "after 6 refinements"
     )
 
 
@@ -655,7 +646,7 @@ def epsilon_isometric_lift(
     # the midpoint projections are one stacked solve
     h = curve.grid[1] - curve.grid[0]
     w_mid = w_curve.values((curve.grid[:-1] + curve.grid[1:]) / 2.0)
-    chords = np.array([principal_log(a.conj().T @ b) for a, b in zip(curve.nodes[:-1], curve.nodes[1:])])
+    chords = principal_log(curve.nodes[:-1].conj().mT @ curve.nodes[1:])
     v_half = (chords - chords.mT.conj()) / (2.0 * h)
     q_half = best_approximants(v_half, space.isotropy, p, tol=tol).projection
     band = float(np.max(core._p_norms(w_mid + q_half, p, alg), initial=0.0))
@@ -807,8 +798,7 @@ def convexity_probe(u, v, w, p, alg: TracialAlgebra, n_nodes: int = 65) -> Conve
         raise ValueError("precondition ||u - v|| < sqrt(2) violated")
     if dwv >= math.sqrt(2.0) - duv:
         raise ValueError("precondition ||w - v|| < sqrt(2) - ||u - v|| violated")
-    z = principal_log(v.conj().T @ w)
-    zu = principal_log(v.conj().T @ u)
+    z, zu = principal_log(v.conj().T @ np.stack([w, u]))
     z2 = core.inner_tau(z, z, alg)
     zu2 = core.inner_tau(zu, zu, alg)
     if z2 <= 1e-24 or zu2 <= 1e-24:
@@ -816,11 +806,8 @@ def convexity_probe(u, v, w, p, alg: TracialAlgebra, n_nodes: int = 65) -> Conve
     else:
         proj = (core.inner_tau(zu, z, alg) / z2) * z
         collinear = core.p_norm(zu - proj, 2, alg) <= 1e-8 * math.sqrt(zu2)
-    frame = Eigenframe(z)
     grid = np.linspace(0.0, 1.0, n_nodes)
-    vals = np.empty(n_nodes)
-    for k, s in enumerate(grid):
-        vals[k] = unitary_distance(u, v @ frame.exp(s), p, alg) ** p
+    vals = core._p_norms(principal_log(u.conj().T @ (v @ Eigenframe(z).exp(grid))), p, alg) ** p
     d2 = vals[2:] - 2 * vals[1:-1] + vals[:-2]
     return ConvexityReport(grid, vals, d2, collinear, float(np.min(d2)), float(np.mean(d2)))
 
@@ -861,20 +848,17 @@ def minimality_probe(
     trials: int = 50,
     seed: int = 0,
     n_nodes: int = 65,
-    band_safety: float = 0.95,
     length_slack: float = 1e-6,
-    uniqueness_length_tol: float = 1e-7,
-    uniqueness_node_tol: float = 1e-4,
 ) -> ProbeReport:
     """Compare the curve e^{tz} . x against random competitors in the band.
 
     ``z`` must be a certified minimal symbol with uniform norm below pi/3.
     Competitors join the same orbit endpoints, are rejection-scaled until
     their quotient uniform length (certified upper bound) sits inside the
-    band epsilon = (sqrt(2)-1)/(C(1+K_p)), and must then be no shorter than
-    ||z||_p - slack.  Competitors whose length ties ||z||_p within
-    ``uniqueness_length_tol`` are reparametrized to constant quotient speed
-    and compared node-by-node against the minimal curve.
+    band epsilon = (sqrt(2)-1)/(C(1+K_p)) (below 0.95 epsilon), and must then
+    be no shorter than ||z||_p - slack.  Competitors whose length ties
+    ||z||_p within 1e-7 are reparametrized to constant quotient speed and
+    compared node-by-node against the minimal curve (orbit gap at most 1e-4).
     """
     p = core._check_even_p(p)
     alg = space.ambient
@@ -916,7 +900,7 @@ def minimality_probe(
             comp = None
             for _ in range(40):
                 cand = loop_deformed_exp_curve(z, xi, amp, n_nodes=n_nodes)
-                if quotient_uniform_length(cand, space) <= band_safety * eps:
+                if quotient_uniform_length(cand, space) <= 0.95 * eps:
                     comp = cand
                     break
                 amp *= 0.6
@@ -932,14 +916,11 @@ def minimality_probe(
         worst = min(worst, margin)
         if margin < 0:
             violations += 1
-        if abs(length - len_delta) <= uniqueness_length_tol:
+        if abs(length - len_delta) <= 1e-7:
             uniq_checked += 1
             params = _constant_speed_params(comp, space, p)
             renodes = _geodesic_resample(comp, params)
-            gap = max(
-                orbit_gap(space, renodes[k], delta_curve.nodes[k]) for k in range(len(renodes))
-            )
-            if gap > uniqueness_node_tol:
+            if orbit_gap(space, renodes, delta_curve.nodes) > 1e-4:
                 uniq_violations += 1
         details.append((kind, band, length, margin))
 

@@ -88,7 +88,6 @@ class SkewSubspace:
 
     ambient: TracialAlgebra
     basis: list
-    gram_tol: float = 1e-12
     _onb: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -109,7 +108,7 @@ class SkewSubspace:
     def onb(self) -> np.ndarray:
         """Orthonormal basis as an array of shape (dim, n, n)."""
         if self._onb is None:
-            self._onb = _gram_schmidt(self.basis, self.ambient, self.gram_tol)
+            self._onb = _gram_schmidt(self.basis, self.ambient)
         return self._onb
 
     def coords(self, z: np.ndarray) -> np.ndarray:
@@ -186,7 +185,7 @@ def standard_skew_basis(alg: TracialAlgebra) -> list:
     return out
 
 
-def _gram_schmidt(basis, alg, gram_tol):
+def _gram_schmidt(basis, alg):
     """Gram-Schmidt in order, as a thin QR of the real coordinates scaled
     by sqrt(d_i) per column (diag R > 0, so Q is the Gram-Schmidt basis)."""
     n, m = alg.dim, len(basis)
@@ -199,16 +198,16 @@ def _gram_schmidt(basis, alg, gram_tol):
     scaled = np.asarray(basis, dtype=complex).reshape(m, n * n) * np.tile(root, n)
     q, r = np.linalg.qr(np.concatenate([scaled.real, scaled.imag], axis=1).T)
     diag = np.diagonal(r)
-    if np.any(diag**2 <= gram_tol):
-        raise ValueError("rank-deficient basis: Gram determinant below gram_tol")
+    if np.any(diag**2 <= 1e-12):
+        raise ValueError("rank-deficient basis: Gram determinant below 1e-12")
     q = (q * np.sign(diag)).T
     return (q[:, : n * n] + 1j * q[:, n * n :]).reshape(m, n, n) / root
 
 
 def orthonormal_basis(S: SkewSubspace) -> SkewSubspace:
     """Gram-Schmidt in the trace inner product; same span, deterministic."""
-    onb = _gram_schmidt(S.basis, S.ambient, S.gram_tol)
-    out = SkewSubspace(S.ambient, list(onb), gram_tol=S.gram_tol)
+    onb = _gram_schmidt(S.basis, S.ambient)
+    out = SkewSubspace(S.ambient, list(onb))
     out._onb = onb
     return out
 
@@ -419,7 +418,7 @@ def best_approximants(
 
     c = S.coords(zs)
     c, _, resid, trials = _newton(c, zs - S.combine(c), retract, lambda frame, bt: bt, onb, p, alg, tol, max_iter)
-    bad = [k for k, r in enumerate(resid.tolist()) if r > tol]
+    bad = [k for k, r in enumerate(resid.tolist()) if not r <= tol]
     if bad:
         k = bad[0]
         where = f" (instance {k} of {K})" if K > 1 else ""
@@ -515,7 +514,6 @@ def quotient_norm(
     S: SkewSubspace,
     p,
     return_witness: bool = False,
-    refine: bool = True,
 ):
     """Quotient norm inf_{y in S} ||z - y||_p of a skew-Hermitian z.
 
@@ -537,8 +535,7 @@ def quotient_norm(
             starts = np.stack([S.coords(z), np.zeros(S.dim)])
             vals = fun(starts)
             c, val = (starts[1], vals[1]) if vals[1] < vals[0] else (starts[0], vals[0])
-            if refine:
-                c, val = _pattern_search(fun, c, step=0.25 * max(val, 1e-6))
+            c, val = _pattern_search(fun, c, step=0.25 * max(val, 1e-6))
             val = float(val)
         if return_witness:
             return val, S.combine(c)

@@ -608,11 +608,9 @@ def suite_geometry(cfg: SuiteConfig) -> list:
 
     def diameter(k, rng):
         alg = algs[k % len(algs)]
-        worst = 0.0
-        for _ in range(25):
-            u, v = core.random_unitary(alg, rng), core.random_unitary(alg, rng)
-            worst = max(worst, unitary_distance(u, v, ps[0], alg))
-        return math.pi + cfg.tol("diameter") - worst
+        uv = np.array([core.random_unitary(alg, rng) for _ in range(50)])
+        worst = np.max(core._p_norms(principal_log(uv[0::2].conj().mT @ uv[1::2]), ps[0], alg))
+        return math.pi + cfg.tol("diameter") - float(worst)
 
     records.append(_record("geometry", "diameter-bound", cfg.seed, max(20, cfg.trials // 2), diameter))
 
@@ -660,7 +658,7 @@ def suite_geometry(cfg: SuiteConfig) -> list:
         w0 = sp.isotropy.combine(0.3 * rng.standard_normal(sp.isotropy.dim))
         grid = np.linspace(0, 1, 9)
         lift = lift_ode_solve(SampledCurve(grid, np.repeat(w0[None], 9, axis=0), target="algebra"), sp)
-        worst = max(operator_norm(lift.z.nodes[j] - lift.z.grid[j] * w0) for j in range(len(lift.z.grid)))
+        worst = core._max_operator_norm(lift.z.nodes - lift.z.grid[:, None, None] * w0)
         return cfg.tol("lift_constant") - worst
 
     records.append(_record("geometry", "lifting-ode-constant", cfg.seed, max(5, cfg.trials // 20), lift_const))

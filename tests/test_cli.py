@@ -118,6 +118,22 @@ def test_lift_non_convergence_exits_three(files, capsys, rng, monkeypatch):
     assert "lifting ODE defect" in captured.err
 
 
+def test_overflowing_projection_exits_three(files, rng, m3):
+    # ||z|| = 1e60 overflows w^7 at p = 8: one line on stderr, no warnings
+    basis = [matrix_to_json(core.random_skew(m3, rng)) for _ in range(3)]
+    sub = _write(files / "g.json", {"ambient": {"blocks": [3], "weights": [1.0], "tensor_m2": False},
+                                    "kind": "basis", "basis": basis})
+    z = _write(files / "z.json", matrix_to_json(1e60 * core.random_skew(m3, rng)))
+    src = str(Path(ncgeo.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-m", "ncgeo", "project", "--z", z, "--subspace", sub, "--p", "8"],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 3
+    assert out.stdout == ""
+    assert out.stderr.splitlines() == ["ncgeo: no convergence: best approximant certificate nan above tol "
+                                       "1.0e-10 after 0 line-search trials"]
+
+
 def _diag_m2_inputs(files, rng):
     """A diag-m2 (2,) space, the identity, a target and a curve on it."""
     space = _write(files / "s.json", {"kind": "diag-m2", "blocks": [2], "p_list": [2, 4]})

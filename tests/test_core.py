@@ -1,6 +1,8 @@
 """Trace, p-norms, exponential calculus, spectral scale, folding, H-form."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -178,6 +180,11 @@ def test_log_of_minus_one_has_norm_pi():
     assert core.is_skew_hermitian(z)
     assert operator_norm(z) == pytest.approx(np.pi, abs=1e-12)
     assert operator_norm(unitary_exp(z) + np.eye(3)) < 1e-12
+    # every eigenvalue -1 gets +pi, also beside other angles
+    assert np.diag(z).imag == pytest.approx([np.pi] * 3, abs=1e-15)
+    z = principal_log(np.diag([1.0, -1.0, 1j, -1.0]))
+    assert np.abs(z - np.diag(np.diag(z))).max() <= 1e-15
+    assert np.diag(z).imag == pytest.approx([0.0, np.pi, np.pi / 2, np.pi], abs=1e-15)
 
 
 def test_log_rejects_non_unitary(m2):
@@ -213,6 +220,78 @@ def test_log_norm_below_pi_iff_far_from_cut(rng, m3):
         u = unitary_exp(z)
         assert operator_norm(np.eye(3) - u) < 2.0
         assert operator_norm(principal_log(u)) < np.pi
+
+
+def _schur_log(u):
+    # reference oracle: the principal log from a complex Schur form, each
+    # eigen-angle in (-pi, pi] with the same branch snap at -1
+    t, q = scipy.linalg.schur(u, output="complex")
+    lam = np.diagonal(t) / np.abs(np.diagonal(t))
+    theta = np.angle(lam)
+    theta[theta <= -np.pi + 1e-10] += 2 * np.pi
+    z = (q * (1j * np.clip(theta, -np.pi, np.pi))) @ q.conj().T
+    return (z - z.conj().T) / 2.0
+
+
+def _log_inputs(n, gen):
+    """Haar, exponentials from near the identity out to scale 3.1,
+    degenerate spectra and cut-locus unitaries in M_n."""
+    alg = TracialAlgebra.full(n)
+    out = [core.random_unitary(alg, gen) for _ in range(20)]
+    for scale in (1e-8, 1e-5, 1e-2, 0.5, 2.0, 3.1):
+        for _ in range(5):
+            z = core.random_skew(alg, gen)
+            out.append(unitary_exp(z * (scale / operator_norm(z))))
+    q = core.random_unitary(alg, gen)
+    for spectrum in (np.ones(n), np.exp(0.7j * (np.arange(n) % 2)), -np.ones(n), (-1.0) ** np.arange(n),
+                     np.where(np.arange(n) % 2, -1.0, 1j)):
+        out += [np.diag(spectrum).astype(complex), q @ np.diag(spectrum) @ q.conj().T]
+    return np.array(out)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8])
+def test_log_stack_matches_schur_reference(n):
+    stack = _log_inputs(n, np.random.default_rng(100 + n))
+    logs = principal_log(stack)
+    assert logs.shape == stack.shape
+    for z, u in zip(logs, stack):
+        assert operator_norm(z - _schur_log(u)) <= 1e-13
+    # a stack is the per-matrix calls, bit for bit
+    assert np.array_equal(logs, np.array([principal_log(u) for u in stack]))
+
+
+def test_log_stack_rejects_one_non_unitary_member(rng, m3):
+    stack = np.array([core.random_unitary(m3, rng) for _ in range(4)])
+    assert core.is_unitary(stack)
+    stack[2, 0, 0] *= 1.01
+    assert not core.is_unitary(stack)
+    with pytest.raises(ValueError, match="unitary"):
+        principal_log(stack)
+
+
+def test_validate_unitary_names_first_bad_node(rng, m3):
+    curve = exp_curve(core.random_skew(m3, rng, 0.5), 9)
+    curve.validate_unitary()
+    curve.nodes[5] *= 1.01
+    curve.nodes[3] *= 1.01
+    with pytest.raises(ValueError, match="curve node 3 is not unitary"):
+        curve.validate_unitary()
+
+
+def test_one_spectral_route():
+    # core diagonalizes through Eigenframe alone: it imports no scipy, and no
+    # module of the package brings back a Schur decomposition
+    src = Path(core.__file__).parent
+    for node in ast.walk(ast.parse((src / "core.py").read_text())):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.split(".")[0] == "scipy" for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert (node.module or "").split(".")[0] != "scipy"
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", ""))
+                assert name != "schur", f"{path.name}:{node.lineno} calls schur"
 
 
 # ---------------------------------------------------------------------------
@@ -299,14 +378,11 @@ def test_inverse_symbol_norm_bound(rng, m4):
 # ---------------------------------------------------------------------------
 
 
-def _exp_diff_simpson(a, b, panels=64):
-    # independent oracle: composite Simpson for int_0^1 e^{(1-t)a} b e^{ta} dt
-    ts = np.linspace(0.0, 1.0, panels + 1)
-    vals = np.array([scipy.linalg.expm((1 - t) * a) @ b @ scipy.linalg.expm(t * a) for t in ts])
-    coef = np.ones(panels + 1)
-    coef[1:-1:2] = 4.0
-    coef[2:-1:2] = 2.0
-    return (1.0 / panels / 3.0) * np.tensordot(coef, vals, axes=1)
+def _exp_diff_van_loan(a, b):
+    # independent oracle: int_0^1 e^{(1-t)a} b e^{ta} dt is the upper right
+    # block of the exponential of [[a, b], [0, a]] (Van Loan 1978)
+    n = len(a)
+    return scipy.linalg.expm(np.block([[a, b], [np.zeros_like(a), a]]))[:n, n:]
 
 
 def test_exp_differential_at_zero(rng, m3):
@@ -320,18 +396,18 @@ def test_exp_differential_matches_quadrature(rng, m4):
         a = a * (rng.uniform(0.0, 2.0) / max(operator_norm(a), 1e-12))
         b = core.random_skew(m4, rng)
         b = b * (rng.uniform(0.0, 2.0) / max(operator_norm(b), 1e-12))
-        assert operator_norm(exp_differential(a, b) - _exp_diff_simpson(a, b)) < 1e-8
+        assert operator_norm(exp_differential(a, b) - _exp_diff_van_loan(a, b)) < 1e-12
 
 
 def test_exp_differential_quadrature_corner():
-    # pinned at ||a|| = ||b|| = 2 the Simpson-64 floor sits just above 1e-8
+    # pinned at ||a|| = ||b|| = 2, the corner of the sampled box
     gen = np.random.default_rng(1)
     alg = ALGS["m4"]
     a = core.random_skew(alg, gen)
     a = a * (2.0 / operator_norm(a))
     b = core.random_skew(alg, gen)
     b = b * (2.0 / operator_norm(b))
-    assert operator_norm(exp_differential(a, b) - _exp_diff_simpson(a, b)) < 2e-8
+    assert operator_norm(exp_differential(a, b) - _exp_diff_van_loan(a, b)) < 1e-12
 
 
 @pytest.mark.parametrize("seed", [4004, 8007])

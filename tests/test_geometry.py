@@ -27,6 +27,7 @@ from ncgeo.geometry import (
     quotient_distance,
     quotient_length,
     quotient_speeds,
+    quotient_uniform_length,
     rectifiable_path_length,
     reparametrized_exp_curve,
     unitary_distance,
@@ -963,6 +964,27 @@ def test_reparametrized_curve_length_is_invariant(rng):
     for warp in (0.2, 0.5):
         c = reparametrized_exp_curve(z, warp, n_nodes=65)
         assert quotient_length(c, sp, 4) == pytest.approx(base, abs=1e-9)
+
+
+@pytest.mark.parametrize("kind", ["diag-m2", "partial-isometry-orbit", "projection-orbit"])
+def test_node_stacks_match_per_node_loops(kind, rng):
+    # reference: the per-node loops the stacked calls replaced, bit for bit
+    sp = SPACES.get(kind) or build_model_space(next(s for s in default_model_specs() if s.kind == kind))
+    alg = sp.ambient
+    c = loop_deformed_exp_curve(core.random_skew(alg, rng, 0.5), core.random_skew(alg, rng, 0.3), 0.4, n_nodes=33)
+    c.velocities = None
+    du = _differentiate_nodes(c.nodes, c.grid)
+    vel = c.left_velocities()
+    for k in range(len(c.grid)):
+        v = c.nodes[k].conj().T @ du[k]
+        assert np.array_equal(vel[k], (v - v.conj().T) / 2.0)
+    for p in (4, np.inf):
+        speeds = [p_norm(v, p, alg) for v in vel]
+        assert curve_length_p(c, p, alg) == float(scipy.integrate.simpson(speeds, x=c.grid))
+    speeds = [operator_norm(sp.horizontal_project(v)) for v in vel]
+    assert quotient_uniform_length(c, sp) == float(scipy.integrate.simpson(speeds, x=c.grid))
+    other = c.nodes @ unitary_exp(core.random_skew(alg, rng, 0.1))
+    assert orbit_gap(sp, c.nodes, other) == max(orbit_gap(sp, u, v) for u, v in zip(c.nodes, other))
 
 
 def test_orbit_gap_separates_points(rng):

@@ -217,6 +217,17 @@ def test_best_approximant_reports_non_convergence(rng):
         best_approximant(z, S, 6, max_iter=1)
 
 
+@pytest.mark.parametrize("p, scale", [(16, 1e35), (8, 1e60), (4, 1e150)])
+def test_overflowing_certificate_is_not_a_certificate(rng, p, scale):
+    # w^{p-1} overflows, so the certificate is NaN from the start: that is
+    # non-convergence, not an answer
+    S = _random_subspace(M4, rng, 3)
+    z = scale * core.random_skew(M4, rng)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ConvergenceError, match="certificate nan above tol"):
+            best_approximant(z, S, p)
+
+
 def test_best_approximant_of_member_is_itself(rng):
     S = _random_subspace(M4, rng, 3)
     c = rng.standard_normal(3)
