@@ -9,8 +9,10 @@ equipped with a normalized faithful trace
     tau(x) = sum_b w_b * tr(x_b) / n_b,    sum_b w_b = 1,  w_b > 0.
 
 The induced p-norms ||x||_p = tau(|x|^p)^(1/p) make M a finite dimensional
-noncommutative L^p space; p = inf denotes the operator norm.  On top of the
-trace and the norms this module provides:
+noncommutative L^p space; p = inf denotes the operator norm.  For even p the
+norm is the trace polynomial tau((x* x)^(p/2)) and at p = inf the root of the
+top eigenvalue of x* x, both of x scaled by its largest entry: no singular
+values.  On top of the trace and the norms this module provides:
 
   * the blockwise eigenframe of a skew-Hermitian element or of a stack
     (Eigenframe), the one derivative layer: the exponential e^{tw},
@@ -220,12 +222,23 @@ def in_algebra(x: np.ndarray, alg: TracialAlgebra, tol: float = 1e-12) -> bool:
 
 def operator_norm(x: np.ndarray) -> float:
     """Largest singular value (the uniform norm of M)."""
-    return float(np.linalg.svd(np.asarray(x, dtype=complex), compute_uv=False)[0])
+    return float(_operator_norms(np.asarray(x, dtype=complex)))
 
 
-def _max_operator_norm(stack: np.ndarray) -> float:
-    """Largest operator norm over a stack of matrices (one batched SVD)."""
-    return float(np.linalg.svd(stack, compute_uv=False)[:, 0].max())
+def _entry_scaled(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x / s, s) with s the largest entry modulus of x or of each matrix of a
+    stack (1 for a zero matrix): the powers of x / s neither underflow nor
+    overflow, and one matrix scales as it does inside a stack, bit for bit."""
+    s = _max_entries(x)
+    s = np.where(s > 0.0, s, 1.0)
+    return x / s[..., None, None], s
+
+
+def _operator_norms(x: np.ndarray) -> np.ndarray:
+    """Operator norm of x or of each matrix of a stack (K, n, n):
+    s sqrt(lambda_max(y* y)) for y = x / s, from one batched eigvalsh."""
+    y, s = _entry_scaled(x)
+    return s * np.sqrt(np.maximum(np.linalg.eigvalsh(y.conj().mT @ y)[..., -1], 0.0))
 
 
 def trace_tau(x: np.ndarray, alg: TracialAlgebra) -> complex:
@@ -271,21 +284,41 @@ def _block_svdvals(x, alg):
 def p_norm(x: np.ndarray, p: float, alg: TracialAlgebra) -> float:
     """The noncommutative L^p norm tau(|x|^p)^(1/p); p = inf is the operator norm.
 
-    Singular values are computed blockwise so that they pair with the trace
-    weights of the block carrying them.
+    Each diagonal block is measured on its own, so that it pairs with the
+    trace weight of the block carrying it.
     """
     return float(_p_norms(_check_dim(x, alg), p, alg))
 
 
+def _trace_gram_power(y: np.ndarray, k: int) -> np.ndarray:
+    """tr((y* y)^k) of a block or of each block of a stack, as sum |h_ij|^2 with
+    h = (y* y)^(k/2) for even k and h = y (y* y)^((k-1)/2) for odd k."""
+    if k == 1:
+        h = y
+    else:
+        h = np.linalg.matrix_power(y.conj().mT @ y, k // 2)
+        if k % 2:
+            h = y @ h
+    return (h.real**2 + h.imag**2).reshape(*h.shape[:-2], -1).sum(axis=-1)
+
+
 def _p_norms(x: np.ndarray, p: float, alg: TracialAlgebra) -> np.ndarray:
-    """p-norms of each matrix of a stack (K, n, n) from one batched
-    (blockwise, for finite p) SVD: the value of p_norm for each, bit for bit."""
+    """p-norms of x or of each matrix of a stack (K, n, n), the value of p_norm
+    for each, bit for bit, from y = x / s (_entry_scaled): even p from the trace
+    polynomial tau((y* y)^(p/2)) block by block (the weighted sum of |y_ij|^2
+    at p = 2), p = inf from _operator_norms, other p from _block_svdvals."""
     if np.isinf(p):
-        return np.linalg.svd(x, compute_uv=False)[..., 0]
+        return _operator_norms(x)
     if p < 1:
         raise ValueError("p_norm requires p >= 1")
-    s = _block_svdvals(x, alg)
-    return (_diag_weights(alg) @ (s**p)[..., None])[..., 0] ** (1.0 / p)
+    y, s = _entry_scaled(x)
+    if float(p).is_integer() and p % 2 == 0:
+        k = int(p) // 2
+        total = sum((wb / d) * _trace_gram_power(y[..., sl, sl], k)
+                    for d, wb, sl in zip(alg.block_dims, alg.trace_weights, alg.block_slices()))
+    else:
+        total = (_diag_weights(alg) @ (_block_svdvals(y, alg) ** p)[..., None])[..., 0]
+    return s * np.power(total, 1.0 / p)  # not **: on a numpy scalar it may round unlike the ufunc on a stack
 
 
 # ---------------------------------------------------------------------------
@@ -532,9 +565,6 @@ class StepFunction:
     def integrate(self, fn=lambda v: v) -> float:
         """int_0^1 fn(step(t)) dt, evaluated exactly."""
         return float(np.dot(self.interval_lengths, fn(self.values)))
-
-    def is_nonincreasing(self, tol: float = 0.0) -> bool:
-        return bool(np.all(np.diff(self.values) <= tol))
 
 
 def _scale_from_values(vals: np.ndarray, weights: np.ndarray) -> StepFunction:

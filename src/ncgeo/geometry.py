@@ -124,7 +124,7 @@ class SampledCurve:
         bad = np.flatnonzero(~(core._unitary_defects(self.nodes) <= tol * self.nodes.shape[-1]))
         if bad.size:
             raise ValueError(f"curve node {bad[0]} is not unitary within tolerance")
-        if core._max_operator_norm(self.nodes[1:] - self.nodes[:-1]) >= 2.0:
+        if core._operator_norms(self.nodes[1:] - self.nodes[:-1]).max() >= 2.0:
             raise ValueError("grid too coarse: adjacent nodes at uniform distance >= 2")
 
     def left_velocities(self) -> np.ndarray:
@@ -298,11 +298,6 @@ class HomSpace:
             return core.operator_norm(g - unitary_exp(self.isotropy.project(lg)))
         return core.operator_norm(self.act(g, self.basepoint) - self.basepoint)
 
-    def point_equal(self, u: np.ndarray, v: np.ndarray, tol: float = 1e-8) -> bool:
-        if self.kind == "coset":
-            return self.isotropy_defect(u.conj().T @ v) <= tol
-        return core.operator_norm(self.orbit_point(u) - self.orbit_point(v)) <= tol
-
 
 def apply_action(space: HomSpace, u: np.ndarray, pt: np.ndarray) -> np.ndarray:
     """Act on an orbit point; coset points are carried by their unitary
@@ -359,7 +354,7 @@ def quotient_speeds(vel: np.ndarray, space: HomSpace, p, tol: float = 1e-10):
     """Nodewise projections Q(v) and quotient speeds ||v - Q(v)||_p of a
     stack of velocities, where Q is the certified best approximant onto the
     isotropy algebra: one stacked cold solve (``best_approximants``) and one
-    batched blockwise SVD.  Returns (projections, speeds)."""
+    stacked p-norm.  Returns (projections, speeds)."""
     res = best_approximants(vel, space.isotropy, int(p), tol=tol)
     return res.projection, core._p_norms(res.residual, p, space.ambient)
 
@@ -569,7 +564,7 @@ def lift_ode_solve(
         w_nodes = w_all[: n_steps + 1]
         omega = _magnus6(*np.moveaxis(w_all[n_steps + 1 :].reshape(n_steps, 3, n, n), 1, 0), h)
         tangent = G.project(omega)
-        drift = core._max_operator_norm(omega - tangent)
+        drift = float(core._operator_norms(omega - tangent).max())
         steps = Eigenframe(tangent).exp()
         u_nodes = np.empty((n_steps + 1, n, n), dtype=complex)
         u_nodes[0] = np.eye(n)
@@ -584,7 +579,7 @@ def lift_ode_solve(
         blocks = _differentiate_nodes(u_nodes[segments], grid[: seg + 1])
         du = np.concatenate([blocks[:, :-1].reshape(n_steps, n, n), blocks[-1:, -1]])
         u_adj = u_nodes.conj().mT
-        defect = core._max_operator_norm(du @ u_adj - w_nodes)
+        defect = float(core._operator_norms(du @ u_adj - w_nodes).max())
         vel = u_adj @ w_nodes @ u_nodes
         vel = (vel - vel.conj().mT) / 2.0
         last = LiftResult(SampledCurve(grid, u_nodes, target="unitary", velocities=vel), defect, drift, refinement)
@@ -886,9 +881,11 @@ def minimality_probe(
         if trial == 0:
             comp = exp_curve(z, n_nodes=n_nodes)
             kind = "delta"
+            band = quotient_uniform_length(comp, space)
         elif trial == 1:
             comp = reparametrized_exp_curve(z, warp=0.35, n_nodes=n_nodes)
             kind = "reparam"
+            band = quotient_uniform_length(comp, space)
         else:
             xi = core.random_skew(alg, rng)
             nxi = core.operator_norm(xi)
@@ -900,14 +897,14 @@ def minimality_probe(
             comp = None
             for _ in range(40):
                 cand = loop_deformed_exp_curve(z, xi, amp, n_nodes=n_nodes)
-                if quotient_uniform_length(cand, space) <= 0.95 * eps:
+                band = quotient_uniform_length(cand, space)
+                if band <= 0.95 * eps:
                     comp = cand
                     break
                 amp *= 0.6
             if comp is None:
                 vacuous += 1
                 continue
-        band = quotient_uniform_length(comp, space)
         if band > eps:
             vacuous += 1
             continue

@@ -486,24 +486,28 @@ def lifting_certificate(z: np.ndarray, S: SkewSubspace, p: int) -> float:
 
 
 def _pattern_search(fun, c0, step, shrink=0.5, min_step=1e-7, max_sweeps=400):
-    """Compass search; ``fun`` maps a stack of coefficient vectors to their
-    values.  The +step and -step polls of a coordinate are evaluated in one
-    call; the -step poll is dropped when +step is accepted, since from the
-    moved point it returns to the previous one."""
+    """Compass search (Kolda, Lewis & Torczon, SIAM Review 45, 2003); ``fun``
+    maps a stack of coefficient vectors to their values.  A sweep takes the
+    first improving poll c +- step e_k in coordinate order, +step first; the
+    polls it has left are one call from the current point, repeated after
+    each move: the iterates of polling one coordinate at a time."""
     c = np.asarray(c0, dtype=float).copy()
     f = fun(c[None])[0]
     m = len(c)
+    moves = np.kron(np.eye(m), [[1.0], [-1.0]])  # +e_0, -e_0, +e_1, -e_1, ...
     sweeps = 0
     while step > min_step and sweeps < max_sweeps:
         sweeps += 1
-        improved = False
-        for k in range(m):
-            polls = np.repeat(c[None], 2, axis=0)
-            polls[:, k] += (step, -step)
-            for trial, ft in zip(polls, fun(polls)):
-                if ft < f - 1e-15:
-                    c, f, improved = trial, ft, True
-                    break
+        k, improved = 0, False
+        while k < m:
+            polls = c + step * moves[2 * k:]
+            vals = fun(polls)
+            better = np.flatnonzero(vals < f - 1e-15)
+            if not better.size:
+                break
+            i = better[0]
+            c, f, improved = polls[i], vals[i], True
+            k += i // 2 + 1
         if not improved:
             step *= shrink
     return c, f
@@ -519,9 +523,10 @@ def quotient_norm(
 
     For even p the infimum is attained at the certified best approximant.
     For p = inf the norm is not smooth; a derivative-free pattern search
-    over basis coefficients reports the best value achieved, which is an
-    upper bound on the true infimum (the conservative side for the uniform
-    length bounds this norm feeds into).
+    over basis coefficients (``_pattern_search`` on ``core._operator_norms``
+    of stacked residuals, one call per sweep and move) reports the best value
+    achieved, which is an upper bound on the true infimum (the conservative
+    side for the uniform length bounds this norm feeds into).
     """
     alg = S.ambient
     z = np.asarray(z, dtype=complex)
@@ -530,7 +535,7 @@ def quotient_norm(
             val, c = core.operator_norm(z), np.zeros(0)
         else:
             def fun(cs):
-                return np.linalg.svd(z - S.combine(cs), compute_uv=False)[:, 0]
+                return core._operator_norms(z - S.combine(cs))
 
             starts = np.stack([S.coords(z), np.zeros(S.dim)])
             vals = fun(starts)

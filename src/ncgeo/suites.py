@@ -658,7 +658,7 @@ def suite_geometry(cfg: SuiteConfig) -> list:
         w0 = sp.isotropy.combine(0.3 * rng.standard_normal(sp.isotropy.dim))
         grid = np.linspace(0, 1, 9)
         lift = lift_ode_solve(SampledCurve(grid, np.repeat(w0[None], 9, axis=0), target="algebra"), sp)
-        worst = core._max_operator_norm(lift.z.nodes - lift.z.grid[:, None, None] * w0)
+        worst = float(core._operator_norms(lift.z.nodes - lift.z.grid[:, None, None] * w0).max())
         return cfg.tol("lift_constant") - worst
 
     records.append(_record("geometry", "lifting-ode-constant", cfg.seed, max(5, cfg.trials // 20), lift_const))
