@@ -267,9 +267,10 @@ def inner_tau(a: np.ndarray, b: np.ndarray, alg: TracialAlgebra) -> float:
 
 
 def _block_eigvalsh(x, alg):
-    vals = np.empty(alg.dim)
+    """Blockwise eigenvalues of a Hermitian x, or of each matrix of a stack (K, n, n)."""
+    vals = np.empty(x.shape[:-1])
     for sl in alg.block_slices():
-        vals[sl] = np.linalg.eigvalsh(x[sl, sl])
+        vals[..., sl] = np.linalg.eigvalsh(x[..., sl, sl])
     return vals
 
 
@@ -299,7 +300,7 @@ def _trace_gram_power(y: np.ndarray, k: int) -> np.ndarray:
         h = np.linalg.matrix_power(y.conj().mT @ y, k // 2)
         if k % 2:
             h = y @ h
-    return (h.real**2 + h.imag**2).reshape(*h.shape[:-2], -1).sum(axis=-1)
+    return (h.real**2 + h.imag**2).reshape(*h.shape[:-2], h.shape[-2] * h.shape[-1]).sum(axis=-1)
 
 
 def _p_norms(x: np.ndarray, p: float, alg: TracialAlgebra) -> np.ndarray:
@@ -444,9 +445,13 @@ class Eigenframe:
     def exp(self, t=1.0) -> np.ndarray:
         """e^{tw}; t broadcasts against the stack axes of the frame, so an
         array of parameters gives the stack of e^{t_k w} for one frame, and
-        one parameter per frame the stack of e^{t_k w_k}."""
-        theta = np.asarray(t)[..., None] * self.lam
-        return (self.frame * np.exp(1j * theta)[..., None, :]) @ self.frame.conj().mT
+        one parameter per frame the stack of e^{t_k w_k}; K frames with
+        parameters (K, m) give the stacks e^{t_kj w_k}, shape (K, m, n, n)."""
+        t, lam, v = np.asarray(t), self.lam, self.frame
+        if lam.ndim == 2 and t.ndim == 2:
+            lam, v = lam[:, None], v[:, None]
+        theta = t[..., None] * lam
+        return (v * np.exp(1j * theta)[..., None, :]) @ v.conj().mT
 
     def h_matrix(self, left: np.ndarray, right: np.ndarray, p: int) -> np.ndarray:
         """H_jl = H_w(b_j, c_l) from transformed stacks left = (b~_j), right = (c~_l):

@@ -61,6 +61,7 @@ __all__ = [
     "quotient_speeds",
     "unitary_distance",
     "quotient_distance",
+    "quotient_distances",
     "lift_ode_solve",
     "epsilon_isometric_lift",
     "minimal_geodesic",
@@ -113,19 +114,11 @@ class SampledCurve:
             self.velocities = np.asarray(self.velocities, dtype=complex)
 
     @property
-    def derivative_rule(self) -> str:
-        return "exact-exponential" if self.velocities is not None else "central-difference"
-
-    @property
     def n_intervals(self) -> int:
         return len(self.grid) - 1
 
     def validate_unitary(self, tol: float = 1e-9):
-        bad = np.flatnonzero(~(core._unitary_defects(self.nodes) <= tol * self.nodes.shape[-1]))
-        if bad.size:
-            raise ValueError(f"curve node {bad[0]} is not unitary within tolerance")
-        if core._operator_norms(self.nodes[1:] - self.nodes[:-1]).max() >= 2.0:
-            raise ValueError("grid too coarse: adjacent nodes at uniform distance >= 2")
+        _check_unitary_nodes(self.nodes, tol)
 
     def left_velocities(self) -> np.ndarray:
         """Gamma* dGamma at every node (stored exactly or by finite differences)."""
@@ -147,6 +140,17 @@ class SampledCurve:
     def value(self, t: float) -> np.ndarray:
         """Linear interpolation of an algebra-valued curve at one parameter."""
         return self.values([t])[0]
+
+
+def _check_unitary_nodes(nodes: np.ndarray, tol: float = 1e-9):
+    """The checks of SampledCurve.validate_unitary on the nodes (m, n, n) of
+    one curve or of each curve of a stack (K, m, n, n): every node unitary
+    within tol * n, adjacent nodes at uniform distance below 2."""
+    bad = np.argwhere(~(core._unitary_defects(nodes) <= tol * nodes.shape[-1]))
+    if bad.size:
+        raise ValueError(f"curve node {bad[0, -1]} is not unitary within tolerance")
+    if core._operator_norms(nodes[..., 1:, :, :] - nodes[..., :-1, :, :]).max() >= 2.0:
+        raise ValueError("grid too coarse: adjacent nodes at uniform distance >= 2")
 
 
 _FD_INTERIOR = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
@@ -195,13 +199,22 @@ def loop_deformed_exp_curve(
     Joins the same endpoints as e^{tz}; the left-translated velocity is
     exact: e^{-phi xi} z e^{phi xi} + phi'(t) xi.
     """
+    grid = np.linspace(0.0, 1.0, n_nodes)
+    nodes, vel = _loop_deformed_nodes(z, xi, amplitude, grid)
+    return SampledCurve(grid, nodes, target=target, velocities=vel)
+
+
+def _loop_deformed_nodes(z, xi, amplitude, grid):
+    """Nodes and exact left velocities of e^{tz} e^{phi(t) xi} on the grid, for
+    one loop direction xi, or for a stack (K, n, n) with amplitudes (K,) (one
+    frame stack; node and velocity stacks of shape (K, m, n, n))."""
     z = np.asarray(z, dtype=complex)
     xi = np.asarray(xi, dtype=complex)
-    grid = np.linspace(0.0, 1.0, n_nodes)
-    loops = unitary_exp(xi, amplitude * grid * (1.0 - grid))
+    amplitude = np.asarray(amplitude, dtype=float)
+    loops = unitary_exp(xi, np.multiply.outer(amplitude, grid) * (1.0 - grid))
     nodes = unitary_exp(z, grid) @ loops
-    vel = loops.conj().mT @ z @ loops + (amplitude * (1.0 - 2.0 * grid))[:, None, None] * xi
-    return SampledCurve(grid, nodes, target=target, velocities=vel)
+    bump = np.multiply.outer(amplitude, 1.0 - 2.0 * grid)[..., None, None]
+    return nodes, loops.conj().mT @ z @ loops + bump * xi[..., None, :, :]
 
 
 def reparametrized_exp_curve(z: np.ndarray, warp: float, n_nodes: int = 65, target: str = "unitary") -> SampledCurve:
@@ -402,63 +415,73 @@ class QuotientDistanceResult:
     p: int
 
 
-def quotient_distance(
-    space: HomSpace,
-    u: np.ndarray,
-    v: np.ndarray,
-    p,
-    multistarts: int = 6,
-    seed: int = 0,
-    tol: float = 1e-9,
-) -> QuotientDistanceResult:
-    """Coset distance min_{g in G_x} d_p(u, v g) with a stationarity certificate.
+def quotient_distance(space: HomSpace, u: np.ndarray, v: np.ndarray, p, multistarts: int = 6, seed: int = 0,
+                      tol: float = 1e-9) -> QuotientDistanceResult:
+    """Coset distance min_{g in G_x} d_p(u, v g) with a stationarity
+    certificate: the one-query case of ``quotient_distances``."""
+    return quotient_distances(space, np.asarray(u)[None], np.asarray(v)[None], p, multistarts, [seed], tol)[0]
+
+
+def quotient_distances(space: HomSpace, us: np.ndarray, vs: np.ndarray, p, multistarts: int, seeds,
+                       tol: float = 1e-9) -> list:
+    """Coset distances min_{g in G_x} d_p(u, v g) of the pairs (us[i], vs[i])
+    with stationarity certificates, the starts of the i-th seeded by seeds[i].
 
     By bi-invariance of d_p the two-sided infimum over the isotropy group
     collapses to a right translation of v.  One lockstep run of the
     damped-Newton loop (``projection._newton``) minimizes f = ||w||_p^p,
-    w = log(u* v g), from every start: a step moves g to g e^{B(d)}, along
-    which f has first variation (-1)^(p/2) p tau(w^{p-1} b_k) and, at the
-    optimum, Hessian H_w(F(ad w)^{-1} b_j, b_k).  F(ad w)^{-1} exists at every
-    iterate, since the angle gaps of a principal logarithm stay below 2 pi.
-    A trial within 1e-6 of the cut locus, where the log is not smooth, is
-    halved; a start on it is kept, evaluated with the total principal log.
+    w = log(u* v g), from every start of every pair: a step moves g to
+    g e^{B(d)}, along which f has first variation (-1)^(p/2) p tau(w^{p-1} b_k)
+    and, at the optimum, Hessian H_w(F(ad w)^{-1} b_j, b_k).  F(ad w)^{-1}
+    exists at every iterate, since the angle gaps of a principal logarithm
+    stay below 2 pi.  A trial within 1e-6 of the cut locus, where the log is
+    not smooth, is halved; a start on it is kept, evaluated with the total
+    principal log.  Every instance iterates as it would alone, so each
+    result is that of the pair's own run.
 
     Newton stays in the cut-locus cell of its start, so the starts spread
     out: the identity, the isotropy part of log(u* v) undone, and three
     seeded points per further start up to ``multistarts``, alternately a
     point of the coefficient box [-pi, pi]^m and an isotropy direction of
     uniform norm in [0.2 pi, 0.8 pi] (3 multistarts - 4 instances for
-    multistarts >= 2).  The answer is the certified instance of lowest f or,
-    when none certifies, the instance of lowest f with its certificate.
+    multistarts >= 2).  A pair's answer is its certified instance of lowest
+    f or, when none certifies, its instance of lowest f with its certificate.
     """
     p = core._check_even_p(p)
     alg = space.ambient
     G = space.isotropy
-    base = np.asarray(u, dtype=complex).conj().T @ np.asarray(v, dtype=complex)
-    if not core.in_algebra(base, alg):
+    bases = np.asarray(us, dtype=complex).conj().mT @ np.asarray(vs, dtype=complex)
+    if not core.in_algebra(bases, alg):
         raise ValueError("quotient_distance requires unitaries of the algebra (no off-block entries)")
-    m, w = G.dim, principal_log(base)
+    seeds = list(seeds)
+    if len(seeds) != len(bases):
+        raise ValueError(f"quotient_distances takes one seed per pair ({len(bases)}), got {len(seeds)}")
+    m, ws = G.dim, principal_log(bases)
     if m == 0:
-        return QuotientDistanceResult(core.p_norm(w, p, alg), np.eye(alg.dim, dtype=complex), 0.0, 1, p)
+        return [QuotientDistanceResult(core.p_norm(w, p, alg), np.eye(alg.dim, dtype=complex), 0.0, 1, p) for w in ws]
 
-    rng = np.random.default_rng(seed)
-    starts = [np.zeros(m), -G.coords(w)]
-    for j in range(3 * max(0, multistarts - len(starts))):
-        if j % 2 == 0:
-            # wide coverage of the fundamental domain (the wrapped angles
-            # create several basins at large distances)
-            starts.append(rng.uniform(-math.pi, math.pi, size=m))
-        else:
-            y = G.project(core.random_skew(alg, rng))
-            nrm = core.operator_norm(y)
-            if nrm > 1e-12:
-                y = y * (rng.uniform(0.2, 0.8) * math.pi / nrm)
-            starts.append(G.coords(y))
+    per = 2 + 3 * max(0, multistarts - 2)  # the starts of each pair, consecutive in the stack
+    starts = []
+    for w, seed in zip(ws, seeds):
+        rng = np.random.default_rng(seed)
+        starts += [np.zeros(m), -G.coords(w)]
+        for j in range(per - 2):
+            if j % 2 == 0:
+                # wide coverage of the fundamental domain (the wrapped angles
+                # create several basins at large distances)
+                starts.append(rng.uniform(-math.pi, math.pi, size=m))
+            else:
+                y = G.project(core.random_skew(alg, rng))
+                nrm = core.operator_norm(y)
+                if nrm > 1e-12:
+                    y = y * (rng.uniform(0.2, 0.8) * math.pi / nrm)
+                starts.append(G.coords(y))
+    owner = np.repeat(np.arange(len(bases)), per)
 
     def retract(ids, g, d):
         # a trial within 1e-6 of the cut locus gets a NaN w
         g = g @ unitary_exp(G.combine(d))
-        ug = base @ g
+        ug = bases[owner[ids]] @ g
         w = principal_log(ug)
         w[~(core._p_norms(np.eye(alg.dim) - ug, np.inf, alg) < 2.0 - 1e-6)] = np.nan
         return g, w
@@ -467,10 +490,13 @@ def quotient_distance(
         return bt / frame.ad_symbol(core._sym_F)[:, None]
 
     g = unitary_exp(G.combine(np.array(starts)))
-    w = principal_log(base @ g)
+    w = principal_log(bases[owner] @ g)
     g, f, resid, _ = projection._newton(g, w, retract, left, G.onb(), p, alg, tol)
-    k = np.lexsort((f, ~(resid <= tol)))[0]
-    return QuotientDistanceResult(max(f[k], 0.0) ** (1.0 / p), g[k], float(resid[k]), len(starts), p)
+    out = []
+    for lo in range(0, len(owner), per):
+        k = lo + np.lexsort((f[lo : lo + per], ~(resid[lo : lo + per] <= tol)))[0]
+        out.append(QuotientDistanceResult(max(f[k], 0.0) ** (1.0 / p), g[k], float(resid[k]), per, p))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,10 @@ one stacked solve).  ``build_model_space`` is one lookup in the table, and
 the built HomSpace carries its expectation.
 
 The ``*_checks`` functions exercise the kind-specific inequalities and
-projection facts on random inputs
-and report violation counts and worst margins without raising.
+projection facts on random inputs and report violation counts and worst
+margins without raising.  They and ``validate_space`` draw their samples
+in the order of a per-sample loop and evaluate them as stacks, with the
+per-sample values bit for bit.
 """
 
 from __future__ import annotations
@@ -188,12 +190,15 @@ def _partial_isometry_orbit(spec):
     return alg, v0, _corner_skew_basis(alg, kernel)
 
 
+# the conditional expectations take one matrix or a stack (K, n, n)
+
+
 def _block_scalars(x, space):
     """E onto the center: each block replaced by its normalized trace."""
     alg = space.ambient
     out = np.zeros_like(x)
     for sl, d in zip(alg.block_slices(), alg.block_dims):
-        out[sl, sl] = (np.trace(x[sl, sl]) / d) * np.eye(d)
+        out[..., sl, sl] = (np.trace(x[..., sl, sl], axis1=-2, axis2=-1) / d)[..., None, None] * np.eye(d)
     return out
 
 
@@ -201,7 +206,7 @@ def _block_diagonal(x, space):
     """E onto the diagonal algebra of M(x)M2: the off-diagonal corners dropped."""
     m = space.ambient.inner_dim
     out = np.zeros_like(x)
-    out[:m, :m], out[m:, m:] = x[:m, :m], x[m:, m:]
+    out[..., :m, :m], out[..., m:, m:] = x[..., :m, :m], x[..., m:, m:]
     return out
 
 
@@ -209,7 +214,7 @@ def _constant_diagonal(x, space):
     """E onto {diag(x, x)}: both diagonal corners replaced by their mean."""
     m = space.ambient.inner_dim
     out = np.zeros_like(x)
-    out[:m, :m] = out[m:, m:] = (x[:m, :m] + x[m:, m:]) / 2.0
+    out[..., :m, :m] = out[..., m:, m:] = (x[..., :m, :m] + x[..., m:, m:]) / 2.0
     return out
 
 
@@ -291,33 +296,29 @@ def validate_space(space: HomSpace, trials: int = 50, seed: int = 0) -> dict:
 
     Checks that c_O dominates both the sampled operator-norm ratio of the
     horizontal projection and the sampled quotient ratio
-    ||P_F(z)|| / inf_y ||z - y|| (the infimum replaced by its pattern-search
-    upper bound, the conservative side), and returns the norm-equivalence
-    constants c_p ||z|| <= ||z||_p <= ||z|| on the isotropy algebra.
+    ||P_F(z)|| / inf_y ||z - y|| over the first 10 samples, and returns the
+    norm-equivalence constants c_p ||z|| <= ||z||_p <= ||z|| on the isotropy
+    algebra.  The infimum is replaced by the upper bound a compass search
+    reaches (``quotient_norm`` at p = inf), which is the optimistic side of
+    the c_O check: a loose bound lowers the sampled ratio and can hide a
+    violation.  The samples are drawn as one stack and measured by stacked
+    norms and one lockstep quotient norm.
     """
     from .projection import quotient_norm
 
     _structural_checks(space)
     alg = space.ambient
-    rng = np.random.default_rng(seed)
-    worst_c_ratio = 0.0
-    c_p = {p: 1.0 for p in space.k_O_p}
-    for k in range(trials):
-        z = core.random_skew(alg, rng)
-        nz = core.operator_norm(z)
-        if nz < 1e-12:
-            continue
-        horiz = core.operator_norm(space.horizontal_project(z))
-        worst_c_ratio = max(worst_c_ratio, horiz / nz)
-        if k < 10:
-            qn = quotient_norm(z, space.isotropy, np.inf)
-            if qn > 1e-12:
-                worst_c_ratio = max(worst_c_ratio, horiz / qn)
-        y = space.isotropy.project(z)
-        ny = core.operator_norm(y)
-        if ny > 1e-12:
-            for p in c_p:
-                c_p[p] = min(c_p[p], core.p_norm(y, p, alg) / ny)
+    zs = 1j * core._random_hermitians(alg, np.random.default_rng(seed), max(trials, 0))
+    nz = core._operator_norms(zs)
+    keep = ~(nz < 1e-12)
+    zs, nz, first = zs[keep], nz[keep], np.flatnonzero(keep) < 10
+    horiz = core._operator_norms(space.horizontal_project(zs))
+    qn = quotient_norm(zs[first], space.isotropy, np.inf)
+    worst_c_ratio = max([0.0, *(horiz / nz).tolist(), *(horiz[first][qn > 1e-12] / qn[qn > 1e-12]).tolist()])
+    ys = space.isotropy.project(zs)
+    ny = core._operator_norms(ys)
+    ys, ny = ys[ny > 1e-12], ny[ny > 1e-12]
+    c_p = {p: _worst(core._p_norms(ys, p, alg) / ny, 1.0) for p in space.k_O_p}
     if worst_c_ratio > space.c_O + 1e-9:
         raise ValueError("sampled horizontal projection exceeds the recorded c_O")
     if any(v <= 0 for v in c_p.values()):
@@ -353,10 +354,15 @@ class ModelReport:
         self.checks.append(CheckResult(name, trials, violations, worst))
 
 
-def _random_positive(alg, rng, scale=1.0):
-    h = core.random_hermitian(alg, rng, scale)
-    lo = float(np.min(core._block_eigvalsh(h, alg)))
-    return h - min(lo - 0.05, 0.0) * alg.identity()
+def _field_stack(draws, i, *shape) -> np.ndarray:
+    """Field i of every draw (a tuple per trial) as one stack, (trials, *shape)."""
+    return np.reshape([t[i] for t in draws], (len(draws), *shape))
+
+
+def _worst(margins, start=math.inf) -> float:
+    """min(w, m) folded over the margins from w = start, as a per-sample loop
+    folds them (a NaN margin is passed over)."""
+    return min([start, *np.asarray(margins).tolist()])
 
 
 def center_q_checks(space: HomSpace, p: int, trials: int = 200, seed: int = 0, tol: float = 1e-8) -> ModelReport:
@@ -367,47 +373,32 @@ def center_q_checks(space: HomSpace, p: int, trials: int = 200, seed: int = 0, t
         raise ValueError("center_q_checks applies to center-quotient spaces")
     p = core._check_even_p(p)
     alg = space.ambient
+    n = alg.dim
     rng = np.random.default_rng(seed)
     rep = ModelReport(space.model_kind, p)
-    pos_bad = bound_bad = three_bad = jordan_bad = 0
-    w_pos, w_bound, w_three, w_jordan = math.inf, math.inf, math.inf, math.inf
-    for _ in range(trials):
-        x = _random_positive(alg, rng)
-        qx = hermitian_best_approximant(x, space.isotropy, p, tol=1e-11).projection
-        eigs = core._block_eigvalsh((qx + qx.conj().T) / 2, alg)
-        m = float(np.min(eigs))
-        w_pos = min(w_pos, m + tol)
-        if m < -tol:
-            pos_bad += 1
-        gap = core.operator_norm(x) + tol - float(np.max(eigs))
-        w_bound = min(w_bound, gap)
-        if gap < 0:
-            bound_bad += 1
+    draws = [(core.random_hermitian(alg, rng), core.random_skew(alg, rng), core.random_unitary(alg, rng),
+              np.abs(rng.standard_normal(n)), rng.standard_normal(n)) for _ in range(trials)]
+    hs, zs, us = (_field_stack(draws, i, n, n) for i in range(3))
+    a, b = _field_stack(draws, 3, n), _field_stack(draws, 4, n)
+    # x = h shifted to be positive; Q(x) = -i Q(ix), solved with Q(z) in one stack
+    lo = core._block_eigvalsh(hs, alg).min(axis=-1)
+    x = hs - np.minimum(lo - 0.05, 0.0)[:, None, None] * alg.identity()
+    q = best_approximants(np.concatenate([1j * x, zs]), space.isotropy, p, tol=1e-11).projection
+    qx, qz = -1j * q[: len(x)], q[len(x):]
+    eigs = core._block_eigvalsh((qx + qx.conj().mT) / 2, alg)
+    m = eigs.min(axis=-1)
+    gap = core._operator_norms(x) + tol - eigs.max(axis=-1)
+    margin3 = 3.0 * core._operator_norms(zs) + tol - core._operator_norms(qz)
 
-        z = core.random_skew(alg, rng)
-        qz = best_approximant(z, space.isotropy, p, tol=1e-11).projection
-        margin3 = 3.0 * core.operator_norm(z) + tol - core.operator_norm(qz)
-        w_three = min(w_three, margin3)
-        if margin3 < 0:
-            three_bad += 1
-
-        u = core.random_unitary(alg, rng)
-        a = np.abs(rng.standard_normal(alg.dim))
-        b = rng.standard_normal(alg.dim)
-        x_c = u @ np.diag(a.astype(complex)) @ u.conj().T
-        y_c = u @ np.diag(b.astype(complex)) @ u.conj().T
-        y_plus = u @ np.diag(np.maximum(b, 0.0).astype(complex)) @ u.conj().T
-        margin_j = core.p_norm(x_c - y_c, p, alg) + 1e-10 - core.p_norm(x_c - y_plus, p, alg)
-        w_jordan = min(w_jordan, margin_j)
-        if margin_j < 0:
-            jordan_bad += 1
+    x_c, y_c, y_plus = (us * d[:, None, :] @ us.conj().mT for d in (a, b, np.maximum(b, 0.0)))  # u diag(d) u*
+    margin_j = core._p_norms(x_c - y_c, p, alg) + 1e-10 - core._p_norms(x_c - y_plus, p, alg)
     one = alg.identity()
     q_one = hermitian_best_approximant(one, space.isotropy, p).projection
     unit_ok = core.operator_norm(q_one - one) <= 1e-8
-    rep.add("positivity-preserved", trials, pos_bad, w_pos)
-    rep.add("squeeze-0-to-norm", trials, bound_bad, w_bound)
-    rep.add("uniform-bound-3", trials, three_bad, w_three)
-    rep.add("jordan-inequality", trials, jordan_bad, w_jordan)
+    rep.add("positivity-preserved", trials, int(np.count_nonzero(m < -tol)), _worst(m + tol))
+    rep.add("squeeze-0-to-norm", trials, int(np.count_nonzero(gap < 0)), _worst(gap))
+    rep.add("uniform-bound-3", trials, int(np.count_nonzero(margin3 < 0)), _worst(margin3))
+    rep.add("jordan-inequality", trials, int(np.count_nonzero(margin_j < 0)), _worst(margin_j))
     rep.add("unit-fixed", 1, 0 if unit_ok else 1, 0.0)
     return rep
 
@@ -422,23 +413,13 @@ def diag_m2_checks(space: HomSpace, p: int, trials: int = 200, seed: int = 0, to
     alg = space.ambient
     rng = np.random.default_rng(seed)
     rep = ModelReport(space.model_kind, p)
-    trunc_bad = off_bad = 0
-    w_trunc, w_off = math.inf, math.inf
-    for _ in range(trials):
-        z = core.random_skew(alg, rng)
-        q = best_approximant(z, space.isotropy, p, tol=1e-11).projection
-        ez = conditional_expectation(z, space)
-        m_t = tol - core.p_norm(q - ez, p, alg)
-        w_trunc = min(w_trunc, m_t)
-        if m_t < 0:
-            trunc_bad += 1
-
-        h = core.random_hermitian(alg, rng)
-        off = h - conditional_expectation(h, space)
-        m_o = core.p_norm(h, p, alg) + 1e-10 - core.p_norm(off, p, alg)
-        w_off = min(w_off, m_o)
-        if m_o < 0:
-            off_bad += 1
+    # each trial draws a skew z, then a Hermitian h
+    draws = core._random_hermitians(alg, rng, 2 * max(trials, 0))
+    zs, hs = 1j * draws[0::2], draws[1::2]
+    q = best_approximants(zs, space.isotropy, p, tol=1e-11).projection
+    m_t = tol - core._p_norms(q - conditional_expectation(zs, space), p, alg)
+    off = hs - conditional_expectation(hs, space)
+    m_o = core._p_norms(hs, p, alg) + 1e-10 - core._p_norms(off, p, alg)
     z_diag = conditional_expectation(core.random_skew(alg, rng), space)
     r1 = best_approximant(z_diag, space.isotropy, p)
     fixed_ok = core.p_norm(r1.residual, p, alg) <= 1e-8
@@ -446,19 +427,20 @@ def diag_m2_checks(space: HomSpace, p: int, trials: int = 200, seed: int = 0, to
     z_off = z_off - conditional_expectation(z_off, space)
     r2 = best_approximant(z_off, space.isotropy, p)
     killed_ok = core.p_norm(r2.projection, p, alg) <= 1e-8
-    rep.add("projection-is-truncation", trials, trunc_bad, w_trunc)
-    rep.add("offdiagonal-contraction", trials, off_bad, w_off)
+    rep.add("projection-is-truncation", trials, int(np.count_nonzero(m_t < 0)), _worst(m_t))
+    rep.add("offdiagonal-contraction", trials, int(np.count_nonzero(m_o < 0)), _worst(m_o))
     rep.add("diagonal-fixed", 1, 0 if fixed_ok else 1, 0.0)
     rep.add("offdiagonal-annihilated", 1, 0 if killed_ok else 1, 0.0)
     return rep
 
 
 def _embed_blocks(a, b, c, m):
-    out = np.zeros((2 * m, 2 * m), dtype=complex)
-    out[:m, :m] = a
-    out[:m, m:] = b
-    out[m:, :m] = b
-    out[m:, m:] = c
+    """[[a, b], [b, c]] of m x m blocks, or of each triple of three stacks."""
+    out = np.zeros(np.shape(a)[:-2] + (2 * m, 2 * m), dtype=complex)
+    out[..., :m, :m] = a
+    out[..., :m, m:] = b
+    out[..., m:, :m] = b
+    out[..., m:, m:] = c
     return out
 
 
@@ -475,52 +457,40 @@ def special_diag_checks(space: HomSpace, p: int, trials: int = 200, seed: int = 
     inner = TracialAlgebra.full(m)
     rng = np.random.default_rng(seed)
     rep = ModelReport(space.model_kind, p)
-    ineq_bad = contract_bad = agree_bad = 0
-    w_ineq, w_contract, w_agree = math.inf, math.inf, math.inf
-    ratios = []
-    for k in range(trials):
-        a = core.random_hermitian(inner, rng)
-        b = core.random_hermitian(inner, rng)
-        c = core.random_hermitian(inner, rng)
-        if k % 2:
-            d = core.random_hermitian(inner, rng)
-        else:
-            d = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-        lhs = core.p_norm(_embed_blocks((a - c) / 2, b, (c - a) / 2, m), p, alg)
-        shifted = _embed_blocks(a, b, c, m)
-        shifted[:m, :m] += d
-        shifted[m:, m:] += d
-        margin = core.p_norm(shifted, p, alg) + tol - lhs
-        w_ineq = min(w_ineq, margin)
-        if margin < 0:
-            ineq_bad += 1
 
-        sym = _embed_blocks(a, b, c, m)
-        e_sym = conditional_expectation(sym, space)
-        m_c = core.p_norm(sym, p, alg) + tol - core.p_norm(e_sym, p, alg)
-        w_contract = min(w_contract, m_c)
-        if m_c < 0:
-            contract_bad += 1
+    def gauss():
+        return rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
 
-        q_sym = hermitian_best_approximant(sym, space.isotropy, p, tol=1e-11).projection
-        g = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-        offd = np.zeros((2 * m, 2 * m), dtype=complex)
-        offd[:m, m:] = g
-        offd[m:, :m] = g.conj().T
-        q_off = hermitian_best_approximant(offd, space.isotropy, p, tol=1e-11).projection
-        m_a = 1e-8 - max(core.p_norm(q_sym - e_sym, p, alg), core.p_norm(q_off, p, alg))
-        w_agree = min(w_agree, m_a)
-        if m_a < 0:
-            agree_bad += 1
+    draws = [(*(core.random_hermitian(inner, rng) for _ in range(3)),
+              core.random_hermitian(inner, rng) if k % 2 else gauss(), gauss(), core.random_skew(alg, rng))
+             for k in range(trials)]
+    a, b, c, d, g = (_field_stack(draws, i, m, m) for i in range(5))
+    zs = _field_stack(draws, 5, 2 * m, 2 * m)
+    lhs = core._p_norms(_embed_blocks((a - c) / 2, b, (c - a) / 2, m), p, alg)
+    shifted = _embed_blocks(a, b, c, m)
+    shifted[..., :m, :m] += d
+    shifted[..., m:, m:] += d
+    margin = core._p_norms(shifted, p, alg) + tol - lhs
 
-        z = core.random_skew(alg, rng)
-        nz = core.operator_norm(z)
-        if nz > 1e-12:
-            qz = best_approximant(z, space.isotropy, p, tol=1e-10).projection
-            ratios.append(core.operator_norm(qz) / nz)
-    rep.add("shifted-difference-inequality", trials, ineq_bad, w_ineq)
-    rep.add("expectation-contractive-on-patterns", trials, contract_bad, w_contract)
-    rep.add("projection-matches-expectation-on-patterns", trials, agree_bad, w_agree)
+    sym = _embed_blocks(a, b, c, m)
+    e_sym = conditional_expectation(sym, space)
+    m_c = core._p_norms(sym, p, alg) + tol - core._p_norms(e_sym, p, alg)
+
+    # Q on the Hermitian patterns, -i Q(i x), for sym and offd in one stack
+    offd = np.zeros_like(sym)
+    offd[..., :m, m:] = g
+    offd[..., m:, :m] = g.conj().mT
+    q = -1j * best_approximants(1j * np.concatenate([sym, offd]), space.isotropy, p, tol=1e-11).projection
+    e_sym_gap, off_norm = core._p_norms(q[: len(sym)] - e_sym, p, alg), core._p_norms(q[len(sym):], p, alg)
+    m_a = 1e-8 - np.where(off_norm > e_sym_gap, off_norm, e_sym_gap)  # max(gap, off) as Python takes it
+
+    nz = core._operator_norms(zs)
+    zs, nz = zs[nz > 1e-12], nz[nz > 1e-12]
+    qz = best_approximants(zs, space.isotropy, p, tol=1e-10).projection
+    ratios = (core._operator_norms(qz) / nz).tolist()
+    rep.add("shifted-difference-inequality", trials, int(np.count_nonzero(margin < 0)), _worst(margin))
+    rep.add("expectation-contractive-on-patterns", trials, int(np.count_nonzero(m_c < 0)), _worst(m_c))
+    rep.add("projection-matches-expectation-on-patterns", trials, int(np.count_nonzero(m_a < 0)), _worst(m_a))
     rep.ratios = {
         "uniform_ratio_max": float(np.max(ratios)) if ratios else 0.0,
         "uniform_ratio_mean": float(np.mean(ratios)) if ratios else 0.0,

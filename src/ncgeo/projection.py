@@ -38,8 +38,9 @@ and drops out once it is done, so its numbers are those of a solve on its
 own; ``best_approximant`` is the case K = 1, and the coset distance runs one
 instance per multistart.
 
-The module also provides the quotient norm inf_y ||z - y|| (exact via Q
-for even p, a certified upper bound via pattern search for p = inf).
+The module also provides the quotient norm inf_y ||z - y|| of one matrix or
+a stack (exact via Q for even p, an upper bound from compass searches run in
+lockstep for p = inf).
 Conditional expectations onto the isotropy subalgebras of the model
 spaces live with the model table (``models.conditional_expectation``).
 """
@@ -378,6 +379,20 @@ def _newton(state, w, retract, left, onb, p, alg, tol, max_iter=10_000):
     return out_state, np.array(out_f), np.array(out_resid), np.array(out_trials, dtype=int)
 
 
+def _checked_stack(zs, alg: TracialAlgebra) -> np.ndarray:
+    """zs as a complex stack (K, n, n) of skew-Hermitian elements of the
+    algebra; any other input is a ValueError."""
+    zs = np.asarray(zs, dtype=complex)
+    n = alg.dim
+    if zs.ndim != 3 or zs.shape[1:] != (n, n):
+        raise ValueError(f"best_approximants takes a stack of shape (K, {n}, {n}), got {zs.shape}")
+    if not core.is_skew_hermitian(zs, tol=1e-9 * n):
+        raise ValueError("best_approximant requires a skew-Hermitian input")
+    if not core.in_algebra(zs, alg):
+        raise ValueError("best_approximant requires an element of the algebra (no off-block entries)")
+    return zs
+
+
 def best_approximants(
     zs: np.ndarray,
     S: SkewSubspace,
@@ -398,14 +413,7 @@ def best_approximants(
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must lie in (0, inf) (got {tol})")
     alg = S.ambient
-    zs = np.asarray(zs, dtype=complex)
-    n = alg.dim
-    if zs.ndim != 3 or zs.shape[1:] != (n, n):
-        raise ValueError(f"best_approximants takes a stack of shape (K, {n}, {n}), got {zs.shape}")
-    if not core.is_skew_hermitian(zs, tol=1e-9 * n):
-        raise ValueError("best_approximant requires a skew-Hermitian input")
-    if not core.in_algebra(zs, alg):
-        raise ValueError("best_approximant requires an element of the algebra (no off-block entries)")
+    zs = _checked_stack(zs, alg)
     K, onb = len(zs), S.onb()
     if len(onb) == 0 or K == 0:
         return ProjectionResult(np.zeros_like(zs), zs.copy(), np.zeros(K), np.zeros(K, dtype=int), p,
@@ -486,67 +494,85 @@ def lifting_certificate(z: np.ndarray, S: SkewSubspace, p: int) -> float:
 
 
 def _pattern_search(fun, c0, step, shrink=0.5, min_step=1e-7, max_sweeps=400):
-    """Compass search (Kolda, Lewis & Torczon, SIAM Review 45, 2003); ``fun``
-    maps a stack of coefficient vectors to their values.  A sweep takes the
-    first improving poll c +- step e_k in coordinate order, +step first; the
-    polls it has left are one call from the current point, repeated after
-    each move: the iterates of polling one coordinate at a time."""
-    c = np.asarray(c0, dtype=float).copy()
-    f = fun(c[None])[0]
-    m = len(c)
+    """Compass searches (Kolda, Lewis & Torczon, SIAM Review 45, 2003) of K
+    instances in lockstep, from the rows of c0 (K, m) with initial steps
+    ``step`` (K,); ``fun(owner, cs)`` maps coefficient vectors cs (N, m) of
+    the instances ``owner`` (N,) to their values.  A sweep takes the first
+    improving poll c +- step e_k in coordinate order, +step first, and polls
+    the coordinates it has left from the current point again after each
+    move, so every instance keeps its own point, step, sweep position and
+    sweep count and takes the iterates of polling one coordinate at a time.
+    Each round is one call of ``fun`` over the polls every live instance has
+    left.  Returns the stacked (c, f)."""
+    c = np.array(c0, dtype=float)
+    K, m = c.shape
+    f = fun(np.arange(K), c)
+    step = np.array(step, dtype=float)
     moves = np.kron(np.eye(m), [[1.0], [-1.0]])  # +e_0, -e_0, +e_1, -e_1, ...
-    sweeps = 0
-    while step > min_step and sweeps < max_sweeps:
-        sweeps += 1
-        k, improved = 0, False
-        while k < m:
-            polls = c + step * moves[2 * k:]
-            vals = fun(polls)
-            better = np.flatnonzero(vals < f - 1e-15)
-            if not better.size:
-                break
-            i = better[0]
-            c, f, improved = polls[i], vals[i], True
-            k += i // 2 + 1
-        if not improved:
-            step *= shrink
-    return c, f
+    sweeps, pos, improved = np.zeros(K, dtype=int), np.full(K, m), np.zeros(K, dtype=bool)
+    live = np.arange(K)
+    while True:
+        # a finished sweep (or none begun) shrinks the step unless it moved;
+        # then the instance stops or begins its next sweep
+        end = live[pos[live] == m]
+        step[end[(sweeps[end] > 0) & ~improved[end]]] *= shrink
+        begin = (step[end] > min_step) & (sweeps[end] < max_sweeps)
+        live = live[~np.isin(live, end[~begin])]
+        sweeps[end[begin]] += 1
+        pos[end[begin]], improved[end[begin]] = 0, False
+        if not live.size:
+            return c, f
+        # the polls each live instance has left in its sweep, in order
+        counts = 2 * (m - pos[live])
+        owner = np.repeat(live, counts)
+        rows = np.arange(counts.sum()) + np.repeat(2 * pos[live] - np.cumsum(counts) + counts, counts)
+        polls = c[owner] + step[owner][:, None] * moves[rows]
+        vals = fun(owner, polls)
+        # each instance moves to its first improving poll, or ends its sweep
+        hits = np.flatnonzero(vals < f[owner] - 1e-15)
+        moved, first = np.unique(owner[hits], return_index=True)
+        pos[live] = m
+        c[moved], f[moved], improved[moved] = polls[hits[first]], vals[hits[first]], True
+        pos[moved] = rows[hits[first]] // 2 + 1
 
 
-def quotient_norm(
-    z: np.ndarray,
-    S: SkewSubspace,
-    p,
-    return_witness: bool = False,
-):
-    """Quotient norm inf_{y in S} ||z - y||_p of a skew-Hermitian z.
+def quotient_norm(z: np.ndarray, S: SkewSubspace, p, return_witness: bool = False):
+    """Quotient norm inf_{y in S} ||z - y||_p of a skew-Hermitian z of the
+    algebra, or of each matrix of a stack (K, n, n) (then an array of K
+    values and witnesses of shape (K, n, n)); one matrix is the case K = 1.
 
-    For even p the infimum is attained at the certified best approximant.
-    For p = inf the norm is not smooth; a derivative-free pattern search
-    over basis coefficients (``_pattern_search`` on ``core._operator_norms``
-    of stacked residuals, one call per sweep and move) reports the best value
-    achieved, which is an upper bound on the true infimum (the conservative
-    side for the uniform length bounds this norm feeds into).
+    For even p the infimum is attained at the certified best approximant
+    (one ``best_approximants`` call).  For p = inf the norm is not smooth: a
+    derivative-free compass search over basis coefficients
+    (``_pattern_search`` on ``core._operator_norms`` of stacked residuals,
+    all matrices in lockstep) reports the best value it reaches.  That is an
+    upper bound on the infimum, and for a ratio with the quotient norm in
+    its denominator, such as the c_O check of ``models.validate_space``, it
+    is the optimistic side: a loose bound lowers the sampled ratio and can
+    hide a violation.
     """
     alg = S.ambient
-    z = np.asarray(z, dtype=complex)
+    single = np.ndim(z) == 2
+    zs = np.asarray(z, dtype=complex)[None] if single else z
     if np.isinf(p):
-        if S.dim == 0:
-            val, c = core.operator_norm(z), np.zeros(0)
+        zs = _checked_stack(zs, alg)
+        c = np.zeros((len(zs), S.dim))
+        if S.dim == 0 or not len(zs):
+            vals = core._operator_norms(zs)
         else:
-            def fun(cs):
-                return core._operator_norms(z - S.combine(cs))
+            def fun(owner, cs):
+                return core._operator_norms(zs[owner] - S.combine(cs))
 
-            starts = np.stack([S.coords(z), np.zeros(S.dim)])
-            vals = fun(starts)
-            c, val = (starts[1], vals[1]) if vals[1] < vals[0] else (starts[0], vals[0])
-            c, val = _pattern_search(fun, c, step=0.25 * max(val, 1e-6))
-            val = float(val)
-        if return_witness:
-            return val, S.combine(c)
-        return val
-    result = best_approximant(z, S, int(p))
-    val = core.p_norm(result.residual, p, alg)
-    if return_witness:
-        return val, result.projection
-    return val
+            # start from the better of the orthogonal projection and 0
+            coords = S.coords(zs)
+            at = fun(np.tile(np.arange(len(zs)), 2), np.concatenate([coords, c])).reshape(2, -1)
+            zero = at[1] < at[0]
+            c[~zero] = coords[~zero]
+            c, vals = _pattern_search(fun, c, step=0.25 * np.maximum(np.where(zero, at[1], at[0]), 1e-6))
+        witness = S.combine(c)
+    else:
+        result = best_approximants(zs, S, p)
+        vals, witness = core._p_norms(result.residual, p, alg), result.projection
+    if single:
+        vals, witness = float(vals[0]), witness[0]
+    return (vals, witness) if return_witness else vals

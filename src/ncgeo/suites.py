@@ -19,14 +19,16 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.integrate
 import scipy.linalg
 
 from . import core
 from .core import TracialAlgebra, operator_norm, p_norm, principal_log, unitary_exp
 from .geometry import (
     SampledCurve,
+    _check_unitary_nodes,
+    _loop_deformed_nodes,
     convexity_probe,
-    curve_length_p,
     epsilon_isometric_lift,
     exp_curve,
     lift_ode_solve,
@@ -34,6 +36,7 @@ from .geometry import (
     minimal_geodesic,
     minimality_probe,
     quotient_distance,
+    quotient_distances,
     quotient_length,
     unitary_distance,
 )
@@ -503,12 +506,19 @@ def _trace_polynomial(w0, b, p, alg):
     return (-1) ** (p // 2) * np.einsum("ijkk,k->ij", M, core._diag_weights(alg)).real
 
 
+#: rows of the lattice oracle's coefficient grid evaluated at once (a full
+#: 1101-row sweep is 9.7 MB, which each worker thread keeps in its arena)
+_LATTICE_BLOCK_ROWS = 128
+
+
 def _lattice_search(z, S, p, alg):
     """Dense coefficient sweep (pitch 1e-3, two 10x refinements) independent
     of the Newton path; two-dimensional subspaces only.  Each sweep expands
     the degree-p polynomial tau((z - c1 b0 - c2 b1)^p) about its centre c0
     (an uncentred expansion cancels badly at pitch 1e-5) and evaluates the
-    grid as P1 A P2^T, with P1, P2 the Vandermonde rows of d = c - c0."""
+    grid as (P1 A) P2^T, with P1, P2 the Vandermonde rows of d = c - c0, in
+    blocks of _LATTICE_BLOCK_ROWS rows; the argmin is the grid's first least
+    value, as np.argmin of the whole grid takes it."""
     onb = orthonormal_basis(S)
     b = np.array(onb.basis)
 
@@ -516,8 +526,12 @@ def _lattice_search(z, S, p, alg):
         g1, g2 = (np.arange(c - half_width, c + half_width + pitch / 2, pitch) for c in c0)
         A = _trace_polynomial(z - c0[0] * b[0] - c0[1] * b[1], b, p, alg)
         P1, P2 = (np.vander(g - c, p + 1, increasing=True) for g, c in zip((g1, g2), c0))
-        vals = P1 @ A @ P2.T
-        kk = np.unravel_index(np.argmin(vals), vals.shape)
+        firsts = []  # the first least value of each block and its flat index in the grid
+        for r in range(0, len(g1), _LATTICE_BLOCK_ROWS):
+            vals = (P1[r : r + _LATTICE_BLOCK_ROWS] @ A) @ P2.T
+            j = int(np.argmin(vals))
+            firsts.append((vals.flat[j], r * len(g2) + j))
+        kk = np.unravel_index(firsts[int(np.argmin([v for v, _ in firsts]))][1], (len(g1), len(g2)))
         return np.array([g1[kk[0]], g2[kk[1]]])
 
     c = sweep(onb.coords(z), 0.55, 1e-3)
@@ -620,12 +634,13 @@ def suite_geometry(cfg: SuiteConfig) -> list:
         z = core.random_skew(alg, rng)
         z = z * (rng.uniform(0.1, 1.0) * math.pi / max(operator_norm(z), 1e-12))
         base = p_norm(z, p, alg)
-        margin = math.inf
-        for _ in range(20):
-            xi = core.random_skew(alg, rng)
-            comp = loop_deformed_exp_curve(z, xi, rng.uniform(0.05, 0.8), n_nodes=65)
-            margin = min(margin, curve_length_p(comp, p, alg) - base + cfg.tol("unitary_minimality"))
-        return margin
+        xis, amps = map(np.array, zip(*[(core.random_skew(alg, rng), rng.uniform(0.05, 0.8)) for _ in range(20)]))
+        # the 20 loop competitors as one stack; lengths by Simpson's rule along the nodes
+        grid = np.linspace(0.0, 1.0, 65)
+        nodes, vel = _loop_deformed_nodes(z, xis, amps, grid)
+        _check_unitary_nodes(nodes)
+        lengths = scipy.integrate.simpson(core._p_norms(vel, p, alg), x=grid)
+        return min([math.inf, *(lengths - base + cfg.tol("unitary_minimality")).tolist()])
 
     records.append(
         _record("geometry", "unitary-minimality", cfg.seed, max(10, cfg.trials // 2), unitary_minimality)
@@ -645,10 +660,9 @@ def suite_geometry(cfg: SuiteConfig) -> list:
             g = sp.isotropy.combine(rng.standard_normal(sp.isotropy.dim))
             us.append(unitary_exp(z) @ unitary_exp(0.5 * g))
         tol = cfg.tol("coset_metric")
-        d01 = quotient_distance(sp, us[0], us[1], p, multistarts=12, seed=k).value
-        d10 = quotient_distance(sp, us[1], us[0], p, multistarts=12, seed=k + 1).value
-        d02 = quotient_distance(sp, us[0], us[2], p, multistarts=12, seed=k + 2).value
-        d21 = quotient_distance(sp, us[2], us[1], p, multistarts=12, seed=k + 3).value
+        pairs = ((0, 1), (1, 0), (0, 2), (2, 1))
+        d01, d10, d02, d21 = (r.value for r in quotient_distances(
+            sp, [us[i] for i, _ in pairs], [us[j] for _, j in pairs], p, multistarts=12, seeds=range(k, k + 4)))
         return min(tol - abs(d01 - d10), d02 + d21 - d01 + tol)
 
     records.append(_record("geometry", "coset-metric-axioms", cfg.seed, max(6, cfg.trials // 20), coset_metric))

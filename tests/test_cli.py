@@ -53,6 +53,27 @@ def test_project_onto_zero_subspace_returns_input(files, capsys, rng, m3):
     assert out["optimality_residual"] == 0.0
 
 
+def test_project_rejects_a_non_skew_or_off_block_z_at_every_p(files, capsys, rng):
+    # p = inf used to print a number for both inputs and exit 0
+    diag = _write(files / "d.json", {"kind": "diag-m2", "blocks": [2], "p_list": [2, 4]})
+    center = _write(files / "c.json", {"kind": "center-quotient", "blocks": [2, 2], "p_list": [2, 4]})
+    alg = TracialAlgebra.direct_sum((2, 2))
+    off_block = core.random_skew(alg, rng)
+    off_block[0, 3], off_block[3, 0] = 0.5, -0.5
+    cases = [
+        (diag, core.random_hermitian(TracialAlgebra.tensor_square(2), rng), "a skew-Hermitian input"),
+        (center, off_block, "an element of the algebra (no off-block entries)"),
+    ]
+    for space, z, what in cases:
+        zp = _write(files / "z.json", matrix_to_json(z))
+        for p in ("inf", "4"):
+            capsys.readouterr()
+            assert main(["project", "--z", zp, "--space", space, "--p", p]) == 2, (what, p)
+            captured = capsys.readouterr()
+            assert captured.out == "" and "Traceback" not in captured.err
+            assert captured.err == f"ncgeo: best_approximant requires {what}\n"
+
+
 def test_fold_command(files, capsys):
     z = _write(files / "z.json", matrix_to_json(np.diag([3 * np.pi / 2, 0.0])))
     assert main(["fold", "--z", z]) == 0

@@ -12,7 +12,9 @@ from ncgeo import core, projection
 from ncgeo.core import TracialAlgebra, operator_norm, p_norm, principal_log, unitary_exp
 from ncgeo.geometry import (
     HomSpace,
+    _check_unitary_nodes,
     _differentiate_nodes,
+    _loop_deformed_nodes,
     SampledCurve,
     apply_action,
     convexity_probe,
@@ -25,6 +27,7 @@ from ncgeo.geometry import (
     minimality_probe,
     orbit_gap,
     quotient_distance,
+    quotient_distances,
     quotient_length,
     quotient_speeds,
     quotient_uniform_length,
@@ -381,6 +384,28 @@ def test_quotient_distance_is_one_newton_stack(rng, newton_stack_sizes):
         newton_stack_sizes.clear()
         qd = quotient_distance(sp, u, v, 4, multistarts=multistarts)
         assert newton_stack_sizes == [size] and qd.starts == size
+
+
+@pytest.mark.parametrize("kind", ["center-quotient", "diag-m2", "partial-isometry-orbit", "trivial"])
+def test_quotient_distances_match_per_query_calls(kind, rng, newton_stack_sizes):
+    # the starts of all queries run in one lockstep Newton stack, and each
+    # query gets the value, minimizer, certificate and start count of its own
+    # call, bit for bit
+    sp = _trivial_isotropy_space(M3) if kind == "trivial" else SPACES[kind]
+    alg = sp.ambient
+    us = np.array([unitary_exp(core.random_skew(alg, rng, s)) for s in (0.3, 0.8, 1.5, 0.8)])
+    vs = np.array([unitary_exp(core.random_skew(alg, rng, s)) for s in (0.3, 0.8, 1.5, 0.8)])
+    vs[3] = us[3]
+    for p, multistarts in ((4, 6), (6, 3)):
+        newton_stack_sizes.clear()
+        batch = quotient_distances(sp, us, vs, p, multistarts=multistarts, seeds=[5, 6, 7, 8])
+        assert newton_stack_sizes == ([] if kind == "trivial" else [4 * (3 * multistarts - 4)])
+        for u, v, seed, res in zip(us, vs, (5, 6, 7, 8), batch):
+            ref = quotient_distance(sp, u, v, p, multistarts=multistarts, seed=seed)
+            assert res.value == ref.value and np.array_equal(res.g_opt, ref.g_opt)
+            assert res.stationarity_residual == ref.stationarity_residual and res.starts == ref.starts
+    with pytest.raises(ValueError):
+        quotient_distances(sp, us, vs, 4, 6, seeds=[1, 2])
 
 
 @pytest.mark.parametrize("kind", ["center-quotient", "diag-m2", "partial-isometry-orbit"])
@@ -985,6 +1010,29 @@ def test_node_stacks_match_per_node_loops(kind, rng):
     assert quotient_uniform_length(c, sp) == float(scipy.integrate.simpson(speeds, x=c.grid))
     other = c.nodes @ unitary_exp(core.random_skew(alg, rng, 0.1))
     assert orbit_gap(sp, c.nodes, other) == max(orbit_gap(sp, u, v) for u, v in zip(c.nodes, other))
+
+
+def test_loop_competitor_stacks_match_single_curves(rng):
+    # a stack of loop directions builds, checks and measures every curve as
+    # loop_deformed_exp_curve, validate_unitary and curve_length_p do, bit for bit
+    alg = TracialAlgebra.direct_sum((2, 3), (0.3, 0.7))
+    z = core.random_skew(alg, rng, 0.7)
+    xis = np.array([core.random_skew(alg, rng) for _ in range(6)])
+    amps = rng.uniform(0.05, 0.8, 6)
+    grid = np.linspace(0.0, 1.0, 65)
+    nodes, vel = _loop_deformed_nodes(z, xis, amps, grid)
+    _check_unitary_nodes(nodes)
+    for p in (2, 4, np.inf):
+        lengths = scipy.integrate.simpson(core._p_norms(vel, p, alg), x=grid)
+        for k in range(6):
+            curve = loop_deformed_exp_curve(z, xis[k], float(amps[k]), n_nodes=65)
+            assert np.array_equal(curve.nodes, nodes[k]) and np.array_equal(curve.velocities, vel[k])
+            assert curve_length_p(curve, p, alg) == lengths[k]
+    nodes[2, 7] *= 1.01
+    with pytest.raises(ValueError, match="curve node 7 is not unitary"):
+        _check_unitary_nodes(nodes)
+    with pytest.raises(ValueError, match="grid too coarse"):
+        _check_unitary_nodes(np.array([[np.eye(5), -np.eye(5)]]))
 
 
 def test_orbit_gap_separates_points(rng):

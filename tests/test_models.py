@@ -1,5 +1,9 @@
 """Model-space constructors and the kind-specific fact checks."""
 
+import ast
+import math
+import inspect
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -17,7 +21,7 @@ from ncgeo.models import (
     special_diag_checks,
     validate_space,
 )
-from ncgeo.projection import best_approximant, hermitian_best_approximant
+from ncgeo.projection import best_approximant, hermitian_best_approximant, quotient_norm
 
 SPACES = {
     "center-quotient": build_model_space(ModelSpec("center-quotient", blocks=(2, 3), weights=(0.4, 0.6))),
@@ -332,3 +336,205 @@ def test_minimality_probe_all_kinds(name, rng):
     rep = minimality_probe(sp, z, p, trials=8, seed=11, n_nodes=33)
     assert rep.violations == 0
     assert rep.uniqueness_violations == 0
+
+
+# ---------------------------------------------------------------------------
+# stacked checks against per-sample loops
+# ---------------------------------------------------------------------------
+# The references below are the per-sample loops the stacked checks replaced:
+# one draw, one solve and one norm at a time.  The stacked checks must draw
+# the same samples and give the same reports, bit for bit.
+
+
+def _loop_validate_space(space, trials, seed):
+    models._structural_checks(space)
+    alg = space.ambient
+    rng = np.random.default_rng(seed)
+    worst_c_ratio = 0.0
+    c_p = {p: 1.0 for p in space.k_O_p}
+    for k in range(trials):
+        z = core.random_skew(alg, rng)
+        nz = operator_norm(z)
+        if nz < 1e-12:
+            continue
+        horiz = operator_norm(space.horizontal_project(z))
+        worst_c_ratio = max(worst_c_ratio, horiz / nz)
+        if k < 10:
+            qn = quotient_norm(z, space.isotropy, np.inf)
+            if qn > 1e-12:
+                worst_c_ratio = max(worst_c_ratio, horiz / qn)
+        y = space.isotropy.project(z)
+        ny = operator_norm(y)
+        if ny > 1e-12:
+            for p in c_p:
+                c_p[p] = min(c_p[p], p_norm(y, p, alg) / ny)
+    return {"c_ratio": worst_c_ratio, "c_p": c_p}
+
+
+def _loop_center_q_checks(space, p, trials, seed, tol=1e-8):
+    alg = space.ambient
+    rng = np.random.default_rng(seed)
+    rep = models.ModelReport(space.model_kind, p)
+    pos_bad = bound_bad = three_bad = jordan_bad = 0
+    w_pos, w_bound, w_three, w_jordan = math.inf, math.inf, math.inf, math.inf
+    for _ in range(trials):
+        h = core.random_hermitian(alg, rng)
+        x = h - min(float(np.min(core._block_eigvalsh(h, alg))) - 0.05, 0.0) * alg.identity()
+        qx = hermitian_best_approximant(x, space.isotropy, p, tol=1e-11).projection
+        eigs = core._block_eigvalsh((qx + qx.conj().T) / 2, alg)
+        m = float(np.min(eigs))
+        w_pos = min(w_pos, m + tol)
+        pos_bad += m < -tol
+        gap = operator_norm(x) + tol - float(np.max(eigs))
+        w_bound = min(w_bound, gap)
+        bound_bad += gap < 0
+        z = core.random_skew(alg, rng)
+        qz = best_approximant(z, space.isotropy, p, tol=1e-11).projection
+        margin3 = 3.0 * operator_norm(z) + tol - operator_norm(qz)
+        w_three = min(w_three, margin3)
+        three_bad += margin3 < 0
+        u = core.random_unitary(alg, rng)
+        a = np.abs(rng.standard_normal(alg.dim))
+        b = rng.standard_normal(alg.dim)
+        x_c = u @ np.diag(a.astype(complex)) @ u.conj().T
+        y_c = u @ np.diag(b.astype(complex)) @ u.conj().T
+        y_plus = u @ np.diag(np.maximum(b, 0.0).astype(complex)) @ u.conj().T
+        margin_j = p_norm(x_c - y_c, p, alg) + 1e-10 - p_norm(x_c - y_plus, p, alg)
+        w_jordan = min(w_jordan, margin_j)
+        jordan_bad += margin_j < 0
+    one = alg.identity()
+    unit_ok = operator_norm(hermitian_best_approximant(one, space.isotropy, p).projection - one) <= 1e-8
+    rep.add("positivity-preserved", trials, pos_bad, w_pos)
+    rep.add("squeeze-0-to-norm", trials, bound_bad, w_bound)
+    rep.add("uniform-bound-3", trials, three_bad, w_three)
+    rep.add("jordan-inequality", trials, jordan_bad, w_jordan)
+    rep.add("unit-fixed", 1, 0 if unit_ok else 1, 0.0)
+    return rep
+
+
+def _loop_diag_m2_checks(space, p, trials, seed, tol=1e-8):
+    alg = space.ambient
+    rng = np.random.default_rng(seed)
+    rep = models.ModelReport(space.model_kind, p)
+    trunc_bad = off_bad = 0
+    w_trunc, w_off = math.inf, math.inf
+    for _ in range(trials):
+        z = core.random_skew(alg, rng)
+        q = best_approximant(z, space.isotropy, p, tol=1e-11).projection
+        m_t = tol - p_norm(q - conditional_expectation(z, space), p, alg)
+        w_trunc = min(w_trunc, m_t)
+        trunc_bad += m_t < 0
+        h = core.random_hermitian(alg, rng)
+        m_o = p_norm(h, p, alg) + 1e-10 - p_norm(h - conditional_expectation(h, space), p, alg)
+        w_off = min(w_off, m_o)
+        off_bad += m_o < 0
+    z_diag = conditional_expectation(core.random_skew(alg, rng), space)
+    fixed_ok = p_norm(best_approximant(z_diag, space.isotropy, p).residual, p, alg) <= 1e-8
+    z_off = core.random_skew(alg, rng)
+    z_off = z_off - conditional_expectation(z_off, space)
+    killed_ok = p_norm(best_approximant(z_off, space.isotropy, p).projection, p, alg) <= 1e-8
+    rep.add("projection-is-truncation", trials, trunc_bad, w_trunc)
+    rep.add("offdiagonal-contraction", trials, off_bad, w_off)
+    rep.add("diagonal-fixed", 1, 0 if fixed_ok else 1, 0.0)
+    rep.add("offdiagonal-annihilated", 1, 0 if killed_ok else 1, 0.0)
+    return rep
+
+
+def _loop_special_diag_checks(space, p, trials, seed, tol=1e-10):
+    alg = space.ambient
+    m = alg.inner_dim
+    inner = TracialAlgebra.full(m)
+    embed = models._embed_blocks
+    rng = np.random.default_rng(seed)
+    rep = models.ModelReport(space.model_kind, p)
+    ineq_bad = contract_bad = agree_bad = 0
+    w_ineq, w_contract, w_agree = math.inf, math.inf, math.inf
+    ratios = []
+    for k in range(trials):
+        a, b, c = (core.random_hermitian(inner, rng) for _ in range(3))
+        if k % 2:
+            d = core.random_hermitian(inner, rng)
+        else:
+            d = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        lhs = p_norm(embed((a - c) / 2, b, (c - a) / 2, m), p, alg)
+        shifted = embed(a, b, c, m)
+        shifted[:m, :m] += d
+        shifted[m:, m:] += d
+        margin = p_norm(shifted, p, alg) + tol - lhs
+        w_ineq = min(w_ineq, margin)
+        ineq_bad += margin < 0
+        sym = embed(a, b, c, m)
+        e_sym = conditional_expectation(sym, space)
+        m_c = p_norm(sym, p, alg) + tol - p_norm(e_sym, p, alg)
+        w_contract = min(w_contract, m_c)
+        contract_bad += m_c < 0
+        q_sym = hermitian_best_approximant(sym, space.isotropy, p, tol=1e-11).projection
+        g = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        offd = np.zeros((2 * m, 2 * m), dtype=complex)
+        offd[:m, m:] = g
+        offd[m:, :m] = g.conj().T
+        q_off = hermitian_best_approximant(offd, space.isotropy, p, tol=1e-11).projection
+        m_a = 1e-8 - max(p_norm(q_sym - e_sym, p, alg), p_norm(q_off, p, alg))
+        w_agree = min(w_agree, m_a)
+        agree_bad += m_a < 0
+        z = core.random_skew(alg, rng)
+        nz = operator_norm(z)
+        if nz > 1e-12:
+            ratios.append(operator_norm(best_approximant(z, space.isotropy, p, tol=1e-10).projection) / nz)
+    rep.add("shifted-difference-inequality", trials, ineq_bad, w_ineq)
+    rep.add("expectation-contractive-on-patterns", trials, contract_bad, w_contract)
+    rep.add("projection-matches-expectation-on-patterns", trials, agree_bad, w_agree)
+    rep.ratios = {
+        "uniform_ratio_max": float(np.max(ratios)) if ratios else 0.0,
+        "uniform_ratio_mean": float(np.mean(ratios)) if ratios else 0.0,
+    }
+    return rep
+
+
+def _same_report(rep, ref):
+    assert [(c.name, c.trials, c.violations) for c in rep.checks] == [(c.name, c.trials, c.violations)
+                                                                       for c in ref.checks]
+    assert [c.worst_margin for c in rep.checks] == [c.worst_margin for c in ref.checks]
+    assert rep.ratios == ref.ratios
+
+
+_FAMILIES = [
+    (center_q_checks, _loop_center_q_checks, "center-quotient"),
+    (diag_m2_checks, _loop_diag_m2_checks, "diag-m2"),
+    (diag_m2_checks, _loop_diag_m2_checks, "projection-orbit"),
+    (special_diag_checks, _loop_special_diag_checks, "special-diag-m2"),
+]
+
+
+@pytest.mark.parametrize("family, reference, name", _FAMILIES, ids=[f[2] for f in _FAMILIES])
+@pytest.mark.parametrize("p", [2, 4, 6])
+def test_check_families_match_per_sample_loops(family, reference, name, p):
+    for seed, trials in ((0, 0), (1, 1), (2, 13)):
+        _same_report(family(SPACES[name], p, trials=trials, seed=seed), reference(SPACES[name], p, trials, seed))
+
+
+@pytest.mark.parametrize("name", sorted(SPACES))
+def test_validate_space_matches_per_sample_loop(name):
+    sp = SPACES[name]
+    for seed, trials in ((3, 4), (4, 25)):
+        assert validate_space(sp, trials=trials, seed=seed) == _loop_validate_space(sp, trials, seed)
+    assert validate_space(sp, trials=0) == {"c_ratio": 0.0, "c_p": {p: 1.0 for p in sp.k_O_p}}
+
+
+def test_checks_solve_no_sample_in_a_loop():
+    # the stacked checks must not slide back into per-sample solves: no for
+    # or while body (nor comprehension) of validate_space or a *_checks
+    # function calls a best-approximant, quotient-norm or single-matrix norm
+    banned = {"best_approximant", "hermitian_best_approximant", "quotient_norm", "p_norm", "operator_norm"}
+    tree = ast.parse(inspect.getsource(models))
+    names = {"validate_space", "center_q_checks", "diag_m2_checks", "special_diag_checks"}
+    functions = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name in names]
+    assert {f.name for f in functions} == names
+    comprehensions = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    for fn in functions:
+        for loop in (n for n in ast.walk(fn) if isinstance(n, (ast.For, ast.While, *comprehensions))):
+            body = loop.body + loop.orelse if isinstance(loop, (ast.For, ast.While)) else [loop]
+            for node in (n for stmt in body for n in ast.walk(stmt)):
+                if isinstance(node, ast.Call):
+                    called = getattr(node.func, "attr", getattr(node.func, "id", ""))
+                    assert called not in banned, f"{fn.name}:{node.lineno} calls {called} in a loop"

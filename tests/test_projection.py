@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ncgeo import core
+from ncgeo import core, suites
 from ncgeo.core import TracialAlgebra, operator_norm, p_norm
 from ncgeo.geometry import HomSpace
 from ncgeo.models import ModelSpec, build_model_space, conditional_expectation
@@ -719,24 +719,60 @@ def _coordinate_pattern_search(fun, c0, step, shrink=0.5, min_step=1e-7, max_swe
 
 
 def test_pattern_search_matches_coordinate_polls(rng):
-    # the stacked sweep polls reach the iterates of the coordinate loop
-    # exactly, in fewer objective calls
-    calls = {"stacked": 0, "coordinate": 0}
-    for _ in range(20):
+    # one lockstep call of several instances reaches, for each instance, the
+    # iterates of the coordinate loop run alone, exactly, in fewer objective calls
+    calls = {"lockstep": 0, "coordinate": 0}
+    for _ in range(5):
         S = _random_subspace(M4, rng, int(rng.integers(2, 6)))
-        z = core.random_skew(M4, rng)
-        c0 = rng.standard_normal(S.dim)
+        zs = np.array([core.random_skew(M4, rng) for _ in range(4)])
+        c0 = rng.standard_normal((4, S.dim))
+        steps = rng.uniform(0.05, 0.5, 4)
 
-        def counted(key):
-            def fun(cs):
-                calls[key] += 1
+        def lockstep(owner, cs):
+            calls["lockstep"] += 1
+            return core._operator_norms(zs[owner] - S.combine(cs))
+
+        c, f = _pattern_search(lockstep, c0, step=steps)
+        for k in range(4):
+            def alone(cs, z=zs[k]):
+                calls["coordinate"] += 1
                 return core._operator_norms(z - S.combine(cs))
-            return fun
 
-        c, f = _pattern_search(counted("stacked"), c0, step=0.25)
-        c_ref, f_ref = _coordinate_pattern_search(counted("coordinate"), c0, step=0.25)
-        assert np.array_equal(c, c_ref) and f == f_ref
-    assert calls["stacked"] < calls["coordinate"]
+            c_ref, f_ref = _coordinate_pattern_search(alone, c0[k], step=steps[k])
+            assert np.array_equal(c[k], c_ref) and f[k] == f_ref
+    assert calls["lockstep"] < calls["coordinate"]
+
+
+@pytest.mark.parametrize("p", [np.inf, 4, 6])
+def test_stacked_quotient_norm_matches_single_calls(p, rng):
+    # the value and the witness of each matrix of a stack are those of its own call, bit for bit
+    sp = build_model_space(ModelSpec("center-quotient", blocks=(2, 3), weights=(0.3, 0.7)))
+    for S in (_random_subspace(M4, rng, 3), sp.isotropy, SkewSubspace(M3, [])):
+        alg = S.ambient
+        zs = np.array([core.random_skew(alg, rng, scale) for scale in (0.2, 1.0, 3.0, 1.0, 0.5)])
+        vals, witnesses = quotient_norm(zs, S, p, return_witness=True)
+        assert vals.shape == (5,) and witnesses.shape == zs.shape
+        for z, val, witness in zip(zs, vals, witnesses):
+            single, single_witness = quotient_norm(z, S, p, return_witness=True)
+            assert isinstance(single, float) and single == val
+            assert np.array_equal(single_witness, witness)
+            assert quotient_norm(z, S, p) == single
+        assert quotient_norm(zs[:0], S, p).shape == (0,)
+
+
+@pytest.mark.parametrize("p", [np.inf, 4])
+def test_quotient_norm_checks_its_input(p, rng):
+    # p = inf used to measure a non-skew or off-block z; every p rejects it
+    # with the best approximant's messages, one matrix or a stack
+    sp = build_model_space(ModelSpec("center-quotient", blocks=(2, 2)))
+    z = core.random_skew(sp.ambient, rng)
+    off_block = z.copy()
+    off_block[0, 3], off_block[3, 0] = 0.5, -0.5
+    for bad, message in ((core.random_hermitian(sp.ambient, rng), "skew-Hermitian input"),
+                         (off_block, "no off-block entries")):
+        for arg in (bad, np.array([z, bad])):
+            with pytest.raises(ValueError, match=message):
+                quotient_norm(arg, sp.isotropy, p)
 
 
 def test_quotient_norm_rejects_odd_p(rng):
@@ -756,7 +792,8 @@ def test_hermitian_wrapper_round_trip(rng):
 
 def test_suite_lattice_oracle_memory_is_bounded():
     # the suite's oracle evaluates a 1101 x 1101 coefficient grid from its
-    # trace polynomial: only the grid of values, no grid of matrices
+    # trace polynomial, in blocks of rows: no grid of matrices, and at most
+    # 128 rows of values at once
     gen = np.random.default_rng(104)
     S = SkewSubspace(M3, [core.random_skew(M3, gen) for _ in range(2)])
     z = core.random_skew(M3, gen, 0.6)
@@ -766,5 +803,22 @@ def test_suite_lattice_oracle_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 25e6
+    assert peak < 4e6
     assert np.max(np.abs(best_approximant(z, S, 4).coefficients - c)) < 1e-4
+
+
+def test_lattice_row_blocks_keep_the_full_grid_argmin(monkeypatch):
+    # the first minimum over the row blocks is the first minimum of the whole
+    # grid, including ties between blocks
+    gen = np.random.default_rng(105)
+    cases = [(SkewSubspace(M3, [core.random_skew(M3, gen) for _ in range(2)]), core.random_skew(M3, gen, 0.6))
+             for _ in range(4)]
+    blocked = [_lattice_search(z, S, 4, M3) for S, z in cases]
+    monkeypatch.setattr(suites, "_LATTICE_BLOCK_ROWS", 10**6)
+    assert all(np.array_equal(c, _lattice_search(z, S, 4, M3)) for c, (S, z) in zip(blocked, cases))
+    monkeypatch.setattr(suites, "_trace_polynomial", lambda w0, b, p, alg: np.zeros((p + 1, p + 1)))
+    monkeypatch.setattr(suites, "_LATTICE_BLOCK_ROWS", 7)
+    S, z = cases[0]
+    # a constant polynomial: every point ties, and the first grid point wins
+    c0 = orthonormal_basis(S).coords(z)
+    assert np.array_equal(_lattice_search(z, S, 4, M3), c0 - 0.55 - 120 * 1e-4 - 120 * 1e-5)
