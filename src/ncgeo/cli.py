@@ -15,7 +15,8 @@ Every compute command prints one JSON record to standard output.  Exit
 status: 0 on success, 1 when the verification suite reports violations,
 2 on usage or schema errors (the offending precondition is named on
 standard error), 3 when a numerical solver does not converge (one line on
-standard error).  NCGEO_THREADS caps the suite worker pool.
+standard error).  ``verify`` runs trials in one thread, as they hold the GIL;
+NCGEO_THREADS is validated (exit 2 unless a positive integer), reserved for a process pool.
 """
 
 from __future__ import annotations

@@ -737,14 +737,18 @@ def minimal_geodesic(
     """
     p = core._check_even_p(p)
     v = np.asarray(target, dtype=complex)
-    alg = space.ambient
-    qd = quotient_distance(space, np.eye(alg.dim, dtype=complex), v, p, multistarts, seed, tol)
-    z = principal_log(v @ qd.g_opt)
+    qd = quotient_distance(space, space.ambient.identity(), v, p, multistarts, seed, tol)
+    return _geodesic_through(space, v, qd.g_opt, p, n_nodes)
+
+
+def _geodesic_through(space: HomSpace, v: np.ndarray, g_opt: np.ndarray, p: int, n_nodes: int = 65) -> GeodesicResult:
+    """The geodesic e^{tz} . x, z = log(v g_opt), for a coset optimizer g_opt of (1, v)."""
+    z = principal_log(v @ g_opt)
     cert = lifting_certificate(z, space.isotropy, p)
     endpoint = orbit_gap(space, unitary_exp(z), v)
     within = core.operator_norm(z) < space.radius(p)
     curve = exp_curve(z, n_nodes=n_nodes, target="orbit")
-    return GeodesicResult(z, core.p_norm(z, p, alg), endpoint, cert, within, p, curve)
+    return GeodesicResult(z, core.p_norm(z, p, space.ambient), endpoint, cert, within, p, curve)
 
 
 def rectifiable_path_length(

@@ -1,22 +1,25 @@
 """Command-line surface: compute commands, exit codes, report determinism."""
 
+import ast
 import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ncgeo
-from ncgeo import core
+from ncgeo import core, geometry, suites
 from ncgeo.cli import main
 from ncgeo.core import TracialAlgebra
 from ncgeo.geometry import exp_curve
 from ncgeo.projection import ConvergenceError
+from ncgeo.rng import trial_stream
 from ncgeo.serialization import canonical_dumps, curve_to_json, matrix_to_json
 from ncgeo.suites import _run_trials
 
@@ -349,6 +352,62 @@ def test_nan_margin_is_a_violation_in_any_order(margins, bad):
         violations, worst = _run_trials(7, "nan-margins", len(order), lambda k, rng: order[k])
         assert violations == bad, order
         assert math.isnan(worst), order
+
+
+def test_run_trials_runs_in_order_in_the_calling_thread(monkeypatch):
+    monkeypatch.setenv("NCGEO_THREADS", "2")
+    calls = []
+
+    def fn(k, rng):
+        calls.append((k, threading.get_ident(), rng.random()))
+        return 1.0
+
+    assert _run_trials(7, "in-order", 6, fn) == (0, 1.0)
+    assert [k for k, _, _ in calls] == list(range(6))
+    assert {ident for _, ident, _ in calls} == {threading.get_ident()}
+    assert [draw for _, _, draw in calls] == [trial_stream(7, "in-order", k).random() for k in range(6)]
+
+
+def test_suites_start_no_threads():
+    # the trials hold the interpreter lock, so a thread pool only slows them
+    tree = ast.parse(Path(suites.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            continue
+        for name in modules:
+            assert name.split(".")[0] not in ("concurrent", "threading"), f"suites.py:{node.lineno} imports {name}"
+
+
+def test_coset_vs_curve_trial_runs_one_coset_solve(monkeypatch):
+    # the distance and the geodesic of the pair (1, v) share one lockstep
+    # solve; counting geometry's own entry point also catches a solve hidden
+    # inside minimal_geodesic or quotient_distance
+    trials = {}
+
+    def capture(suite, anchor, seed, n, fn):
+        trials[anchor] = fn
+
+    monkeypatch.setattr(suites, "_record", capture)
+    cfg = suites.SuiteConfig(seed=1000, trials=1, suites=("geometry",))
+    suites.suite_geometry(cfg)
+    calls = []
+    solve = geometry.quotient_distances
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[1]))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(suites, "quotient_distances", counted)
+    monkeypatch.setattr(geometry, "quotient_distances", counted)
+    label = "geometry:coset-vs-curve-infimum"
+    for k in range(2):
+        calls.clear()
+        assert trials["coset-vs-curve-infimum"](k, trial_stream(cfg.seed, label, k)) >= 0.0
+        assert calls == [2]
 
 
 def test_verify_nan_margin_writes_report_and_exits_one(files, capsys, monkeypatch):

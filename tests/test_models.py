@@ -1,6 +1,7 @@
 """Model-space constructors and the kind-specific fact checks."""
 
 import ast
+import dataclasses
 import math
 import inspect
 
@@ -57,6 +58,25 @@ def test_every_kind_builds_and_validates():
         info = validate_space(sp, trials=40)
         assert info["c_ratio"] <= sp.c_O + 1e-9
         assert all(0.0 < c <= 1.0 + 1e-12 for c in info["c_p"].values())
+
+
+_SX = np.array([[0, 1], [1, 0]], dtype=complex)
+_SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
+
+
+@pytest.mark.parametrize(
+    "basis, message",
+    [([1j * _SX, 1j * _SY], "not a Lie algebra"), ([1j * _SX], "does not fix the basepoint")],
+    ids=["not-lie-closed", "moves-basepoint"],
+)
+def test_build_model_space_runs_the_structural_checks(basis, message, monkeypatch):
+    # validate_space relies on build_model_space having run these checks,
+    # so a bad isotropy basis must be refused at construction
+    e = np.diag([1.0, 0.0]).astype(complex)
+    build = lambda spec: (TracialAlgebra.full(2), e, basis)  # noqa: E731
+    monkeypatch.setitem(MODELS, "projection-orbit", dataclasses.replace(MODELS["projection-orbit"], build=build))
+    with pytest.raises(ValueError, match=message):
+        build_model_space(ModelSpec("projection-orbit", blocks=(2,)))
 
 
 def test_isotropy_dimensions():
