@@ -195,10 +195,14 @@ def is_skew_hermitian(x: np.ndarray, tol: float | None = None) -> bool:
     return _symmetric_up_to(x, -1.0, tol)
 
 
+#: the n x n identity, shared as a read-only view
+_eye = functools.cache(lambda n: np.broadcast_to(np.eye(n), (n, n)))
+
+
 def _unitary_defects(u: np.ndarray) -> np.ndarray:
     """max |u*u - 1| entrywise of u, or of each matrix of a stack (K, n, n)."""
     u = np.asarray(u)
-    return _max_entries(u.conj().mT @ u - np.eye(u.shape[-1]))
+    return _max_entries(u.conj().mT @ u - _eye(u.shape[-1]))
 
 
 def is_unitary(u: np.ndarray, tol: float | None = None) -> bool:
@@ -331,19 +335,32 @@ def random_hermitian(alg: TracialAlgebra, rng: np.random.Generator, scale: float
     return _random_hermitians(alg, rng, 1, scale)[0]
 
 
-def _random_hermitians(alg: TracialAlgebra, rng: np.random.Generator, count: int, scale: float = 1.0) -> np.ndarray:
-    """``count`` successive draws of random_hermitian as one stack: the
-    normals are drawn in one call, in the order the draws take them (per
-    draw, per block, a real and an imaginary d x d matrix)."""
-    normals = rng.standard_normal((count, sum(2 * d * d for d in alg.block_dims)))
-    out = np.zeros((count, alg.dim, alg.dim), dtype=complex)
+def _block_normals(alg: TracialAlgebra, rng: np.random.Generator, count: int) -> np.ndarray:
+    """The normals of ``count`` random_hermitian or random_unitary draws in one call, in
+    their order: per draw, per block, a real and an imaginary d x d matrix."""
+    return rng.standard_normal((count, sum(2 * d * d for d in alg.block_dims)))
+
+
+def _ginibre_blocks(alg: TracialAlgebra, normals: np.ndarray):
+    """(slice, stack of complex Ginibre blocks) per block, from _block_normals."""
     start = 0
     for sl, d in zip(alg.block_slices(), alg.block_dims):
-        g = normals[:, start : start + 2 * d * d].reshape(count, 2, d, d)
-        a = g[:, 0] + 1j * g[:, 1]
-        out[:, sl, sl] = scale * (a + a.conj().mT) / (2.0 * np.sqrt(d))
+        g = normals[:, start : start + 2 * d * d].reshape(len(normals), 2, d, d)
+        yield sl, g[:, 0] + 1j * g[:, 1]
         start += 2 * d * d
+
+
+def _hermitians(alg: TracialAlgebra, normals: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """The random_hermitian draws of a stack of _block_normals, as one stack."""
+    out = np.zeros((len(normals), alg.dim, alg.dim), dtype=complex)
+    for sl, a in _ginibre_blocks(alg, normals):
+        out[:, sl, sl] = scale * (a + a.conj().mT) / (2.0 * np.sqrt(a.shape[-1]))
     return out
+
+
+def _random_hermitians(alg: TracialAlgebra, rng: np.random.Generator, count: int, scale: float = 1.0) -> np.ndarray:
+    """``count`` successive draws of random_hermitian as one stack."""
+    return _hermitians(alg, _block_normals(alg, rng, count), scale)
 
 
 def random_skew(alg: TracialAlgebra, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
@@ -352,13 +369,16 @@ def random_skew(alg: TracialAlgebra, rng: np.random.Generator, scale: float = 1.
 
 def random_unitary(alg: TracialAlgebra, rng: np.random.Generator) -> np.ndarray:
     """Blockwise Haar-distributed unitary (QR of a Ginibre matrix, phases fixed)."""
-    out = np.zeros((alg.dim, alg.dim), dtype=complex)
-    for sl, d in zip(alg.block_slices(), alg.block_dims):
-        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return _random_unitaries(alg, rng, 1)[0]
+
+
+def _random_unitaries(alg: TracialAlgebra, rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` successive draws of random_unitary: one batched QR per block."""
+    out = np.zeros((count, alg.dim, alg.dim), dtype=complex)
+    for sl, a in _ginibre_blocks(alg, _block_normals(alg, rng, count)):
         q, r = np.linalg.qr(a)
-        ph = np.diagonal(r).copy()
-        ph = ph / np.abs(ph)
-        out[sl, sl] = q * ph[None, :]
+        ph = r.diagonal(0, -2, -1)
+        out[:, sl, sl] = q * (ph / np.abs(ph))[:, None, :]
     return out
 
 
@@ -406,25 +426,36 @@ class Eigenframe:
         self.weights = _diag_weights(alg)
 
     @classmethod
-    def from_unitary(cls, u: np.ndarray) -> "Eigenframe":
+    def from_unitary(cls, u: np.ndarray, alg: TracialAlgebra | None = None) -> "Eigenframe":
         """Frame of the principal log of a unitary u or a stack (K, n, n): lam
         are its angles in (-pi, pi], pi at eigenvalue -1.  r = e^{-i phi} u puts
         the middle of u's widest angle gap (>= 2pi/n) at -1, and the Cayley
         transform (1 + r)^{-1}(r - 1) has angles tan(alpha/2) and condition
-        <= 1/sin(pi/2n) (Higham, Functions of Matrices, 2008, section 11)."""
+        <= 1/sin(pi/2n) (Higham, Functions of Matrices, 2008, section 11).
+        Given an algebra (u must lie in it), the Cayley matrix is diagonalized
+        block by block, so the trace weights stay attached."""
         alpha = np.sort(np.angle(np.linalg.eigvals(u)), axis=-1)
-        gaps = np.diff(alpha, axis=-1, append=alpha[..., :1] + 2 * np.pi)
-        k = gaps.argmax(axis=-1)[..., None]
-        phi = np.take_along_axis(alpha + gaps / 2.0, k, axis=-1) - np.pi
+        gaps = np.concatenate((alpha[..., 1:], alpha[..., :1] + 2 * np.pi), axis=-1) - alpha
+        k = gaps.argmax(axis=-1, keepdims=True) + np.arange(0, alpha.size, u.shape[-1]).reshape(*alpha.shape[:-1], 1)
+        phi = (alpha + gaps / 2.0).ravel()[k] - np.pi  # the middle of each widest gap (flat index k)
         r = np.exp(-1j * phi)[..., None] * u
-        eye = np.eye(u.shape[-1])
+        eye = _eye(u.shape[-1])
         x = np.linalg.solve(eye + r, r - eye)
-        frame = cls((x - x.conj().mT) / 2.0)
+        frame = cls((x - x.conj().mT) / 2.0, alg)
         theta = 2.0 * np.arctan(frame.lam) + phi
-        theta -= 2 * np.pi * np.round(theta / (2 * np.pi))
+        theta -= 2 * np.pi * np.rint(theta / (2 * np.pi))
         theta[theta <= -np.pi + _BRANCH_SNAP] += 2 * np.pi
-        frame.lam = np.clip(theta, -np.pi, np.pi)
+        frame.lam = np.minimum(np.maximum(theta, -np.pi), np.pi)
         return frame
+
+    def __getitem__(self, idx):
+        """The frames idx of a stack, indexed (and copied) as numpy indexes."""
+        out = object.__new__(Eigenframe)
+        out.lam, out.frame, out.weights = self.lam[idx], self.frame[idx], self.weights
+        return out
+
+    def __setitem__(self, idx, other):
+        self.lam[idx], self.frame[idx] = other.lam, other.frame
 
     def transform(self, x: np.ndarray) -> np.ndarray:
         """x~ = V* x V for one matrix or a stack of shape (m, n, n); a stacked
@@ -438,7 +469,8 @@ class Eigenframe:
         return fn(self.lam[..., None, :] - self.lam[..., :, None])
 
     def apply(self, fn, b: np.ndarray) -> np.ndarray:
-        """fn(ad w) b = V (ad_symbol(fn) * b~) V* for one frame and one matrix b."""
+        """fn(ad w) b = V (ad_symbol(fn) * b~) V* for one frame and one matrix b
+        or a stack of them (m, n, n)."""
         v = self.frame
         return v @ (self.ad_symbol(fn) * self.transform(b)) @ v.conj().mT
 

@@ -18,7 +18,8 @@ computed here by the damped-Newton loop of the best approximant
 (``projection._newton``) run once over a stack of seeded starts in the
 isotropy group, with an exact first-variation gradient and a stationarity
 certificate (stationarity is equivalent to the minimal-lifting criterion
-tau(w^{p-1} y) = 0 for all isotropy directions y).
+tau(w^{p-1} y) = 0 for all isotropy directions y); one eigenframe per trial
+unitary gives the objective, the cut-locus guard and the Newton step.
 
 The module also contains: the lifting ODE du/dt = w(t) u solved by the
 6th-order Magnus method with step halving against a finite-difference
@@ -434,18 +435,23 @@ def quotient_distances(space: HomSpace, us: np.ndarray, vs: np.ndarray, p, multi
     g e^{B(d)}, along which f has first variation (-1)^(p/2) p tau(w^{p-1} b_k)
     and, at the optimum, Hessian H_w(F(ad w)^{-1} b_j, b_k).  F(ad w)^{-1}
     exists at every iterate, since the angle gaps of a principal logarithm
-    stay below 2 pi.  A trial within 1e-6 of the cut locus, where the log is
-    not smooth, is halved; a start on it is kept, evaluated with the total
-    principal log.  Every instance iterates as it would alone, so each
-    result is that of the pair's own run.
+    stay below 2 pi.  Each trial ug is diagonalized once, block by block
+    (``Eigenframe.from_unitary``): its angles theta give f = sum_a d_a
+    |theta_a|^p, w^{p-1} and the guard ||1 - ug|| = 2 sin(max|theta|/2),
+    and its frame is the Hessian's.  A trial within 1e-6 of the cut locus,
+    where the log is not smooth, is halved; a start on it is kept.  Every
+    instance iterates as it would alone, so each result is that of the
+    pair's own run.
 
     Newton stays in the cut-locus cell of its start, so the starts spread
     out: the identity, the isotropy part of log(u* v) undone, and three
     seeded points per further start up to ``multistarts``, alternately a
     point of the coefficient box [-pi, pi]^m and an isotropy direction of
     uniform norm in [0.2 pi, 0.8 pi] (3 multistarts - 4 instances for
-    multistarts >= 2).  A pair's answer is its certified instance of lowest
-    f or, when none certifies, its instance of lowest f with its certificate.
+    multistarts >= 2), drawn in each pair's rng order and then projected,
+    normed and scaled as one stack.  A pair's answer is its certified
+    instance of lowest f or, when none certifies, its instance of lowest f
+    with its certificate.
     """
     p = core._check_even_p(p)
     alg = space.ambient
@@ -461,36 +467,36 @@ def quotient_distances(space: HomSpace, us: np.ndarray, vs: np.ndarray, p, multi
         return [QuotientDistanceResult(core.p_norm(w, p, alg), np.eye(alg.dim, dtype=complex), 0.0, 1, p) for w in ws]
 
     per = 2 + 3 * max(0, multistarts - 2)  # the starts of each pair, consecutive in the stack
-    starts = []
-    for w, seed in zip(ws, seeds):
+    starts = np.zeros((len(bases), per, m))
+    starts[:, 1] = -G.coords(ws)
+    normals, scales = [], []  # each pair's rng draws a box point, then a skew draw and its scale, alternately
+    for i, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
-        starts += [np.zeros(m), -G.coords(w)]
-        for j in range(per - 2):
-            if j % 2 == 0:
-                # wide coverage of the fundamental domain (the wrapped angles
-                # create several basins at large distances)
-                starts.append(rng.uniform(-math.pi, math.pi, size=m))
+        for j in range(2, per):
+            if j % 2 == 0:  # the wrapped angles create several basins at large distances
+                starts[i, j] = rng.uniform(-math.pi, math.pi, size=m)
             else:
-                y = G.project(core.random_skew(alg, rng))
-                nrm = core.operator_norm(y)
-                if nrm > 1e-12:
-                    y = y * (rng.uniform(0.2, 0.8) * math.pi / nrm)
-                starts.append(G.coords(y))
+                normals.append(core._block_normals(alg, rng, 1))
+                scales.append(rng.uniform(0.2, 0.8))
+    if normals:  # isotropy directions of norm uniform in [0.2 pi, 0.8 pi]; one of norm <= 1e-12 is not scaled
+        ys = G.project(1j * core._hermitians(alg, np.concatenate(normals)))
+        nrm = core._operator_norms(ys)
+        factor = np.where(nrm > 1e-12, np.array(scales) * math.pi / np.maximum(nrm, 1e-12), 1.0)
+        starts[:, 3::2] = G.coords(ys * factor[:, None, None]).reshape(len(bases), -1, m)
     owner = np.repeat(np.arange(len(bases)), per)
 
     def retract(ids, g, d):
-        # a trial within 1e-6 of the cut locus gets a NaN w
+        # one frame per trial; within 1e-6 of the cut locus, ||1 - ug|| = 2 sin(max|theta|/2), its angles are NaN
         g = g @ unitary_exp(G.combine(d))
-        ug = bases[owner[ids]] @ g
-        w = principal_log(ug)
-        w[~(core._p_norms(np.eye(alg.dim) - ug, np.inf, alg) < 2.0 - 1e-6)] = np.nan
-        return g, w
+        frame = Eigenframe.from_unitary(bases[owner[ids]] @ g, alg)
+        frame.lam[~(2.0 * np.sin(np.abs(frame.lam).max(axis=-1) / 2.0) < 2.0 - 1e-6)] = np.nan
+        return g, frame
 
     def left(frame, bt):
         return bt / frame.ad_symbol(core._sym_F)[:, None]
 
-    g = unitary_exp(G.combine(np.array(starts)))
-    w = principal_log(bases[owner] @ g)
+    g = unitary_exp(G.combine(starts.reshape(-1, m)))
+    w = Eigenframe.from_unitary(bases[owner] @ g, alg)
     g, f, resid, _ = projection._newton(g, w, retract, left, G.onb(), p, alg, tol)
     out = []
     for lo in range(0, len(owner), per):
@@ -763,28 +769,18 @@ def rectifiable_path_length(
     coset distance.
 
     Evaluates the sums on dyadic coarsenings of the curve grid, refining
-    until the increase drops below ``tol``; the sums must be nondecreasing
-    under refinement up to certificate error.  Returns (length, sums).
+    until the increase drops below ``tol``; each sum is one
+    ``quotient_distances`` call, every pair seeded with ``seed``.  The sums
+    must be nondecreasing under refinement up to certificate error.
+    Returns (length, sums).
     """
-    n = curve.n_intervals
-    strides = []
-    s = n
-    while s >= 1:
-        strides.append(s)
-        s //= 2
-    sums = []
-    for stride in strides:
-        idx = list(range(0, n + 1, stride))
-        if idx[-1] != n:
-            idx.append(n)
-        total = 0.0
-        for a, b in zip(idx[:-1], idx[1:]):
-            total += quotient_distance(
-                space, curve.nodes[a], curve.nodes[b], p, multistarts=multistarts, seed=seed
-            ).value
-        sums.append(total)
-        if len(sums) >= 2 and abs(sums[-1] - sums[-2]) < tol:
-            break
+    sums, n, stride = [], curve.n_intervals, curve.n_intervals
+    while stride >= 1 and not (len(sums) >= 2 and abs(sums[-1] - sums[-2]) < tol):
+        idx = [*range(0, n, stride), n]
+        pairs = quotient_distances(space, curve.nodes[idx[:-1]], curve.nodes[idx[1:]], p, multistarts,
+                                   [seed] * (len(idx) - 1))
+        sums.append(sum(r.value for r in pairs))
+        stride //= 2
     for a, b in zip(sums[:-1], sums[1:]):
         if b < a - 1e-7:
             raise ConvergenceError("partition sums decreased under refinement beyond tolerance")

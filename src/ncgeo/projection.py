@@ -259,9 +259,12 @@ def _powers(w: np.ndarray, p: int):
     return power(p - 1), power(p)
 
 
-def _objective(w: np.ndarray, p: int, alg: TracialAlgebra):
-    """f = ||w||_p^p = (-1)^(p/2) tau(w^p) of each skew-Hermitian w of a
-    stack (K, n, n), as a list, and the stack of w^{p-1}."""
+def _objective(w, p: int, alg: TracialAlgebra):
+    """f = ||w||_p^p = (-1)^(p/2) tau(w^p) of each skew-Hermitian w of a stack
+    (K, n, n), as a list, and the stack of w^{p-1}; for a stacked Eigenframe,
+    f = sum_a d_a lam_a^p and w^{p-1} = V (i lam)^{p-1} V*."""
+    if isinstance(w, core.Eigenframe):
+        return (w.lam**p @ w.weights).tolist(), (w.frame * ((1j * w.lam) ** (p - 1))[..., None, :]) @ w.frame.conj().mT
     wp1, wp = _powers(w, p)
     f = (core._diag_weights(alg) @ wp.diagonal(0, -2, -1)[..., None]).real[..., 0]
     return ((-1) ** (p // 2) * f).tolist(), wp1
@@ -303,27 +306,28 @@ def _newton(state, w, retract, left, onb, p, alg, tol, max_iter=10_000):
     ``ids`` (indices into the stack) moved by the steps s, along which f has
     slope (-1)^(p/2) p Re tau(w^{p-1} b_k) s_k; a trial that cannot be
     evaluated returns a NaN w, which fails the Armijo test and is halved
-    like a rejected one.  The Hessian is H_w(l_j, b_k) with l~ = ``left(frame, b~)``
-    in the stacked eigenframe of w; an unusable Newton direction falls back
-    to steepest descent.  Trials within roundoff of the Armijo bound are
-    accepted, so termination rests on the certificate.  Each instance keeps
-    its own certificate, damping, line search and budget of ``max_iter``
-    trials, and leaves the loop once it is certified, out of budget or
-    stagnated (its line search failed, or an accepted trial lowered f by
-    roundoff at most and the next certificate did not fall); the matrix work
-    of the instances still iterating is batched, their scalar bookkeeping is
-    done per instance.  Returns the stacked
-    ``(state, f, certificate, trials)``; a certificate above tol means the
-    budget ran out or the instance stagnated.
+    like a rejected one.  w is a stack of residuals or their stacked
+    Eigenframe (then also the Hessian's frame).  The Hessian is H_w(l_j, b_k)
+    with l~ = ``left(frame, b~)`` in the stacked eigenframe of w; an unusable
+    Newton direction falls back to steepest descent.  Trials within roundoff
+    of the Armijo bound are accepted, so termination rests on the
+    certificate.  Each instance keeps its own certificate, damping, line
+    search and budget of ``max_iter`` trials, and leaves the loop once it is
+    certified, out of budget or stagnated (its line search failed, or an
+    accepted trial lowered f by roundoff at most and the next certificate
+    did not fall); the matrix work of the instances still iterating is
+    batched, their scalar bookkeeping is done per instance.  Returns the
+    stacked ``(state, f, certificate, trials)``; a certificate above tol
+    means the budget ran out or the instance stagnated.
     """
     sign = (-1) ** (p // 2)
     eye = np.eye(len(onb))
-    out_state = np.empty_like(state)
-    out_f, out_resid, out_trials = [0.0] * len(w), [0.0] * len(w), [0] * len(w)
-    ids, state, w = np.arange(len(w)), state.copy(), w.copy()
-    (f, wp1), trials = _objective(w, p, alg), [0] * len(w)
+    K = len(state)
+    out_state, out_f, out_resid, out_trials = np.empty_like(state), [0.0] * K, [0.0] * K, [0] * K
+    ids, state, w = np.arange(K), state.copy(), w[np.arange(K)]
+    (f, wp1), trials = _objective(w, p, alg), [0] * K
     # whether the last accepted trial lowered f by roundoff at most; the certificate before it
-    flat, prev = [False] * len(w), [math.inf] * len(w)
+    flat, prev = [False] * K, [math.inf] * K
 
     def leave(going, resid):
         # store the instances that leave, keep the others
@@ -349,7 +353,7 @@ def _newton(state, w, retract, left, onb, p, alg, tol, max_iter=10_000):
             t, resid = t[keep], [resid[j] for j in keep]
         prev = resid
         grad = sign * p * t
-        frame = core.Eigenframe(w, alg)
+        frame = w if isinstance(w, core.Eigenframe) else core.Eigenframe(w, alg)
         bt = frame.transform(onb)
         hess = frame.h_matrix(left(frame, bt), bt, p)
         damp = [1e-12 * max(1.0, tr / len(onb)) for tr in hess.trace(0, 1, 2).tolist()]

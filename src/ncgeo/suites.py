@@ -342,13 +342,10 @@ def suite_core(cfg: SuiteConfig) -> list:
         a = core.random_skew(alg, rng)
         a = a * (rng.uniform(0.05, 0.95) * (math.pi / 2) / max(operator_norm(a), 1e-12))
         r = operator_norm(a)
-        frame = core.Eigenframe(a)
-        worst = 0.0
-        for _ in range(20):
-            b = core.random_skew(alg, rng)
-            nb = operator_norm(b)
-            if nb > 1e-12:
-                worst = max(worst, operator_norm(frame.apply(lambda x: 1.0 / core._sym_F(x), b)) / nb)
+        bs = 1j * core._random_hermitians(alg, rng, 20)
+        nb = core._operator_norms(bs)
+        images = core.Eigenframe(a).apply(lambda x: 1.0 / core._sym_F(x), bs)
+        worst = float(np.max(core._operator_norms(images[nb > 1e-12]) / nb[nb > 1e-12], initial=0.0))
         return r / math.sin(r) - worst + cfg.tol("symbol_bound")
 
     records.append(_record("core", "inverse-symbol-bound", cfg.seed, max(20, cfg.trials // 4), symbol_bound))
@@ -615,7 +612,7 @@ def suite_geometry(cfg: SuiteConfig) -> list:
 
     def diameter(k, rng):
         alg = algs[k % len(algs)]
-        uv = np.array([core.random_unitary(alg, rng) for _ in range(50)])
+        uv = core._random_unitaries(alg, rng, 50)
         worst = np.max(core._p_norms(principal_log(uv[0::2].conj().mT @ uv[1::2]), ps[0], alg))
         return math.pi + cfg.tol("diameter") - float(worst)
 

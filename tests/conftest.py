@@ -42,7 +42,7 @@ def newton_stack_sizes(monkeypatch):
     newton = projection._newton
 
     def spy(state, w, *args, **kw):
-        sizes.append(len(w))
+        sizes.append(len(state))
         return newton(state, w, *args, **kw)
 
     monkeypatch.setattr(projection, "_newton", spy)

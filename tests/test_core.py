@@ -294,6 +294,79 @@ def test_log_stack_matches_schur_reference(n):
     assert np.array_equal(logs, np.array([principal_log(u) for u in stack]))
 
 
+def _blockwise_unitaries(alg, gen):
+    """Haar and near-identity unitaries of the algebra, cut-locus ones (an
+    eigenvalue -1 in one block) and spectra shared across blocks, where a
+    full eigendecomposition could mix the blocks."""
+    out = [core.random_unitary(alg, gen) for _ in range(6)]
+    out += [unitary_exp(core.random_skew(alg, gen, s)) for s in (1e-6, 0.5, 3.0)]
+    q = core.random_unitary(alg, gen)
+    idx = np.arange(alg.dim)
+    for spectrum in (np.ones(alg.dim), np.exp(0.9j * (idx % 2)), np.where(idx == 0, -1.0, 1j)):
+        out.append(q @ np.diag(spectrum) @ q.conj().T)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("alg", [TracialAlgebra.full(3), TracialAlgebra.direct_sum((2, 3), (0.4, 0.6)),
+                                 TracialAlgebra.direct_sum((2, 2)), TracialAlgebra.tensor_square(2)])
+def test_blockwise_log_frame(alg):
+    # from_unitary(u, alg) diagonalizes block by block: no off-block entries,
+    # the trace weights of the algebra, the principal log to 1e-13, and each
+    # matrix of a stack as on its own, bit for bit
+    stack = _blockwise_unitaries(alg, np.random.default_rng(7))
+    frame = core.Eigenframe.from_unitary(stack, alg)
+    off = np.ones((alg.dim, alg.dim), dtype=bool)
+    for sl in alg.block_slices():
+        off[sl, sl] = False
+    assert np.all(frame.frame[:, off] == 0.0)
+    assert np.array_equal(frame.weights, core._diag_weights(alg))
+    logs = (frame.frame * (1j * frame.lam)[..., None, :]) @ frame.frame.conj().mT
+    for z, u in zip(logs, stack):
+        assert operator_norm(z - principal_log(u)) <= 1e-13
+    for k, u in enumerate(stack):
+        one = core.Eigenframe.from_unitary(u, alg)
+        assert np.array_equal(one.lam, frame.lam[k]) and np.array_equal(one.frame, frame.frame[k])
+
+
+def test_angle_guard_is_the_distance_to_the_cut_locus(rng, m4):
+    # ||1 - u|| = 2 sin(max |theta| / 2) for the angles of the principal log,
+    # on Haar unitaries and on unitaries within 1e-3 to 1e-9 of the cut locus
+    q = core.random_unitary(m4, rng)
+    near = [q @ np.diag(np.exp(1j * np.r_[np.pi - eps, rng.uniform(-3, 3, 3)])) @ q.conj().T
+            for eps in (1e-3, 1e-6, 1e-9, 0.0)]
+    stack = np.array([core.random_unitary(m4, rng) for _ in range(20)] + near)
+    theta = core.Eigenframe.from_unitary(stack, m4).lam
+    guard = 2.0 * np.sin(np.abs(theta).max(axis=-1) / 2.0)
+    for g, u in zip(guard, stack):
+        assert g == pytest.approx(operator_norm(np.eye(4) - u), abs=1e-12)
+
+
+def _haar_one_at_a_time(alg, rng):
+    # per block, a real and an imaginary normal d x d matrix and a 2-D QR
+    out = np.zeros((alg.dim, alg.dim), dtype=complex)
+    for sl, d in zip(alg.block_slices(), alg.block_dims):
+        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        q, r = np.linalg.qr(a)
+        out[sl, sl] = q * (np.diagonal(r) / np.abs(np.diagonal(r)))[None, :]
+    return out
+
+
+def test_stacked_draws_are_successive_draws(rng):
+    # _random_unitaries (random_unitary is its count-1 case) and
+    # _random_hermitians take the normals of their draws in one call: the
+    # draws of the one-at-a-time calls, bit for bit, with the generator left
+    # in the same state
+    for alg in (TracialAlgebra.full(3), TracialAlgebra.direct_sum((2, 3), (0.4, 0.6))):
+        seed = int(rng.integers(1 << 30))
+        one, many = np.random.default_rng(seed), np.random.default_rng(seed)
+        singles = [_haar_one_at_a_time(alg, one) for _ in range(6)]
+        singles += [core.random_hermitian(alg, one) for _ in range(3)]
+        stacks = list(core._random_unitaries(alg, many, 5)) + [core.random_unitary(alg, many)]
+        stacks += list(core._random_hermitians(alg, many, 3))
+        assert all(np.array_equal(a, b) for a, b in zip(singles, stacks))
+        assert one.random() == many.random()
+
+
 def test_log_stack_rejects_one_non_unitary_member(rng, m3):
     stack = np.array([core.random_unitary(m3, rng) for _ in range(4)])
     assert core.is_unitary(stack)

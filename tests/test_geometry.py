@@ -295,6 +295,24 @@ def test_quotient_distance_partial_isometry_oracle(rng):
         assert qd.stationarity_residual <= 1e-9
 
 
+def _seeded_starts(G, alg, base, rng, draws):
+    """The coset starts drawn one at a time: the identity, the undone isotropy
+    part of log(base), then ``draws`` seeded points, alternately a box point
+    and an isotropy direction of norm uniform in [0.2 pi, 0.8 pi]."""
+    m = G.dim
+    starts = [np.zeros(m), -G.coords(principal_log(base))]
+    for j in range(draws):
+        if j % 2 == 0:
+            starts.append(rng.uniform(-np.pi, np.pi, size=m))
+        else:
+            y = G.project(core.random_skew(alg, rng))
+            nrm = operator_norm(y)
+            if nrm > 1e-12:
+                y = y * (rng.uniform(0.2, 0.8) * np.pi / nrm)
+            starts.append(G.coords(y))
+    return starts
+
+
 def lbfgs_quotient_distance(space, u, v, p, multistarts=6, seed=0, tol=1e-9):
     """The coset distance by an independent optimizer, as a reference
     oracle: scipy L-BFGS-B from each start in turn (the identity, the
@@ -307,16 +325,7 @@ def lbfgs_quotient_distance(space, u, v, p, multistarts=6, seed=0, tol=1e-9):
     base = u.conj().T @ v
     m, sign = G.dim, (-1) ** (p // 2)
     rng = np.random.default_rng(seed)
-    starts = [np.zeros(m), -G.coords(principal_log(base))]
-    for j in range(max(0, multistarts - 2)):
-        if j % 2 == 0:
-            starts.append(rng.uniform(-np.pi, np.pi, size=m))
-        else:
-            y = G.project(core.random_skew(alg, rng))
-            nrm = operator_norm(y)
-            if nrm > 1e-12:
-                y = y * (rng.uniform(0.2, 0.8) * np.pi / nrm)
-            starts.append(G.coords(y))
+    starts = _seeded_starts(G, alg, base, rng, max(0, multistarts - 2))
 
     def value_and_grad(c):
         # the gradient (-1)^(p/2) p tau(w^{p-1} F(ad B) b_k) with F(ad B)
@@ -406,6 +415,157 @@ def test_quotient_distances_match_per_query_calls(kind, rng, newton_stack_sizes)
             assert res.stationarity_residual == ref.stationarity_residual and res.starts == ref.starts
     with pytest.raises(ValueError):
         quotient_distances(sp, us, vs, 4, 6, seeds=[1, 2])
+
+
+def _principal_log_route(space, us, vs, p, g0, tol=1e-9):
+    """Coset values by the route of the principal logarithm, as a reference
+    for the eigenframe retract: from the starts g0 (consecutive per pair),
+    each trial's w = principal_log(u* v g) with the cut-locus guard from the
+    operator norm of 1 - u* v g, and the Newton loop's own frame of w and
+    matrix powers for f and w^{p-1}."""
+    alg, G = space.ambient, space.isotropy
+    bases = us.conj().mT @ vs
+    per = len(g0) // len(bases)
+    owner = np.repeat(np.arange(len(bases)), per)
+
+    def retract(ids, g, d):
+        g = g @ unitary_exp(G.combine(d))
+        ug = bases[owner[ids]] @ g
+        w = principal_log(ug)
+        w[~(core._operator_norms(np.eye(alg.dim) - ug) < 2.0 - 1e-6)] = np.nan
+        return g, w
+
+    def left(frame, bt):
+        return bt / frame.ad_symbol(core._sym_F)[:, None]
+
+    w0 = principal_log(bases[owner] @ g0)
+    _, f, resid, _ = projection._newton(g0, w0, retract, left, G.onb(), p, alg, tol)
+    values = []
+    for lo in range(0, len(owner), per):
+        k = lo + np.lexsort((f[lo : lo + per], ~(resid[lo : lo + per] <= tol)))[0]
+        values.append(max(f[k], 0.0) ** (1.0 / p))
+    return values
+
+
+@pytest.mark.parametrize("spec", default_model_specs() + [ModelSpec("center-quotient", blocks=(3, 3)),
+                                                          ModelSpec("diag-m2", blocks=(3,))],
+                         ids=lambda spec: f"{spec.kind}{spec.blocks}")
+def test_frame_retract_matches_the_principal_log_route(spec, monkeypatch):
+    # the coset values of the retract that reads f, w^{p-1} and the guard
+    # off one blockwise eigenframe per trial equal those of the principal
+    # logarithm route from the same starts
+    sp = build_model_space(spec)
+    gen = np.random.default_rng(41)
+    starts, newton = [], projection._newton
+
+    def spy(state, w, *args, **kw):
+        starts.append(state.copy())
+        return newton(state, w, *args, **kw)
+
+    monkeypatch.setattr(projection, "_newton", spy)
+    for p in (4, 6):
+        us = np.array([unitary_exp(core.random_skew(sp.ambient, gen, s)) for s in (0.3, 0.8, 1.5)])
+        vs = np.array([unitary_exp(core.random_skew(sp.ambient, gen, s)) for s in (0.3, 0.8, 1.5)])
+        starts.clear()
+        results = quotient_distances(sp, us, vs, p, multistarts=4, seeds=[1, 2, 3])
+        reference = _principal_log_route(sp, us, vs, p, starts[0])
+        for res, ref in zip(results, reference):
+            assert res.stationarity_residual <= 1e-9
+            assert res.value == pytest.approx(ref, abs=1e-13)
+
+
+@pytest.mark.parametrize("kind", ["center-quotient", "diag-m2", "partial-isometry-orbit"])
+def test_stacked_starts_match_per_draw_starts(kind, rng, monkeypatch):
+    # the starts drawn in each pair's rng order and then projected, normed
+    # and scaled as one stack are those drawn one at a time, bit for bit
+    sp = SPACES[kind]
+    alg, G = sp.ambient, sp.isotropy
+    states, newton = [], projection._newton
+
+    def spy(state, w, *args, **kw):
+        states.append(state.copy())
+        return newton(state, w, *args, **kw)
+
+    monkeypatch.setattr(projection, "_newton", spy)
+    us = np.array([core.random_unitary(alg, rng) for _ in range(3)])
+    vs = np.array([core.random_unitary(alg, rng) for _ in range(3)])
+    for multistarts in (2, 3, 6):
+        states.clear()
+        quotient_distances(sp, us, vs, 4, multistarts, seeds=[4, 5, 6])
+        draws = 3 * max(0, multistarts - 2)
+        ref = [c for u, v, seed in zip(us, vs, (4, 5, 6))
+               for c in _seeded_starts(G, alg, u.conj().T @ v, np.random.default_rng(seed), draws)]
+        assert np.array_equal(states[0], unitary_exp(G.combine(np.array(ref))))
+
+
+def test_coset_retract_guards_the_cut_locus(rng, monkeypatch):
+    # a trial with ||1 - u* v g|| within 1e-6 of 2 gets NaN angles, which the
+    # line search halves; one with a top angle pi - 3e-3 is evaluated
+    sp = SPACES["center-quotient"]
+    alg = sp.ambient
+    retracts, newton = [], projection._newton
+
+    def spy(state, w, retract, *args, **kw):
+        retracts.append(retract)
+        return newton(state, w, retract, *args, **kw)
+
+    monkeypatch.setattr(projection, "_newton", spy)
+    q, one = core.random_unitary(alg, rng), np.eye(alg.dim, dtype=complex)
+    for eps, cut in ((1e-3, True), (3e-3, False)):
+        angles = rng.uniform(-2.5, 2.5, alg.dim)
+        angles[0] = np.pi - eps
+        v = q @ np.diag(np.exp(1j * angles)) @ q.conj().T
+        assert (operator_norm(one - v) >= 2.0 - 1e-6) == cut
+        retracts.clear()
+        quotient_distance(sp, one, v, 4, multistarts=1)
+        # the first instance starts at g = 1, so its zero step is the trial u* v
+        _, frame = retracts[0](np.array([0]), one[None], np.zeros((1, sp.isotropy.dim)))
+        assert np.isnan(frame.lam).all() == cut and np.isnan(frame.lam).any() == cut
+
+
+def test_one_frame_per_coset_trial(rng, monkeypatch):
+    # each trial unitary is diagonalized once (one eigvals and one blockwise
+    # frame beside the eigh of its step's exponential), the Newton loop builds
+    # no frame of its own, and the only eigvalsh is the one stacked norm of
+    # the seeded start directions
+    sp = SPACES["center-quotient"]
+    alg = sp.ambient
+    calls = {"eigvalsh": 0, "eigvals": 0, "eigh": 0, "frames": [], "logs": [], "exps": 0}
+    for name in ("eigvalsh", "eigvals", "eigh"):
+        def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kw):
+            calls[_name] += 1
+            return _fn(*args, **kw)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    init, from_unitary, exp = core.Eigenframe.__init__, core.Eigenframe.from_unitary.__func__, core.Eigenframe.exp
+
+    def spy_init(self, w, alg=None):
+        calls["frames"].append(alg)
+        init(self, w, alg)
+
+    def spy_from_unitary(cls, u, alg=None):
+        calls["logs"].append(alg)
+        return from_unitary(cls, u, alg)
+
+    def spy_exp(self, t=1.0):
+        calls["exps"] += 1
+        return exp(self, t)
+
+    monkeypatch.setattr(core.Eigenframe, "__init__", spy_init)
+    monkeypatch.setattr(core.Eigenframe, "from_unitary", classmethod(spy_from_unitary))
+    monkeypatch.setattr(core.Eigenframe, "exp", spy_exp)
+    us = np.array([core.random_unitary(alg, rng) for _ in range(3)])
+    vs = np.array([core.random_unitary(alg, rng) for _ in range(3)])
+    results = quotient_distances(sp, us, vs, 4, multistarts=6, seeds=[1, 2, 3])
+    assert all(r.stationarity_residual <= 1e-9 for r in results)
+    assert calls["eigvalsh"] == 1
+    # principal_log(u* v) for the starts, then one blockwise log per trial
+    # (the starts' and each line-search trial's), each after one exponential
+    trials = calls["logs"].count(alg)
+    assert calls["logs"] == [None] + [alg] * trials and calls["exps"] == trials > 1
+    assert calls["frames"] == [None] + [None, alg] * trials
+    assert calls["eigvals"] == 1 + trials
+    assert calls["eigh"] == 1 + trials * (1 + len(alg.block_dims))
 
 
 @pytest.mark.parametrize("kind", ["center-quotient", "diag-m2", "partial-isometry-orbit"])
