@@ -33,7 +33,6 @@ from .projection import (
     ConvergenceError,
     orthonormal_basis,
     best_approximant,
-    minimal_lifting,
     lifting_certificate,
     quotient_norm,
 )

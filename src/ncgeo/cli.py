@@ -123,7 +123,7 @@ def cmd_project(args) -> int:
     else:
         S = _load_space(args.space).isotropy
     z = _load_matrix(args.z, S.ambient.dim)
-    if np.isinf(args.p):
+    if args.p == np.inf:
         val, witness = quotient_norm(z, S, np.inf, return_witness=True)
         _emit(
             {

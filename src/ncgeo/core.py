@@ -72,6 +72,9 @@ ENTRY_TOL = 1e-12
 #: |angle + pi| below this snaps to the +pi side of the branch cut
 _BRANCH_SNAP = 1e-10
 
+#: the largest even p accepted: the H-form (Eigenframe.h_matrix) allocates O(p)
+MAX_EVEN_P = 64
+
 
 # ---------------------------------------------------------------------------
 # tracial algebras
@@ -312,7 +315,7 @@ def _p_norms(x: np.ndarray, p: float, alg: TracialAlgebra) -> np.ndarray:
     for each, bit for bit, from y = x / s (_entry_scaled): even p from the trace
     polynomial tau((y* y)^(p/2)) block by block (the weighted sum of |y_ij|^2
     at p = 2), p = inf from _operator_norms, other p from _block_svdvals."""
-    if np.isinf(p):
+    if p == np.inf:  # not np.isinf, which refuses an int too large for a float64
         return _operator_norms(x)
     if p < 1:
         raise ValueError("p_norm requires p >= 1")
@@ -669,10 +672,12 @@ def fold_symbol(z: np.ndarray) -> np.ndarray:
 
 
 def _check_even_p(p) -> int:
-    """p as an int; a fractional, non-finite, odd or small p is a ValueError
-    (never truncated)."""
+    """p as an int; a fractional, non-finite, odd or small p, or one above
+    MAX_EVEN_P, is a ValueError (never truncated)."""
     if not (float(p).is_integer() and p >= 2 and p % 2 == 0):
         raise ValueError(f"an even integer p >= 2 is required (got {p})")
+    if p > MAX_EVEN_P:
+        raise ValueError(f"even p above {MAX_EVEN_P} is not supported (got {float(p):g})")
     return int(p)
 
 

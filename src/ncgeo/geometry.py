@@ -302,15 +302,18 @@ class HomSpace:
         return z - self.isotropy.project(z)
 
     def isotropy_defect(self, g: np.ndarray) -> float:
-        """Uniform-norm defect of membership of a unitary in the isotropy group."""
-        if self.kind == "coset":
-            if self.expectation is not None:
-                return core.operator_norm(g - self.expectation(np.asarray(g, dtype=complex), self))
+        """Uniform-norm defect of membership of a unitary in the isotropy group;
+        for a stack (K, n, n), the largest defect of its unitaries."""
+        g = np.asarray(g, dtype=complex)
+        if self.kind != "coset":
+            gap = self.act(g, self.basepoint) - self.basepoint
+        elif self.expectation is not None:
+            gap = g - self.expectation(g, self)
+        else:
             # generic-basis isotropy: compare against the exponential of
             # the vertical part of the principal logarithm
-            lg = principal_log(g)
-            return core.operator_norm(g - unitary_exp(self.isotropy.project(lg)))
-        return core.operator_norm(self.act(g, self.basepoint) - self.basepoint)
+            gap = g - unitary_exp(self.isotropy.project(principal_log(g)))
+        return float(np.max(core._operator_norms(gap)))
 
 
 def apply_action(space: HomSpace, u: np.ndarray, pt: np.ndarray) -> np.ndarray:

@@ -282,13 +282,11 @@ def conditional_expectation(x: np.ndarray, space: HomSpace) -> np.ndarray:
 def _structural_checks(space: HomSpace, tol: float = 1e-9):
     if not space.isotropy.lie_closed(tol=1e-8):
         raise ValueError("isotropy subspace is not a Lie algebra")
-    rng = np.random.default_rng(_CONSTANTS_SEED + 1)
-    for _ in range(8):
-        c = rng.standard_normal(space.isotropy.dim)
-        y = space.isotropy.combine(0.5 * c / max(np.linalg.norm(c), 1e-12))
-        g = core.unitary_exp(y)
-        if space.isotropy_defect(g) > tol:
-            raise ValueError("isotropy algebra does not fix the basepoint")
+    # eight unit directions at radius 0.5, drawn and checked as one stack
+    c = np.random.default_rng(_CONSTANTS_SEED + 1).standard_normal((8, space.isotropy.dim))
+    y = space.isotropy.combine(0.5 * c / np.maximum(np.linalg.norm(c, axis=1), 1e-12)[:, None])
+    if space.isotropy_defect(core.unitary_exp(y)) > tol:
+        raise ValueError("isotropy algebra does not fix the basepoint")
 
 
 def validate_space(space: HomSpace, trials: int = 50, seed: int = 0) -> dict:

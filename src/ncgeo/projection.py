@@ -64,7 +64,6 @@ __all__ = [
     "hermitian_best_approximant",
     "best_approximant",
     "best_approximants",
-    "minimal_lifting",
     "lifting_certificate",
     "quotient_norm",
 ]
@@ -474,11 +473,6 @@ def hermitian_best_approximant(x: np.ndarray, S: SkewSubspace, p: int, **kw) -> 
     return replace(res, projection=-1j * res.projection, residual=-1j * res.residual)
 
 
-def minimal_lifting(z: np.ndarray, S: SkewSubspace, p: int, tol: float = 1e-10) -> np.ndarray:
-    """The minimal lifting z - Q(z), certified by tau((z - Q(z))^{p-1} b_k) ~ 0."""
-    return best_approximant(z, S, p, tol=tol).residual
-
-
 def lifting_certificate(z: np.ndarray, S: SkewSubspace, p: int) -> float:
     """First-order minimality certificate max_k |tau(z^{p-1} b_k)| at z itself.
 
@@ -558,7 +552,7 @@ def quotient_norm(z: np.ndarray, S: SkewSubspace, p, return_witness: bool = Fals
     alg = S.ambient
     single = np.ndim(z) == 2
     zs = np.asarray(z, dtype=complex)[None] if single else z
-    if np.isinf(p):
+    if p == np.inf:
         zs = _checked_stack(zs, alg)
         c = np.zeros((len(zs), S.dim))
         if S.dim == 0 or not len(zs):

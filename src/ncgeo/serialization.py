@@ -82,9 +82,12 @@ def _json_array(x, where: str, kind: type) -> tuple:
 
 
 def _construct(where: str, cls, *args, **kw):
-    """cls(*args, **kw), its ValueError raised again as a SchemaError at ``where``."""
+    """cls(*args, **kw), its ValueError raised again as a SchemaError at
+    ``where``; a SchemaError, which names its own path, passes through."""
     try:
         return cls(*args, **kw)
+    except SchemaError:
+        raise
     except ValueError as exc:
         raise SchemaError(f"{where}: {exc}") from exc
 

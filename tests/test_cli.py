@@ -266,6 +266,34 @@ def test_verify_config_rejections(files, capsys):
         assert err.startswith(f"ncgeo: {path}: expected") and err.count("\n") == 1, err
 
 
+def test_huge_p_is_refused_without_a_traceback(files, capsys, rng, m3):
+    # 1e308 parses to a 309-digit int, which np.isinf refused with a
+    # TypeError (exit 1, the code for violations); even p above
+    # core.MAX_EVEN_P and p_list entries above it are refused by name
+    u = _write(files / "u.json", matrix_to_json(core.random_unitary(m3, rng)))
+    z = _write(files / "z.json", matrix_to_json(core.random_skew(m3, rng)))
+    sub = _write(files / "s.json", {"ambient": {"blocks": [3], "weights": [1.0]}, "basis": []})
+    commands = [
+        ["distance", "--u", u, "--v", u, "--p", "1e308"],
+        ["project", "--z", z, "--subspace", sub, "--p", "1e308"],
+        ["project", "--z", z, "--subspace", sub, "--p", "66"],
+        ["verify", "--config", _write(files / "cfg.json", {"p_list": [2, 1e308]})],
+        ["verify", "--config", _write(files / "cfg2.json", {"p_list": [1e6]})],
+    ]
+    for argv in commands:
+        capsys.readouterr()
+        assert main(argv) in (0, 2), argv
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.count("\n") <= 1, err
+    assert main(commands[2]) == 2
+    assert capsys.readouterr().err == "ncgeo: even p above 64 is not supported (got 66)\n"
+    assert main(commands[4]) == 2
+    assert capsys.readouterr().err == "ncgeo: config.p_list[0]: expected a number <= 64, got 1000000.0\n"
+    assert main(commands[3]) == 2
+    assert capsys.readouterr().err.startswith("ncgeo: config.p_list[1]: expected a number <= 64")
+    assert main(["project", "--z", z, "--subspace", sub, "--p", "64"]) == 0
+
+
 def test_document_rejections(files, capsys):
     # a document of the wrong JSON type exits 2 with one line naming the
     # offending path once ("{}" in a command stands for the document)
@@ -386,14 +414,9 @@ def test_coset_vs_curve_trial_runs_one_coset_solve(monkeypatch):
     # the distance and the geodesic of the pair (1, v) share one lockstep
     # solve; counting geometry's own entry point also catches a solve hidden
     # inside minimal_geodesic or quotient_distance
-    trials = {}
-
-    def capture(suite, anchor, seed, n, fn):
-        trials[anchor] = fn
-
-    monkeypatch.setattr(suites, "_record", capture)
+    label = "geometry:coset-vs-curve-infimum"
+    _, trial = suites.RECORDS[label]
     cfg = suites.SuiteConfig(seed=1000, trials=1, suites=("geometry",))
-    suites.suite_geometry(cfg)
     calls = []
     solve = geometry.quotient_distances
 
@@ -403,10 +426,9 @@ def test_coset_vs_curve_trial_runs_one_coset_solve(monkeypatch):
 
     monkeypatch.setattr(suites, "quotient_distances", counted)
     monkeypatch.setattr(geometry, "quotient_distances", counted)
-    label = "geometry:coset-vs-curve-infimum"
     for k in range(2):
         calls.clear()
-        assert trials["coset-vs-curve-infimum"](k, trial_stream(cfg.seed, label, k)) >= 0.0
+        assert trial(cfg, k, trial_stream(cfg.seed, label, k)) >= 0.0
         assert calls == [2]
 
 

@@ -11,7 +11,7 @@ import scipy.optimize
 
 from ncgeo import core, models
 from ncgeo.core import TracialAlgebra, operator_norm, p_norm, unitary_exp
-from ncgeo.geometry import minimal_geodesic, minimality_probe
+from ncgeo.geometry import HomSpace, minimal_geodesic, minimality_probe
 from ncgeo.models import (
     MODELS,
     ModelSpec,
@@ -22,7 +22,7 @@ from ncgeo.models import (
     special_diag_checks,
     validate_space,
 )
-from ncgeo.projection import best_approximant, hermitian_best_approximant, quotient_norm
+from ncgeo.projection import SkewSubspace, best_approximant, hermitian_best_approximant, quotient_norm
 
 SPACES = {
     "center-quotient": build_model_space(ModelSpec("center-quotient", blocks=(2, 3), weights=(0.4, 0.6))),
@@ -130,6 +130,21 @@ def test_exponential_isotropy_flag_checks_out(rng):
         lg = core.principal_log(g)
         assert sp.isotropy.contains(lg, tol=1e-8)
         assert sp.isotropy_defect(g) < 1e-8
+
+
+def test_isotropy_defect_of_a_stack_is_its_largest(rng):
+    # the build-time check measures its eight samples as one stack; every
+    # branch (expectation, generic-basis coset, orbit action) gives the
+    # largest one-matrix defect, bit for bit, and a float for one matrix
+    alg = TracialAlgebra.full(3)
+    generic = HomSpace(alg, "coset", alg.identity(), SkewSubspace(alg, [core.random_skew(alg, rng)]), 1.0, {2: 1.0})
+    for sp in [*SPACES.values(), generic]:
+        ys = sp.isotropy.combine(rng.standard_normal((3, sp.isotropy.dim)))
+        gs = np.concatenate([unitary_exp(ys), core._random_unitaries(sp.ambient, rng, 2)])
+        single = [sp.isotropy_defect(g) for g in gs]
+        assert all(type(d) is float for d in single)
+        assert max(single[:3]) < 1e-9 < min(single[3:])
+        assert sp.isotropy_defect(gs) == max(single)
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
