@@ -97,7 +97,7 @@ def cmd_distance(args) -> int:
     alg = alg or core.TracialAlgebra.full(u.shape[0])
     v = _load_matrix(args.v, alg.dim)
     d = unitary_distance(u, v, args.p, alg)
-    _emit({"d_p": d, "p": float(args.p)})
+    _emit({"d_p": d, "p": "inf" if args.p == np.inf else float(args.p)})
     return 0
 
 

@@ -9,10 +9,12 @@ equipped with a normalized faithful trace
     tau(x) = sum_b w_b * tr(x_b) / n_b,    sum_b w_b = 1,  w_b > 0.
 
 The induced p-norms ||x||_p = tau(|x|^p)^(1/p) make M a finite dimensional
-noncommutative L^p space; p = inf denotes the operator norm.  For even p the
-norm is the trace polynomial tau((x* x)^(p/2)) and at p = inf the root of the
-top eigenvalue of x* x, both of x scaled by its largest entry: no singular
-values.  On top of the trace and the norms this module provides:
+noncommutative L^p space; p = inf denotes the operator norm.  For even p up
+to MAX_EVEN_P the norm is the trace polynomial tau((x* x)^(p/2)) and at
+p = inf the root of the top eigenvalue of x* x, both of x scaled by its
+largest entry: no singular values.  Above MAX_EVEN_P it takes the powers of
+the singular values relative to the largest one.  On top of the trace and
+the norms this module provides:
 
   * the blockwise eigenframe of a skew-Hermitian element or of a stack
     (Eigenframe), the one derivative layer: the exponential e^{tw},
@@ -244,8 +246,30 @@ def _entry_scaled(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _operator_norms(x: np.ndarray) -> np.ndarray:
     """Operator norm of x or of each matrix of a stack (K, n, n):
     s sqrt(lambda_max(y* y)) for y = x / s, from one batched eigvalsh."""
-    y, s = _entry_scaled(x)
+    return _scaled_operator_norms(*_entry_scaled(x))
+
+
+def _scaled_operator_norms(y: np.ndarray, s: np.ndarray) -> np.ndarray:
     return s * np.sqrt(np.maximum(np.linalg.eigvalsh(y.conj().mT @ y)[..., -1], 0.0))
+
+
+#: relative rounding margin of the bounds that select the matrices _max_operator_norm measures
+_BOUND_SLACK = 1e-8
+
+
+def _max_operator_norm(x: np.ndarray) -> float:
+    """float(_operator_norms(x).max()) of a matrix or a stack of any leading
+    shape, bit for bit, measuring only the matrices that can attain it: those
+    whose Frobenius norm (an upper bound on the operator norm) reaches the
+    largest column norm of the stack (a lower bound on its largest operator
+    norm), less a relative margin for rounding.  The bounds are taken of
+    y = x / s, as the norms are, so they neither underflow nor overflow."""
+    y, s = _entry_scaled(x)
+    cols = (y.real**2 + y.imag**2).sum(axis=-2)
+    frobenius = s * np.sqrt(cols.sum(axis=-1))
+    low = np.max(s * np.sqrt(cols.max(axis=-1)))
+    keep = ~(frobenius < low * (1.0 - _BOUND_SLACK))  # a NaN is measured
+    return float(_scaled_operator_norms(y[keep], s[keep]).max())
 
 
 def trace_tau(x: np.ndarray, alg: TracialAlgebra) -> complex:
@@ -314,12 +338,20 @@ def _p_norms(x: np.ndarray, p: float, alg: TracialAlgebra) -> np.ndarray:
     """p-norms of x or of each matrix of a stack (K, n, n), the value of p_norm
     for each, bit for bit, from y = x / s (_entry_scaled): even p from the trace
     polynomial tau((y* y)^(p/2)) block by block (the weighted sum of |y_ij|^2
-    at p = 2), p = inf from _operator_norms, other p from _block_svdvals."""
+    at p = 2), p = inf from _operator_norms, other p from _block_svdvals; above
+    MAX_EVEN_P, where (y* y)^(p/2) would overflow, the singular values are
+    raised to p relative to the largest one of each matrix."""
     if p == np.inf:  # not np.isinf, which refuses an int too large for a float64
         return _operator_norms(x)
     if p < 1:
         raise ValueError("p_norm requires p >= 1")
     y, s = _entry_scaled(x)
+    if p > MAX_EVEN_P:
+        sv = _block_svdvals(y, alg)
+        top = sv.max(axis=-1)
+        top = np.where(top > 0.0, top, 1.0)
+        total = (_diag_weights(alg) @ ((sv / top[..., None]) ** float(p))[..., None])[..., 0]
+        return s * top * np.power(total, 1.0 / p)
     if float(p).is_integer() and p % 2 == 0:
         k = int(p) // 2
         total = sum((wb / d) * _trace_gram_power(y[..., sl, sl], k)
@@ -431,18 +463,27 @@ class Eigenframe:
     @classmethod
     def from_unitary(cls, u: np.ndarray, alg: TracialAlgebra | None = None) -> "Eigenframe":
         """Frame of the principal log of a unitary u or a stack (K, n, n): lam
-        are its angles in (-pi, pi], pi at eigenvalue -1.  r = e^{-i phi} u puts
-        the middle of u's widest angle gap (>= 2pi/n) at -1, and the Cayley
+        are its angles in (-pi, pi], pi at eigenvalue -1.  r = e^{-i phi} u keeps
+        an angle gap of u of width >= 2pi/n centred on -1, and the Cayley
         transform (1 + r)^{-1}(r - 1) has angles tan(alpha/2) and condition
         <= 1/sin(pi/2n) (Higham, Functions of Matrices, 2008, section 11).
-        Given an algebra (u must lie in it), the Cayley matrix is diagonalized
-        block by block, so the trace weights stay attached."""
-        alpha = np.sort(np.angle(np.linalg.eigvals(u)), axis=-1)
-        gaps = np.concatenate((alpha[..., 1:], alpha[..., :1] + 2 * np.pi), axis=-1) - alpha
-        k = gaps.argmax(axis=-1, keepdims=True) + np.arange(0, alpha.size, u.shape[-1]).reshape(*alpha.shape[:-1], 1)
-        phi = (alpha + gaps / 2.0).ravel()[k] - np.pi  # the middle of each widest gap (flat index k)
+        A u with ||u - 1||_F < 2 cos(pi/2n) has every angle within pi - pi/n
+        of 0, so phi = 0 leaves such a gap at -1; as u is unitary, the test
+        reads ||u - 1||_F^2 = 2n - 2 Re tr u off the diagonal.  Only the
+        other matrices of a stack go through eigvals, and phi puts the
+        middle of their widest angle gap at -1.  Given an algebra (u must lie
+        in it), the Cayley matrix is diagonalized block by block, so the
+        trace weights stay attached."""
+        n = u.shape[-1]
+        far = ~(u.diagonal(0, -2, -1).real.sum(axis=-1) > n - 1 - np.cos(np.pi / n))
+        alpha = np.sort(np.angle(np.linalg.eigvals(u[far])), axis=-1)
+        gaps = np.concatenate((alpha[:, 1:], alpha[:, :1] + 2 * np.pi), axis=-1) - alpha
+        k = gaps.argmax(axis=-1) + np.arange(0, alpha.size, n)
+        phi = np.zeros(far.shape)
+        phi[far] = (alpha + gaps / 2.0).ravel()[k] - np.pi  # the middle of each widest gap (flat index k)
+        phi = phi[..., None]
         r = np.exp(-1j * phi)[..., None] * u
-        eye = _eye(u.shape[-1])
+        eye = _eye(n)
         x = np.linalg.solve(eye + r, r - eye)
         frame = cls((x - x.conj().mT) / 2.0, alg)
         theta = 2.0 * np.arctan(frame.lam) + phi

@@ -25,8 +25,9 @@ The module also contains: the lifting ODE du/dt = w(t) u solved by the
 6th-order Magnus method with step halving against a finite-difference
 defect bound (the steps never cross a kink of the polygonal w, so every
 step generator depends on w alone: the generators, their exponentials,
-drift, defect and velocities are stacks, and only the running product of
-the steps is a loop); almost-isometric lifts of orbit curves
+drift and defect are stacks, and the running product of the steps is
+taken in blocks of about sqrt(steps) steps, in lockstep across the blocks;
+the velocities are built on first access); almost-isometric lifts of orbit curves
 built from the polygonal approximation of -Q(Gamma* dGamma); initial-value
 minimal geodesics with certified minimal symbols; the rectifiable length
 of orbit curves as a supremum of partition sums; and the convexity and
@@ -150,7 +151,7 @@ def _check_unitary_nodes(nodes: np.ndarray, tol: float = 1e-9):
     bad = np.argwhere(~(core._unitary_defects(nodes) <= tol * nodes.shape[-1]))
     if bad.size:
         raise ValueError(f"curve node {bad[0, -1]} is not unitary within tolerance")
-    if core._operator_norms(nodes[..., 1:, :, :] - nodes[..., :-1, :, :]).max() >= 2.0:
+    if core._max_operator_norm(nodes[..., 1:, :, :] - nodes[..., :-1, :, :]) >= 2.0:
         raise ValueError("grid too coarse: adjacent nodes at uniform distance >= 2")
 
 
@@ -313,7 +314,7 @@ class HomSpace:
             # generic-basis isotropy: compare against the exponential of
             # the vertical part of the principal logarithm
             gap = g - unitary_exp(self.isotropy.project(principal_log(g)))
-        return float(np.max(core._operator_norms(gap)))
+        return core._max_operator_norm(gap)
 
 
 def apply_action(space: HomSpace, u: np.ndarray, pt: np.ndarray) -> np.ndarray:
@@ -517,24 +518,33 @@ def quotient_distances(space: HomSpace, us: np.ndarray, vs: np.ndarray, p, multi
 class LiftResult:
     """Solution of du/dt u* = w inside the isotropy group.
 
-    ``u`` is the unitary curve with exact velocities attached, ``defect``
-    the uniform finite-difference defect max_t ||du u* - w||, and
-    ``projection_drift`` the largest displacement of a step generator by
-    the projection back onto the isotropy algebra.  ``z`` is the
-    algebra-valued curve of principal logarithms of the u nodes, computed
-    on first access.  ``restarts`` is 0 by construction (the Magnus steps
-    never restart); the benchmark's step counters still read it.
+    ``u_nodes`` are the values of u on the uniform grid of the steps,
+    ``w_nodes`` the field there, ``defect`` the uniform finite-difference
+    defect max_t ||du u* - w||, and ``projection_drift`` the largest
+    displacement of a step generator by the projection back onto the
+    isotropy algebra.  Computed on first access: ``u``, the unitary curve
+    with its exact velocities u* w u attached, and ``z``, the algebra-valued
+    curve of principal logarithms of the u nodes.  ``restarts`` is 0 by
+    construction (the Magnus steps never restart); the benchmark's step
+    counters still read it.
     """
 
-    u: SampledCurve
+    u_nodes: np.ndarray
+    w_nodes: np.ndarray
     defect: float
     projection_drift: float
     refinements: int
     restarts: int = 0
 
     @functools.cached_property
+    def u(self) -> SampledCurve:
+        vel = self.u_nodes.conj().mT @ self.w_nodes @ self.u_nodes
+        grid = np.linspace(0.0, 1.0, len(self.u_nodes))
+        return SampledCurve(grid, self.u_nodes, target="unitary", velocities=(vel - vel.conj().mT) / 2.0)
+
+    @functools.cached_property
     def z(self) -> SampledCurve:
-        return SampledCurve(self.u.grid, principal_log(self.u.nodes), target="algebra")
+        return SampledCurve(self.u.grid, principal_log(self.u_nodes), target="algebra")
 
 
 #: Gauss-Legendre points of the 6th-order Magnus step on [0, 1]
@@ -556,6 +566,31 @@ def _magnus6(a1: np.ndarray, a2: np.ndarray, a3: np.ndarray, h: float) -> np.nda
     return b1 + b3 / 12.0 + bracket(-20.0 * b1 - b3 + c1, b2 + c2) / 240.0
 
 
+def _prefix_products(steps: np.ndarray) -> np.ndarray:
+    """The running products u_0 = 1, u_{i+1} = steps[i] u_i of a stack of
+    K >= 1 matrices, shape (K + 1, n, n).  The steps are cut into blocks of
+    b = ceil(sqrt(K)) (the last one padded with identities); the products
+    inside the blocks run in lockstep across the blocks, then one carry
+    chain runs across the blocks and one stacked product places every block
+    behind its carry: about 2 sqrt(K) matrix products in the loops, not K."""
+    count, n = len(steps), steps.shape[-1]
+    b = math.isqrt(count - 1) + 1
+    blocks = -(-count // b)
+    local = np.empty((blocks, b, n, n), dtype=steps.dtype)
+    local.reshape(-1, n, n)[:count] = steps
+    local.reshape(-1, n, n)[count:] = np.eye(n)
+    for j in range(1, b):
+        local[:, j] = local[:, j] @ local[:, j - 1]
+    carries = np.empty((blocks, n, n), dtype=steps.dtype)
+    carries[0] = np.eye(n)
+    for k in range(1, blocks):
+        carries[k] = local[k - 1, -1] @ carries[k - 1]
+    out = np.empty((count + 1, n, n), dtype=steps.dtype)
+    out[0] = np.eye(n)
+    out[1:] = (local @ carries[:, None]).reshape(-1, n, n)[:count]
+    return out
+
+
 def lift_ode_solve(
     w_curve: SampledCurve,
     space: HomSpace,
@@ -568,7 +603,8 @@ def lift_ode_solve(
     generator Omega_i depends on w alone: all of them are one stacked
     computation, projected onto the isotropy algebra (the largest
     displacement must stay below 1e-9), exponentiated through one
-    batched eigendecomposition and multiplied up, u_{i+1} = e^{Omega_i} u_i.
+    batched eigendecomposition and multiplied up, u_{i+1} = e^{Omega_i} u_i,
+    in blocks (``_prefix_products``).
     The step count doubles, at most 6 times, until the defect ||du u* - w||,
     measured by 4th-order differences within each segment of w, is below
     ``defect_tol`` uniformly.
@@ -599,12 +635,8 @@ def lift_ode_solve(
         w_nodes = w_all[: n_steps + 1]
         omega = _magnus6(*np.moveaxis(w_all[n_steps + 1 :].reshape(n_steps, 3, n, n), 1, 0), h)
         tangent = G.project(omega)
-        drift = float(core._operator_norms(omega - tangent).max())
-        steps = Eigenframe(tangent).exp()
-        u_nodes = np.empty((n_steps + 1, n, n), dtype=complex)
-        u_nodes[0] = np.eye(n)
-        for i in range(n_steps):
-            u_nodes[i + 1] = steps[i] @ u_nodes[i]
+        drift = core._max_operator_norm(omega - tangent)
+        u_nodes = _prefix_products(Eigenframe(tangent).exp())
 
         # differentiate u segment by segment, all segments in one stacked
         # call: u is smooth between the kinks of the polygonal field, so
@@ -613,11 +645,8 @@ def lift_ode_solve(
         segments = np.arange(0, n_steps, seg)[:, None] + np.arange(seg + 1)
         blocks = _differentiate_nodes(u_nodes[segments], grid[: seg + 1])
         du = np.concatenate([blocks[:, :-1].reshape(n_steps, n, n), blocks[-1:, -1]])
-        u_adj = u_nodes.conj().mT
-        defect = float(core._operator_norms(du @ u_adj - w_nodes).max())
-        vel = u_adj @ w_nodes @ u_nodes
-        vel = (vel - vel.conj().mT) / 2.0
-        last = LiftResult(SampledCurve(grid, u_nodes, target="unitary", velocities=vel), defect, drift, refinement)
+        defect = core._max_operator_norm(du @ u_nodes.conj().mT - w_nodes)
+        last = LiftResult(u_nodes, w_nodes, defect, drift, refinement)
         if defect <= defect_tol and drift <= 1e-9:
             return last
         seg *= 2
@@ -665,20 +694,20 @@ def epsilon_isometric_lift(
     curve.validate_unitary()
     alg = space.ambient
     vel = curve.left_velocities()
-    projections, qspeeds = quotient_speeds(vel, space, p, tol)
-    alpha = -projections
-    w_curve = SampledCurve(curve.grid, alpha, target="algebra")
-
     # certify sup_t ||w_eps(t) + Q(Gamma* dGamma)(t)||_p < epsilon: the
     # polygonal matches -Q exactly at the nodes, so the band is measured at
     # the midpoints (chord-log velocity, second-order accurate); the
     # adjacent-jump modulus < epsilon/3 is kept as the continuity fallback;
-    # the midpoint projections are one stacked solve
+    # the nodal and the midpoint projections are one stacked solve
     h = curve.grid[1] - curve.grid[0]
-    w_mid = w_curve.values((curve.grid[:-1] + curve.grid[1:]) / 2.0)
     chords = principal_log(curve.nodes[:-1].conj().mT @ curve.nodes[1:])
     v_half = (chords - chords.mT.conj()) / (2.0 * h)
-    q_half = best_approximants(v_half, space.isotropy, p, tol=tol).projection
+    res = best_approximants(np.concatenate([vel, v_half]), space.isotropy, p, tol=tol)
+    m = len(vel)
+    alpha, q_half = -res.projection[:m], res.projection[m:]
+    qspeeds = core._p_norms(res.residual[:m], p, alg)
+    w_curve = SampledCurve(curve.grid, alpha, target="algebra")
+    w_mid = w_curve.values((curve.grid[:-1] + curve.grid[1:]) / 2.0)
     band = float(np.max(core._p_norms(w_mid + q_half, p, alg), initial=0.0))
     jumps = float(np.max(core._p_norms(alpha[1:] - alpha[:-1], p, alg)))
     if band > 0.8 * epsilon and jumps >= epsilon / 3.0:
@@ -688,8 +717,7 @@ def epsilon_isometric_lift(
         )
 
     lift = lift_ode_solve(w_curve, space, defect_tol=1e-6)
-    stride = lift.u.n_intervals // curve.n_intervals
-    u_at_nodes = lift.u.nodes[::stride]
+    u_at_nodes = lift.u_nodes[:: (len(lift.u_nodes) - 1) // curve.n_intervals]
 
     beta_nodes = np.einsum("kij,kjl->kil", curve.nodes, u_at_nodes)
     beta_vel = u_at_nodes.conj().mT @ (vel + alpha) @ u_at_nodes

@@ -121,14 +121,14 @@ def _unit_samples(alg: TracialAlgebra, rng: np.random.Generator, samples: int) -
 def _estimate_c(space_iso: SkewSubspace, alg: TracialAlgebra, samples: int = 2000) -> float:
     """Empirical lower bound of ||1 - P_G|| on unit vectors, inflated x1.5."""
     zs = _unit_samples(alg, np.random.default_rng(_CONSTANTS_SEED), samples)
-    return 1.5 * float(core._operator_norms(zs - space_iso.project(zs)).max())
+    return 1.5 * core._max_operator_norm(zs - space_iso.project(zs))
 
 
 def _estimate_k(space_iso: SkewSubspace, alg: TracialAlgebra, p: int, samples: int = 400) -> float:
     """Empirical lower bound of sup ||Q_p(z)|| / ||z||, inflated x1.5."""
     zs = _unit_samples(alg, np.random.default_rng(_CONSTANTS_SEED + p), samples)
     q = best_approximants(zs, space_iso, p, tol=1e-9).projection
-    return 1.5 * max(float(core._operator_norms(q).max()), 1e-6)
+    return 1.5 * max(core._max_operator_norm(q), 1e-6)
 
 
 def _center_quotient(spec):

@@ -680,7 +680,7 @@ def _lift_const(cfg, k, rng):
     w0 = sp.isotropy.combine(0.3 * rng.standard_normal(sp.isotropy.dim))
     grid = np.linspace(0, 1, 9)
     lift = lift_ode_solve(SampledCurve(grid, np.repeat(w0[None], 9, axis=0), target="algebra"), sp)
-    worst = float(core._operator_norms(lift.z.nodes - lift.z.grid[:, None, None] * w0).max())
+    worst = core._max_operator_norm(lift.z.nodes - lift.z.grid[:, None, None] * w0)
     return cfg.tol("lift_constant") - worst
 
 

@@ -42,6 +42,23 @@ def test_distance_one_to_minus_one(files, capsys):
     assert out["d_p"] == pytest.approx(np.pi, abs=1e-12)
 
 
+def test_distance_at_infinite_and_large_p(files, capsys, rng, m4):
+    # p = inf prints the operator norm of log(u* v); p = 2000 and 1e6, where
+    # the trace polynomial would overflow, print finite distances between
+    # d_64 and d_inf
+    u, v = core.random_unitary(m4, rng), core.random_unitary(m4, rng)
+    argv = ["distance", "--u", _write(files / "u.json", matrix_to_json(u)),
+            "--v", _write(files / "v.json", matrix_to_json(v)), "--p"]
+    printed = {}
+    for p in ("inf", "64", "2000", "1e6"):
+        assert main(argv + [p]) == 0
+        printed[p] = json.loads(capsys.readouterr().out)
+    assert printed["inf"] == {"d_p": core.operator_norm(core.principal_log(u.conj().T @ v)), "p": "inf"}
+    for p in ("2000", "1e6"):
+        assert math.isfinite(printed[p]["d_p"]) and printed[p]["p"] == float(p)
+        assert printed["64"]["d_p"] <= printed[p]["d_p"] <= printed["inf"]["d_p"] * (1.0 + 1e-14)
+
+
 def test_project_onto_zero_subspace_returns_input(files, capsys, rng, m3):
     z = core.random_skew(m3, rng)
     zp = _write(files / "z.json", matrix_to_json(z))

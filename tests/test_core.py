@@ -120,6 +120,35 @@ def test_p_norms_match_svd_reference(alg, p, count, rng):
     assert np.array_equal(got, [p_norm(xk, p, alg) for xk in x])
 
 
+@pytest.mark.parametrize("t", [1.0, 1e-170, 1e200])
+def test_max_operator_norm_is_the_largest_norm_bit_for_bit(t, rng, monkeypatch):
+    # _max_operator_norm returns float(_operator_norms(x).max()) bit for bit on
+    # random stacks of any leading shape, exact and rounding-level ties, zero
+    # matrices, extreme scales and one matrix, and measures only the matrices
+    # whose Frobenius norm reaches the largest column norm
+    x = rng.standard_normal((3, 7, 4, 4)) + 1j * rng.standard_normal((3, 7, 4, 4))
+    x[0, :3] *= 1e-3
+    tie = x[1, 2]
+    cases = [x, x[0], x[0, 0], np.zeros((5, 3, 3), dtype=complex), np.zeros((3, 3), dtype=complex),
+             np.concatenate([np.zeros((2, 4, 4)), x[2]]), np.array([tie, tie, tie]),
+             np.array([tie, -tie, tie.T, tie[::-1], 1j * tie.conj()]),
+             np.array([np.eye(4), -np.eye(4), 1j * np.eye(4)])]
+    for c in cases:
+        c = t * c
+        assert core._max_operator_norm(c) == float(core._operator_norms(c).max())
+    measured = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(g):
+        measured.append(len(g))
+        return eigvalsh(g)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    one_large = t * np.concatenate([1e-3 * x[0], x[1, :1]])
+    assert core._max_operator_norm(one_large) == float(core._operator_norms(one_large).max())
+    assert measured[0] == 1
+
+
 @pytest.mark.parametrize("t", [0.0, 1e-170, 1e-30, 1e25, 1e200])
 @pytest.mark.parametrize("p", [1.5, 2, 3, 4, 16, np.inf])
 def test_p_norm_is_homogeneous_at_extreme_scales(t, p, rng):
@@ -278,9 +307,48 @@ def _log_inputs(n, gen):
             out.append(unitary_exp(z * (scale / operator_norm(z))))
     q = core.random_unitary(alg, gen)
     for spectrum in (np.ones(n), np.exp(0.7j * (np.arange(n) % 2)), -np.ones(n), (-1.0) ** np.arange(n),
-                     np.where(np.arange(n) % 2, -1.0, 1j)):
+                     np.where(np.arange(n) % 2, -1.0, 1j), np.where(np.arange(n) == 0, -1.0, 1.0)):
         out += [np.diag(spectrum).astype(complex), q @ np.diag(spectrum) @ q.conj().T]
+    for spectrum in _frobenius_bound_spectra(n):
+        out += [np.diag(spectrum), q @ np.diag(spectrum) @ q.conj().T]
     return np.array(out)
+
+
+def _frobenius_bound_spectra(n, rel=1e-9):
+    """Spectra with ||u - 1||_F^2 a relative rel inside (first three) and
+    outside (last three) the bound (2 cos(pi/2n))^2 under which
+    from_unitary takes no eigvals: one angle near pi - pi/n, n angles of
+    alternating sign, and n angles of one sign."""
+    out = []
+    for side in (-1.0, 1.0):
+        half = np.cos(np.pi / (2 * n)) * np.sqrt(1.0 + side * rel)  # sin(theta/2) of one angle
+        one = np.where(np.arange(n) == 0, 2.0 * np.arcsin(half), 0.0)
+        spread = np.full(n, 2.0 * np.arcsin(half / np.sqrt(n)))
+        out += [np.exp(1j * one), np.exp(1j * spread * (-1.0) ** np.arange(n)), np.exp(1j * spread)]
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8])
+def test_near_identity_logs_take_no_eigvals(n, monkeypatch):
+    # from_unitary sends only the matrices outside the Frobenius bound
+    # through eigvals: in a stack of Haar, cut-locus and bound-straddling
+    # unitaries, eigvals sees exactly the ones outside
+    gen = np.random.default_rng(200 + n)
+    q = core.random_unitary(TracialAlgebra.full(n), gen)
+    spectra = _frobenius_bound_spectra(n)
+    stack = np.array([q @ np.diag(s) @ q.conj().T for s in spectra] + [-np.eye(n, dtype=complex)]
+                     + [core.random_unitary(TracialAlgebra.full(n), gen) for _ in range(4)])
+    inside = np.arange(len(stack)) < 3
+    seen = []
+    eigvals = np.linalg.eigvals
+
+    def recorded(a):
+        seen.append(a.copy())
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", recorded)
+    core.Eigenframe.from_unitary(stack)
+    assert len(seen) == 1 and np.array_equal(seen[0], stack[~inside])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8])
@@ -401,20 +469,34 @@ def test_one_spectral_route():
                 assert name != "schur", f"{path.name}:{node.lineno} calls schur"
 
 
-def test_no_svd_outside_block_svdvals():
-    # every norm but the fractional/odd-p and s-number ones is SVD-free: the
-    # one svd call of the package sits in core._block_svdvals
+def _assert_called_only_in(call, *owner):
+    """No module of the package calls ``call`` outside the definition that
+    the names ``owner`` reach from the top of core.py."""
     src = Path(core.__file__).parent
     for path in sorted(src.glob("*.py")):
         tree = ast.parse(path.read_text())
         allowed = set()
         if path.name == "core.py":
-            fn = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_block_svdvals")
-            allowed = {id(n) for n in ast.walk(fn)}
+            scope = tree
+            for name in owner:
+                scope = next(n for n in scope.body if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and n.name == name)
+            allowed = {id(n) for n in ast.walk(scope)}
         for node in ast.walk(tree):
             if isinstance(node, ast.Call) and id(node) not in allowed:
                 name = getattr(node.func, "attr", getattr(node.func, "id", ""))
-                assert name != "svd", f"{path.name}:{node.lineno} calls svd"
+                assert name != call, f"{path.name}:{node.lineno} calls {call}"
+
+
+def test_no_svd_outside_block_svdvals():
+    # every norm but the fractional/odd-p, large-p and s-number ones is
+    # SVD-free: the one svd call of the package sits in core._block_svdvals
+    _assert_called_only_in("svd", "_block_svdvals")
+
+
+def test_no_eigvals_outside_from_unitary():
+    # the widest-gap search of Eigenframe.from_unitary is the one eigvals
+    # call of the package
+    _assert_called_only_in("eigvals", "Eigenframe", "from_unitary")
 
 
 # ---------------------------------------------------------------------------

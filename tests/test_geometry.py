@@ -15,6 +15,7 @@ from ncgeo.geometry import (
     _check_unitary_nodes,
     _differentiate_nodes,
     _loop_deformed_nodes,
+    _prefix_products,
     SampledCurve,
     apply_action,
     convexity_probe,
@@ -702,6 +703,19 @@ def test_action_rejects_invalid_points(rng):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("count", [1, 15, 16, 17, 256, 1000])
+def test_prefix_products_match_the_sequential_loop(count):
+    # the blocked running product of Haar steps (blocks of ceil(sqrt(count)),
+    # the last one padded) against u_{i+1} = steps[i] u_i one step at a time
+    steps = core._random_unitaries(M4, np.random.default_rng(count), count)
+    loop = [np.eye(4, dtype=complex)]
+    for step in steps:
+        loop.append(step @ loop[-1])
+    got = _prefix_products(steps)
+    assert got.shape == (count + 1, 4, 4)
+    assert np.max(np.abs(got - np.array(loop))) <= 1e-14
+
+
 def test_lift_zero_field():
     sp = SPACES["diag-m2"]
     grid = np.linspace(0, 1, 9)
@@ -971,13 +985,13 @@ def test_lift_excess_bound_random_curves(eps, rng):
             assert sp.isotropy_defect(res.beta.nodes[k].conj().T @ gamma.nodes[k]) <= 1e-7
 
 
-def test_lift_solves_nodes_and_bands_in_two_stacked_calls(rng, newton_stack_sizes):
-    # the 65 nodal speeds and the 64 midpoint bands are two lockstep solves,
-    # not a per-node loop
+def test_lift_solves_nodes_and_bands_in_one_stacked_call(rng, newton_stack_sizes):
+    # the 65 nodal speeds and the 64 midpoint bands are one lockstep solve
+    # of 129 instances, not a per-node loop nor two stacks
     sp = SPACES["diag-m2"]
     gamma = loop_deformed_exp_curve(core.random_skew(sp.ambient, rng, 0.4), core.random_skew(sp.ambient, rng, 0.3), 0.4)
     epsilon_isometric_lift(gamma, sp, 4, 1e-2)
-    assert newton_stack_sizes == [65, 64]
+    assert newton_stack_sizes == [129]
 
 
 def test_lift_rejects_coarse_grid_for_tiny_epsilon(rng):
