@@ -16,7 +16,6 @@ from .core import (
     is_unitary,
     unitary_exp,
     principal_log,
-    apply_analytic_ad,
     exp_differential,
     spectral_scale,
     s_numbers,
@@ -40,7 +39,6 @@ from .geometry import (
     SampledCurve,
     HomSpace,
     GeodesicResult,
-    apply_action,
     curve_length_p,
     quotient_length,
     unitary_distance,

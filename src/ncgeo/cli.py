@@ -55,6 +55,13 @@ def _parse_p(text: str):
     return int(val) if val.is_integer() else val
 
 
+def _parse_tol(text: str) -> float:
+    val = float(text)
+    if not 0.0 < val < np.inf:
+        raise argparse.ArgumentTypeError(f"expected a positive finite number (got {text!r})")
+    return val
+
+
 def _parse_seed(text: str) -> int:
     if not (text.isascii() and text.isdigit()):
         raise argparse.ArgumentTypeError(f"expected a non-negative integer (got {text!r})")
@@ -232,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--subspace", help="subspace JSON")
     group.add_argument("--space", help="model-spec JSON (projects onto its isotropy algebra)")
     pr.add_argument("--p", type=_parse_p, required=True)
-    pr.add_argument("--tol", type=float, default=1e-10)
+    pr.add_argument("--tol", type=_parse_tol, default=1e-10)
     pr.set_defaults(fn=cmd_project)
 
     g = sub.add_parser("geodesic", help="initial-value minimal curve to a target")

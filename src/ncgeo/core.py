@@ -19,12 +19,11 @@ the norms this module provides:
   * the blockwise eigenframe of a skew-Hermitian element or of a stack
     (Eigenframe), the one derivative layer: the exponential e^{tw},
     analytic functions of ad w = R_w - L_w as entrywise multipliers
-    (symbols F(w) = (e^w - 1)/w and G(w) = (1 - e^{-w})/w and their
-    inverses, in closed form e^{+-ix/2} sinc(x/2pi) on the imaginary axis
-    w = ix) and the degree-p bilinear form H_w(b, c) of a stack of
-    directions as one contraction; on it rest unitary_exp,
-    apply_analytic_ad, the differential e^a F(ad a) b of the exponential
-    map, h_form and quadratic_form,
+    (Eigenframe.apply; the symbol F(w) = (e^w - 1)/w is e^{ix/2} sinc(x/2pi)
+    on the imaginary axis w = ix) and the degree-p bilinear form H_w(b, c)
+    of a stack of directions as one contraction; on it rest unitary_exp,
+    the differential e^a F(ad a) b of the exponential map, h_form and
+    quadratic_form,
   * the principal logarithm of a unitary or a stack (eigen-angles in
     (-pi, pi], pi at eigenvalue -1), from Eigenframe.from_unitary: no Schur
     form, no per-matrix loop; exp, log and fold all diagonalize in Eigenframe,
@@ -58,7 +57,6 @@ __all__ = [
     "random_unitary",
     "unitary_exp",
     "principal_log",
-    "apply_analytic_ad",
     "exp_differential",
     "spectral_scale",
     "s_numbers",
@@ -343,8 +341,8 @@ def _p_norms(x: np.ndarray, p: float, alg: TracialAlgebra) -> np.ndarray:
     raised to p relative to the largest one of each matrix."""
     if p == np.inf:  # not np.isinf, which refuses an int too large for a float64
         return _operator_norms(x)
-    if p < 1:
-        raise ValueError("p_norm requires p >= 1")
+    if not p >= 1:  # NaN fails this too
+        raise ValueError(f"p_norm requires p >= 1 (got p = {p})")
     y, s = _entry_scaled(x)
     if p > MAX_EVEN_P:
         sv = _block_svdvals(y, alg)
@@ -431,11 +429,6 @@ def _sym_F(x: np.ndarray) -> np.ndarray:
     return np.exp(0.5j * x) * np.sinc(x / (2.0 * np.pi))
 
 
-def _sym_G(x: np.ndarray) -> np.ndarray:
-    """G(ix) = (1 - e^{-ix})/(ix) = F(-ix) = e^{-ix/2} sinc(x/2pi)."""
-    return np.exp(-0.5j * x) * np.sinc(x / (2.0 * np.pi))
-
-
 class Eigenframe:
     """Blockwise eigenframe w = V diag(i lam) V* of a skew-Hermitian element,
     or of each element of a stack w of shape (K, n, n); without an algebra,
@@ -509,7 +502,7 @@ class Eigenframe:
 
     def ad_symbol(self, fn) -> np.ndarray:
         """Multiplier of fn(ad w) on x~: the symbol at i(lam_b - lam_a), placed at
-        (a, b); fn takes the real angle gaps (as _sym_F and _sym_G do)."""
+        (a, b); fn takes the real angle gaps (as _sym_F does)."""
         return fn(self.lam[..., None, :] - self.lam[..., :, None])
 
     def apply(self, fn, b: np.ndarray) -> np.ndarray:
@@ -556,23 +549,6 @@ def unitary_exp(z: np.ndarray, t=1.0) -> np.ndarray:
     """e^{tz} for skew-Hermitian z or each matrix of a stack; an array of
     parameters t gives the stack of e^{t_k z} (Eigenframe.exp)."""
     return Eigenframe(_skew_argument(z, "unitary_exp")).exp(t)
-
-
-#: the symbols of apply_analytic_ad, as functions of the real angle gaps
-_SYMBOLS = {"F": _sym_F, "G": _sym_G, "F_inv": lambda x: 1.0 / _sym_F(x), "G_inv": lambda x: 1.0 / _sym_G(x)}
-
-
-def apply_analytic_ad(a: np.ndarray, fn_tag: str, b: np.ndarray) -> np.ndarray:
-    """phi(ad a) b for phi in {F, G, F_inv, G_inv} (Eigenframe.apply); the
-    inverse symbols are guaranteed invertible only for ||a|| < pi/2."""
-    if fn_tag not in _SYMBOLS:
-        raise ValueError(f"unknown symbol tag {fn_tag!r}")
-    frame = Eigenframe(_skew_argument(a, "apply_analytic_ad"))
-    norm = float(np.abs(frame.lam).max(initial=0.0))
-    if fn_tag.endswith("_inv") and norm >= np.pi / 2:
-        raise ValueError(f"inverse symbols need ||a|| < pi/2 (got {norm:.6f}); "
-                         "invertibility is not guaranteed beyond")
-    return frame.apply(_SYMBOLS[fn_tag], np.asarray(b, dtype=complex))
 
 
 def exp_differential(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -31,7 +31,10 @@ the velocities are built on first access); almost-isometric lifts of orbit curve
 built from the polygonal approximation of -Q(Gamma* dGamma); initial-value
 minimal geodesics with certified minimal symbols; the rectifiable length
 of orbit curves as a supremum of partition sums; and the convexity and
-minimality probes for the local geometry experiments.
+minimality probes for the local geometry experiments.  ``quotient_speeds``
+is the one nodal quotient-speed routine: the lift solves its nodes and
+chord midpoints in one call, and the minimality probe all the nodes of all
+its competitors in one call.
 """
 
 from __future__ import annotations
@@ -57,7 +60,6 @@ __all__ = [
     "IsometricLiftResult",
     "ConvexityReport",
     "ProbeReport",
-    "apply_action",
     "curve_length_p",
     "quotient_length",
     "quotient_speeds",
@@ -139,10 +141,6 @@ class SampledCurve:
         s = ((t - self.grid[k]) / h)[:, None, None]
         return (1.0 - s) * self.nodes[k] + s * self.nodes[k + 1]
 
-    def value(self, t: float) -> np.ndarray:
-        """Linear interpolation of an algebra-valued curve at one parameter."""
-        return self.values([t])[0]
-
 
 def _check_unitary_nodes(nodes: np.ndarray, tol: float = 1e-9):
     """The checks of SampledCurve.validate_unitary on the nodes (m, n, n) of
@@ -182,13 +180,11 @@ def _differentiate_nodes(nodes: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return np.moveaxis(du, 0, -3)
 
 
-def exp_curve(z: np.ndarray, n_nodes: int = 65, u0: np.ndarray | None = None, target: str = "unitary") -> SampledCurve:
-    """The one-parameter curve t |-> u0 e^{tz} with exact velocities."""
+def exp_curve(z: np.ndarray, n_nodes: int = 65, target: str = "unitary") -> SampledCurve:
+    """The one-parameter curve t |-> e^{tz} with exact velocities."""
     z = np.asarray(z, dtype=complex)
     grid = np.linspace(0.0, 1.0, n_nodes)
     nodes = unitary_exp(z, grid)
-    if u0 is not None:
-        nodes = np.einsum("ij,kjl->kil", np.asarray(u0, dtype=complex), nodes)
     vel = np.repeat(z[None, :, :], n_nodes, axis=0)
     return SampledCurve(grid, nodes, target=target, velocities=vel)
 
@@ -317,25 +313,6 @@ class HomSpace:
         return core._max_operator_norm(gap)
 
 
-def apply_action(space: HomSpace, u: np.ndarray, pt: np.ndarray) -> np.ndarray:
-    """Act on an orbit point; coset points are carried by their unitary
-    representative (no canonical section is chosen)."""
-    u = np.asarray(u, dtype=complex)
-    if not core.is_unitary(u, tol=1e-9 * space.ambient.dim):
-        raise ValueError("apply_action requires a unitary group element")
-    pt = np.asarray(pt, dtype=complex)
-    if space.kind == "conjugation":
-        herm = core.is_hermitian(pt, tol=1e-8 * space.ambient.dim)
-        idem = core.operator_norm(pt @ pt - pt) <= 1e-8
-        if not (herm and idem):
-            raise ValueError("conjugation-orbit points must be projections")
-    elif space.kind == "partial-isometry":
-        ref = space.basepoint.conj().T @ space.basepoint
-        if core.operator_norm(pt.conj().T @ pt - ref) > 1e-8:
-            raise ValueError("point is not a partial isometry with the model initial space")
-    return space.act(u, pt)
-
-
 def orbit_gap(space: HomSpace, u: np.ndarray, v: np.ndarray) -> float:
     """Cheap upper-bound distance between the orbit points of u and v, or
     the largest over the pairs of two stacks (K, n, n).
@@ -458,6 +435,8 @@ def quotient_distances(space: HomSpace, us: np.ndarray, vs: np.ndarray, p, multi
     with its certificate.
     """
     p = core._check_even_p(p)
+    if not multistarts >= 1:
+        raise ValueError(f"multistarts must be at least 1 (got {multistarts})")
     alg = space.ambient
     G = space.isotropy
     bases = np.asarray(us, dtype=complex).conj().mT @ np.asarray(vs, dtype=complex)
@@ -702,10 +681,9 @@ def epsilon_isometric_lift(
     h = curve.grid[1] - curve.grid[0]
     chords = principal_log(curve.nodes[:-1].conj().mT @ curve.nodes[1:])
     v_half = (chords - chords.mT.conj()) / (2.0 * h)
-    res = best_approximants(np.concatenate([vel, v_half]), space.isotropy, p, tol=tol)
+    q, speeds = quotient_speeds(np.concatenate([vel, v_half]), space, p, tol)
     m = len(vel)
-    alpha, q_half = -res.projection[:m], res.projection[m:]
-    qspeeds = core._p_norms(res.residual[:m], p, alg)
+    alpha, q_half = -q[:m], q[m:]
     w_curve = SampledCurve(curve.grid, alpha, target="algebra")
     w_mid = w_curve.values((curve.grid[:-1] + curve.grid[1:]) / 2.0)
     band = float(np.max(core._p_norms(w_mid + q_half, p, alg), initial=0.0))
@@ -724,7 +702,7 @@ def epsilon_isometric_lift(
     beta = SampledCurve(curve.grid, beta_nodes, target="unitary", velocities=beta_vel)
 
     length = _simpson(core._p_norms(beta_vel, p, alg), curve.grid)
-    qlength = _simpson(qspeeds, curve.grid)
+    qlength = _simpson(speeds[:m], curve.grid)
     return IsometricLiftResult(beta, length, qlength, epsilon, band, lift)
 
 
@@ -882,10 +860,9 @@ class ProbeReport:
     details: list = field(default_factory=list)
 
 
-def _constant_speed_params(curve: SampledCurve, space: HomSpace, p) -> np.ndarray:
+def _constant_speed_params(curve: SampledCurve, speeds: np.ndarray) -> np.ndarray:
     """Parameters at which the curve reaches uniform fractions of its
-    quotient arc length (trapezoid cumulative speeds)."""
-    speeds = quotient_speeds(curve.left_velocities(), space, p)[1]
+    quotient arc length (trapezoid cumulative of its nodal quotient speeds)."""
     h = curve.grid[1] - curve.grid[0]
     cum = np.concatenate(([0.0], np.cumsum((speeds[:-1] + speeds[1:]) / 2.0 * h)))
     if cum[-1] <= 1e-14:
@@ -911,6 +888,8 @@ def minimality_probe(
     be no shorter than ||z||_p - slack.  Competitors whose length ties
     ||z||_p within 1e-7 are reparametrized to constant quotient speed and
     compared node-by-node against the minimal curve (orbit gap at most 1e-4).
+    The competitors are drawn first; then one ``quotient_speeds`` solve over
+    all their nodal velocities gives every length and every reparametrization.
     """
     p = core._check_even_p(p)
     alg = space.ambient
@@ -926,32 +905,21 @@ def minimality_probe(
     delta_curve = exp_curve(z, n_nodes=n_nodes)
     rng = np.random.default_rng(seed)
 
-    violations = 0
     vacuous = 0
-    worst = math.inf
-    uniq_checked = 0
-    uniq_violations = 0
-    details = []
-
+    competitors = []  # (kind, curve, band) of every competitor inside the band
     for trial in range(trials):
-        kind = "loop"
-        if trial == 0:
-            comp = exp_curve(z, n_nodes=n_nodes)
-            kind = "delta"
-            band = quotient_uniform_length(comp, space)
-        elif trial == 1:
-            comp = reparametrized_exp_curve(z, warp=0.35, n_nodes=n_nodes)
-            kind = "reparam"
+        if trial < 2:
+            kind = ("delta", "reparam")[trial]
+            comp = delta_curve if trial == 0 else reparametrized_exp_curve(z, warp=0.35, n_nodes=n_nodes)
             band = quotient_uniform_length(comp, space)
         else:
+            kind, comp = "loop", None
             xi = core.random_skew(alg, rng)
             nxi = core.operator_norm(xi)
             if nxi <= 1e-14:
                 vacuous += 1
                 continue
-            xi = xi / nxi
-            amp = 0.5 * eps
-            comp = None
+            xi, amp = xi / nxi, 0.5 * eps
             for _ in range(40):
                 cand = loop_deformed_exp_curve(z, xi, amp, n_nodes=n_nodes)
                 band = quotient_uniform_length(cand, space)
@@ -965,27 +933,24 @@ def minimality_probe(
         if band > eps:
             vacuous += 1
             continue
-        length = quotient_length(comp, space, p)
+        competitors.append((kind, comp, band))
+
+    violations = uniq_checked = uniq_violations = 0
+    worst, details = math.inf, []
+    speeds = []  # the nodal quotient speeds of each competitor, from one stacked solve
+    if competitors:
+        _check_unitary_nodes(np.stack([comp.nodes for _, comp, _ in competitors]))
+        vel = np.concatenate([comp.left_velocities() for _, comp, _ in competitors])
+        speeds = quotient_speeds(vel, space, p)[1].reshape(len(competitors), n_nodes)
+    for (kind, comp, band), row in zip(competitors, speeds):
+        length = _simpson(row, comp.grid)
         margin = length - (len_delta - length_slack)
         worst = min(worst, margin)
-        if margin < 0:
-            violations += 1
+        violations += margin < 0
         if abs(length - len_delta) <= 1e-7:
             uniq_checked += 1
-            params = _constant_speed_params(comp, space, p)
-            renodes = _geodesic_resample(comp, params)
-            if orbit_gap(space, renodes, delta_curve.nodes) > 1e-4:
-                uniq_violations += 1
+            renodes = _geodesic_resample(comp, _constant_speed_params(comp, row))
+            uniq_violations += orbit_gap(space, renodes, delta_curve.nodes) > 1e-4
         details.append((kind, band, length, margin))
-
-    return ProbeReport(
-        trials,
-        violations,
-        worst if details else math.inf,
-        vacuous,
-        eps,
-        max(d[1] for d in details) if details else 0.0,
-        uniq_checked,
-        uniq_violations,
-        details,
-    )
+    return ProbeReport(trials, violations, worst, vacuous, eps, max((d[1] for d in details), default=0.0),
+                       uniq_checked, uniq_violations, details)

@@ -524,7 +524,7 @@ def _trace_polynomial(w0, b, p, alg):
 
 
 #: rows of the lattice oracle's coefficient grid evaluated at once (a full
-#: 1101-row sweep is 9.7 MB, which each worker thread keeps in its arena)
+#: 1101-row sweep would be 9.7 MB at a time)
 _LATTICE_BLOCK_ROWS = 128
 
 

@@ -205,14 +205,21 @@ def test_p_must_be_an_even_integer(command, files, capsys, rng):
 
 def test_bad_numeric_arguments_are_named(files, capsys, rng):
     # a NaN tol used to print the uncertified start as the projection, a NaN
-    # epsilon failed only when the result was written, and a negative seed
-    # surfaced numpy's message
+    # epsilon failed only when the result was written, a negative seed
+    # surfaced numpy's message, a tol at p = inf and multistarts below 1
+    # were silently accepted, and a NaN p gave a nan distance that only the
+    # JSON encoder refused, naming no input
     argv = _diag_m2_inputs(files, rng)
     z = _write(files / "z.json", matrix_to_json(core.random_skew(TracialAlgebra.tensor_square(2), rng)))
     project = ["project", "--z", z, "--space", argv["qdistance"][2], "--p", "4", "--tol"]
     cases = [(project + [tol], "tol") for tol in ("nan", "inf", "0")]
+    cases += [(project[:-2] + ["inf", "--tol", "-1"], "argument --tol: expected a positive finite number")]
     cases += [(argv["lift"][:-1] + [eps, "--p", "4"], "epsilon") for eps in ("nan", "inf")]
     cases += [(argv[command] + ["--p", "4", "--seed", "-1"], "--seed") for command in ("qdistance", "geodesic")]
+    cases += [(argv[command] + ["--p", "4", "--multistarts", count], f"multistarts must be at least 1 (got {count})")
+              for command, count in (("qdistance", "-3"), ("geodesic", "0"))]
+    eye = argv["qdistance"][4]
+    cases += [(["distance", "--u", eye, "--v", eye, "--p", "nan"], "p_norm requires p >= 1 (got p = nan)")]
     for args, name in cases:
         capsys.readouterr()
         assert main(args) == 2, args

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from ncgeo import core
 from ncgeo.core import (
     TracialAlgebra,
-    apply_analytic_ad,
     exp_differential,
     fold_symbol,
     h_form,
@@ -26,7 +25,7 @@ from ncgeo.core import (
     trace_tau,
     unitary_exp,
 )
-from ncgeo.geometry import exp_curve
+from ncgeo.geometry import curve_length_p, exp_curve, unitary_distance
 from ncgeo.suites import SuiteConfig, run_verification_suite
 
 ALGS = {
@@ -82,6 +81,21 @@ def test_p_norm_example_m2(m2):
 def test_p_norm_rejects_p_below_one(m2):
     with pytest.raises(ValueError):
         p_norm(m2.identity(), 0.5, m2)
+
+
+def test_p_norm_rejects_nan_p(rng, m2):
+    # p < 1 is False for NaN, so the norm and the distances built on it
+    # used to return nan
+    u = core.random_unitary(m2, rng)
+    calls = [
+        lambda: p_norm(m2.identity(), math.nan, m2),
+        lambda: core._p_norms(np.stack([u, u]), math.nan, m2),
+        lambda: unitary_distance(m2.identity(), u, math.nan, m2),
+        lambda: curve_length_p(exp_curve(core.random_skew(m2, rng, 0.5), 9), math.nan, m2),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"p >= 1 \(got p = nan\)"):
+            call()
 
 
 def test_p_norm_unitary_invariance(rng):
@@ -493,6 +507,45 @@ def test_no_svd_outside_block_svdvals():
     _assert_called_only_in("svd", "_block_svdvals")
 
 
+#: exported names that nothing in src/, demos/ or perfbench/ uses, kept on purpose
+_UNCALLED_EXPORTS = {
+    "geometry.rectifiable_path_length": "the paper's metric length, a supremum of partition sums",
+    "serialization.algebra_to_json": "the writing half of the documented algebra wire format",
+    "serialization.subspace_to_json": "the writing half of the documented subspace wire format",
+    "serialization.modelspec_to_json": "the writing half of the documented modelspec wire format",
+}
+
+
+def test_no_public_function_that_nothing_calls():
+    # an exported name is used when a file of src/, demos/ or perfbench/
+    # names it (as a name, an attribute or a getattr string) outside its own
+    # definition and outside the definitions of unused names; imports and
+    # __all__ entries do not count
+    root = Path(core.__file__).parents[2]
+    files = sorted(f for d in ("src/ncgeo", "demos", "perfbench") for f in (root / d).glob("*.py"))
+    trees = [(path, ast.parse(path.read_text())) for path in files]
+    exports, defs, listed = [], {}, set()
+    for path, tree in trees:
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", "") == "__all__" for t in node.targets):
+                exports += [f"{path.stem}.{e.value}" for e in node.value.elts]
+                listed |= {id(e) for e in node.value.elts}
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[f"{path.stem}.{node.name}"] = {id(n) for n in ast.walk(node)}
+    uses = {}  # name -> ids of the nodes that mention it
+    for _, tree in trees:
+        for node in ast.walk(tree):
+            name = getattr(node, "id", getattr(node, "attr", getattr(node, "value", None)))
+            if isinstance(node, (ast.Name, ast.Attribute, ast.Constant)) and isinstance(name, str) \
+                    and id(node) not in listed:
+                uses.setdefault(name, set()).add(id(node))
+    unused = set()
+    while more := {name for name in set(exports) - unused
+                   if uses.get(name.split(".")[1], set()) <= set().union(*(defs.get(d, set()) for d in unused | {name}))}:
+        unused |= more
+    assert unused == set(_UNCALLED_EXPORTS)
+
+
 def test_no_eigvals_outside_from_unitary():
     # the widest-gap search of Eigenframe.from_unitary is the one eigvals
     # call of the package
@@ -504,11 +557,20 @@ def test_no_eigvals_outside_from_unitary():
 # ---------------------------------------------------------------------------
 
 
+def _sym_G(x):
+    """G(ix) = (1 - e^{-ix})/(ix) = F(-ix)."""
+    return core._sym_F(-x)
+
+
+def _inverse(symbol):
+    return lambda x: 1.0 / symbol(x)
+
+
 def test_ad_symbols_at_zero_generator(rng, m3):
     b = core.random_skew(m3, rng)
-    for tag in ("F", "G", "F_inv", "G_inv"):
-        out = apply_analytic_ad(np.zeros((3, 3), complex), tag, b)
-        assert operator_norm(out - b) < 1e-13
+    frame = core.Eigenframe(np.zeros((3, 3), complex))
+    for symbol in (core._sym_F, _sym_G, _inverse(core._sym_F), _inverse(_sym_G)):
+        assert operator_norm(frame.apply(symbol, b) - b) < 1e-13
 
 
 @pytest.mark.parametrize("x", [0.0, 1e-12, -1e-12, 1e-2, -1e-2, 1.0, -1.0, 3.0, -3.0, 6.0, -6.0])
@@ -517,7 +579,7 @@ def test_ad_symbols_match_quadrature(x):
     # by 40-digit Gauss-Legendre quadrature
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
-        for symbol, sign in ((core._sym_F, 1), (core._sym_G, -1)):
+        for symbol, sign in ((core._sym_F, 1), (_sym_G, -1)):
             ref = mpmath.quad(lambda t: mpmath.expj(sign * x * t), [0, 1], method="gauss-legendre")
             val = complex(symbol(np.array(x)))
             assert abs(mpmath.mpc(val) - ref) <= 1e-15 * abs(ref)
@@ -529,16 +591,10 @@ def test_ad_inverse_composition(rng, m4):
         a = core.random_skew(m4, rng)
         a = a * (rng.uniform(0.1, 0.9) * (np.pi / 2) / max(operator_norm(a), 1e-12))
         b = core.random_skew(m4, rng)
-        for tag, inv in (("F", "F_inv"), ("G", "G_inv")):
-            back = apply_analytic_ad(a, inv, apply_analytic_ad(a, tag, b))
+        frame = core.Eigenframe(a)
+        for symbol in (core._sym_F, _sym_G):
+            back = frame.apply(_inverse(symbol), frame.apply(symbol, b))
             assert operator_norm(back - b) < 1e-10
-
-
-def test_ad_inverse_requires_small_generator(rng, m3):
-    a = core.random_skew(m3, rng)
-    a = a * (2.0 / max(operator_norm(a), 1e-12))
-    with pytest.raises(ValueError):
-        apply_analytic_ad(a, "F_inv", a)
 
 
 def test_entry_points_reject_non_skew_generators(rng, m3):
@@ -546,18 +602,12 @@ def test_entry_points_reject_non_skew_generators(rng, m3):
     calls = [
         lambda: unitary_exp(h),
         lambda: unitary_exp(h, np.linspace(0.0, 1.0, 3)),
-        lambda: apply_analytic_ad(h, "F", b),
         lambda: exp_differential(h, b),
         lambda: exp_curve(h),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="skew-Hermitian"):
             call()
-
-
-def test_apply_analytic_ad_rejects_unknown_tag(rng, m3):
-    with pytest.raises(ValueError, match="unknown symbol tag"):
-        apply_analytic_ad(core.random_skew(m3, rng), "H", core.random_skew(m3, rng))
 
 
 def test_inverse_symbol_norm_bound(rng, m4):

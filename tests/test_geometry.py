@@ -12,12 +12,14 @@ from ncgeo import core, projection
 from ncgeo.core import TracialAlgebra, operator_norm, p_norm, principal_log, unitary_exp
 from ncgeo.geometry import (
     HomSpace,
+    ProbeReport,
     _check_unitary_nodes,
+    _constant_speed_params,
     _differentiate_nodes,
+    _geodesic_resample,
     _loop_deformed_nodes,
     _prefix_products,
     SampledCurve,
-    apply_action,
     convexity_probe,
     curve_length_p,
     epsilon_isometric_lift,
@@ -334,7 +336,7 @@ def lbfgs_quotient_distance(space, u, v, p, multistarts=6, seed=0, tol=1e-9):
         calc = core.Eigenframe(G.combine(c))
         w = principal_log(base @ calc.exp())
         f = float(np.real(sign * core.trace_tau(np.linalg.matrix_power(w, p), alg)))
-        pulled = calc.apply(core._sym_G, np.linalg.matrix_power(w, p - 1))
+        pulled = calc.apply(lambda x: core._sym_F(-x), np.linalg.matrix_power(w, p - 1))
         return f, sign * p * np.real(core._tau_stack(pulled, G.onb(), alg))
 
     def sweep(points):
@@ -675,12 +677,12 @@ def test_quotient_distance_cauchy_completeness_probe(rng):
 def test_action_identity_and_axiom(rng):
     sp = SPACES["partial-isometry-orbit"]
     one = np.eye(3, dtype=complex)
-    assert operator_norm(apply_action(sp, one, sp.basepoint) - sp.basepoint) == 0.0
+    assert operator_norm(sp.act(one, sp.basepoint) - sp.basepoint) == 0.0
     spc = build_model_space(ModelSpec("projection-orbit", blocks=(2,)))
     u = core.random_unitary(spc.ambient, rng)
     v = core.random_unitary(spc.ambient, rng)
-    lhs = apply_action(spc, u @ v, spc.basepoint)
-    rhs = apply_action(spc, u, apply_action(spc, v, spc.basepoint))
+    lhs = spc.orbit_point(u @ v)
+    rhs = spc.act(u, spc.orbit_point(v))
     assert operator_norm(lhs - rhs) < 1e-12
 
 
@@ -689,13 +691,6 @@ def test_action_isotropy_fixes_basepoint(rng):
         y = sp.isotropy.combine(0.5 * rng.standard_normal(sp.isotropy.dim))
         g = unitary_exp(y)
         assert sp.isotropy_defect(g) < 1e-9
-
-
-def test_action_rejects_invalid_points(rng):
-    spc = build_model_space(ModelSpec("projection-orbit", blocks=(2,)))
-    u = core.random_unitary(spc.ambient, rng)
-    with pytest.raises(ValueError):
-        apply_action(spc, u, 1j * np.eye(4))
 
 
 # ---------------------------------------------------------------------------
@@ -768,7 +763,7 @@ def _rk4_nodes(w_curve, G, n_steps):
     grid = np.linspace(0.0, 1.0, n_steps + 1)
 
     def field(t, zz):
-        return core.Eigenframe(zz).apply(lambda x: 1.0 / core._sym_G(x), w_curve.value(t))
+        return core.Eigenframe(zz).apply(lambda x: 1.0 / core._sym_F(-x), w_curve.values([t])[0])
 
     z = np.zeros((n, n), dtype=complex)
     u_base = np.eye(n, dtype=complex)
@@ -806,10 +801,9 @@ def _defect_and_velocities(w_curve, u_nodes):
     for s in range(w_curve.n_intervals):
         lo, hi = s * seg, (s + 1) * seg
         du[lo : hi + 1] = _differentiate_nodes(u_nodes[lo : hi + 1], grid[lo : hi + 1])
-    defect = max(
-        operator_norm(du[i] @ u_nodes[i].conj().T - w_curve.value(grid[i])) for i in range(n_steps + 1)
-    )
-    vel = np.array([u_nodes[i].conj().T @ w_curve.value(grid[i]) @ u_nodes[i] for i in range(n_steps + 1)])
+    w = w_curve.values(grid)
+    defect = max(operator_norm(du[i] @ u_nodes[i].conj().T - w[i]) for i in range(n_steps + 1))
+    vel = np.array([u_nodes[i].conj().T @ w[i] @ u_nodes[i] for i in range(n_steps + 1)])
     return defect, (vel - np.conj(np.swapaxes(vel, 1, 2))) / 2.0
 
 
@@ -923,7 +917,7 @@ def test_sampled_curve_values_match_value(rng):
     ts = np.concatenate([w.grid, rng.uniform(0, 1, 20), [-0.5, 1.5]])
     vals = w.values(ts)
     for t, v in zip(ts, vals):
-        assert np.array_equal(v, w.value(t))
+        assert np.array_equal(v, w.values([t])[0])
     assert np.array_equal(vals[: len(w.grid)], w.nodes)
 
 
@@ -1146,6 +1140,77 @@ def test_minimality_probe_runs_clean(rng):
         assert rep.uniform_band <= rep.epsilon
         assert rep.uniqueness_violations == 0
         assert rep.uniqueness_checked >= 2  # the minimal curve and its reparametrization
+
+
+def _serial_minimality_probe(space, z, p, trials, seed, n_nodes, length_slack=1e-6):
+    """The probe with one quotient_length solve per competitor, as it is
+    drawn, and a second speeds solve for each tied competitor."""
+    alg = space.ambient
+    eps, len_delta = space.epsilon_band(p), p_norm(z, p, alg)
+    delta_curve = exp_curve(z, n_nodes=n_nodes)
+    rng = np.random.default_rng(seed)
+    violations = vacuous = uniq_checked = uniq_violations = 0
+    worst, details = math.inf, []
+    for trial in range(trials):
+        if trial < 2:
+            kind = ("delta", "reparam")[trial]
+            comp = exp_curve(z, n_nodes) if trial == 0 else reparametrized_exp_curve(z, 0.35, n_nodes)
+            band = quotient_uniform_length(comp, space)
+        else:
+            kind, comp = "loop", None
+            xi = core.random_skew(alg, rng)
+            nxi = operator_norm(xi)
+            if nxi <= 1e-14:
+                vacuous += 1
+                continue
+            amp = 0.5 * eps
+            for _ in range(40):
+                cand = loop_deformed_exp_curve(z, xi / nxi, amp, n_nodes=n_nodes)
+                band = quotient_uniform_length(cand, space)
+                if band <= 0.95 * eps:
+                    comp = cand
+                    break
+                amp *= 0.6
+            if comp is None:
+                vacuous += 1
+                continue
+        if band > eps:
+            vacuous += 1
+            continue
+        length = quotient_length(comp, space, p)
+        margin = length - (len_delta - length_slack)
+        worst = min(worst, margin)
+        violations += margin < 0
+        if abs(length - len_delta) <= 1e-7:
+            uniq_checked += 1
+            speeds = quotient_speeds(comp.left_velocities(), space, p)[1]
+            renodes = _geodesic_resample(comp, _constant_speed_params(comp, speeds))
+            uniq_violations += orbit_gap(space, renodes, delta_curve.nodes) > 1e-4
+        details.append((kind, band, length, margin))
+    return ProbeReport(trials, violations, worst if details else math.inf, vacuous, eps,
+                       max(d[1] for d in details) if details else 0.0, uniq_checked, uniq_violations, details)
+
+
+@pytest.mark.parametrize("spec", default_model_specs(), ids=lambda s: s.kind)
+def test_minimality_probe_is_one_stacked_solve(spec, rng, newton_stack_sizes):
+    # every competitor's nodes go into one Newton stack, and the report is
+    # the serial per-competitor probe's, bit for bit
+    sp = build_model_space(spec)
+    z = _minimal_symbol(sp, rng, scale=1.0)
+    z = best_approximant(z * (0.4 * sp.epsilon_band(4) / operator_norm(z)), sp.isotropy, 4, tol=1e-12).residual
+    newton_stack_sizes.clear()
+    rep = minimality_probe(sp, z, 4, trials=10, seed=7, n_nodes=33)
+    assert newton_stack_sizes == [len(rep.details) * 33]
+    assert rep.uniqueness_checked >= 2
+    assert rep == _serial_minimality_probe(sp, z, 4, trials=10, seed=7, n_nodes=33)
+
+
+def test_minimality_probe_without_competitors_makes_no_solve(rng, newton_stack_sizes):
+    sp = SPACES["diag-m2"]
+    z = _minimal_symbol(sp, rng, scale=0.1)
+    newton_stack_sizes.clear()
+    rep = minimality_probe(sp, z, 4, trials=0, n_nodes=33)
+    assert newton_stack_sizes == [] and rep.details == [] and rep.worst_margin == math.inf
 
 
 def test_minimality_probe_rejects_nonminimal_symbol(rng):
