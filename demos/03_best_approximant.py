@@ -35,5 +35,6 @@ print("  ||Q(z) - E(z)||_4 =", p_norm(q - e, 4, sp.ambient))
 
 print("\nquotient norms (inf over the subspace):")
 print("  p = 4 exact:", quotient_norm(z, S, 4))
-val, witness = quotient_norm(z, S, np.inf, return_witness=True)
-print("  p = inf upper bound:", val, "achieved at ||z - y|| =", core.operator_norm(z - witness))
+(lower, upper), witness = quotient_norm(z, S, np.inf, return_witness=True)
+print("  p = inf certified bracket:", lower, "<= inf_y ||z - y|| <=", upper)
+print("  the upper end is attained at ||z - y|| =", core.operator_norm(z - witness))

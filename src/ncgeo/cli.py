@@ -131,12 +131,13 @@ def cmd_project(args) -> int:
         S = _load_space(args.space).isotropy
     z = _load_matrix(args.z, S.ambient.dim)
     if args.p == np.inf:
-        val, witness = quotient_norm(z, S, np.inf, return_witness=True)
+        (lower, upper), witness = quotient_norm(z, S, np.inf, return_witness=True)
         _emit(
             {
-                "quotient_norm": val,
+                "quotient_norm_lower": lower,
+                "quotient_norm": upper,
                 "p": "inf",
-                "certificate": "upper-bound",
+                "certificate": "bracket",
                 "witness": matrix_to_json(witness),
             }
         )

@@ -298,11 +298,11 @@ def validate_space(space: HomSpace, trials: int = 50, seed: int = 0) -> dict:
     horizontal projection and the sampled quotient ratio
     ||P_F(z)|| / inf_y ||z - y|| over the first 10 samples, and returns the
     norm-equivalence constants c_p ||z|| <= ||z||_p <= ||z|| on the isotropy
-    algebra.  The infimum is replaced by the upper bound a compass search
-    reaches (``quotient_norm`` at p = inf), which is the optimistic side of
-    the c_O check: a loose bound lowers the sampled ratio and can hide a
-    violation.  The samples are drawn as one stack and measured by stacked
-    norms and one lockstep quotient norm.
+    algebra.  The infimum is bracketed (``quotient_norm`` at p = inf) and
+    the ratio divides by the lower end, the conservative side of the c_O
+    check; ``c_width`` is the largest relative bracket width
+    (upper - lower) / upper.  The samples are drawn as one stack and
+    measured by stacked norms and one lockstep quotient norm.
     """
     from .projection import quotient_norm
 
@@ -312,8 +312,10 @@ def validate_space(space: HomSpace, trials: int = 50, seed: int = 0) -> dict:
     keep = ~(nz < 1e-12)
     zs, nz, first = zs[keep], nz[keep], np.flatnonzero(keep) < 10
     horiz = core._operator_norms(space.horizontal_project(zs))
-    qn = quotient_norm(zs[first], space.isotropy, np.inf)
-    worst_c_ratio = max([0.0, *(horiz / nz).tolist(), *(horiz[first][qn > 1e-12] / qn[qn > 1e-12]).tolist()])
+    lower, upper = quotient_norm(zs[first], space.isotropy, np.inf)
+    pos = lower > 1e-12
+    worst_c_ratio = max([0.0, *(horiz / nz).tolist(), *(horiz[first][pos] / lower[pos]).tolist()])
+    c_width = max([0.0, *((upper - lower)[upper > 0.0] / upper[upper > 0.0]).tolist()])
     ys = space.isotropy.project(zs)
     ny = core._operator_norms(ys)
     ys, ny = ys[ny > 1e-12], ny[ny > 1e-12]
@@ -322,7 +324,7 @@ def validate_space(space: HomSpace, trials: int = 50, seed: int = 0) -> dict:
         raise ValueError("sampled horizontal projection exceeds the recorded c_O")
     if any(v <= 0 for v in c_p.values()):
         raise ValueError("norm equivalence constant on the isotropy algebra degenerated")
-    return {"c_ratio": worst_c_ratio, "c_p": c_p}
+    return {"c_ratio": worst_c_ratio, "c_p": c_p, "c_width": c_width}
 
 
 # ---------------------------------------------------------------------------

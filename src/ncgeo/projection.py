@@ -39,8 +39,10 @@ own; ``best_approximant`` is the case K = 1, and the coset distance runs one
 instance per multistart.
 
 The module also provides the quotient norm inf_y ||z - y|| of one matrix or
-a stack (exact via Q for even p, an upper bound from compass searches run in
-lockstep for p = inf).
+a stack: exact via Q for even p, and for p = inf a certified bracket from one
+p = 64 solve, whose residual is feasible (the upper end) and whose
+(p-1)-th power, made trace-orthogonal to S, bounds the infimum from below by
+Hoelder's inequality.
 Conditional expectations onto the isotropy subalgebras of the model
 spaces live with the model table (``models.conditional_expectation``).
 """
@@ -156,7 +158,9 @@ class SkewSubspace:
                 r = r - core.inner_tau(r, g, self.ambient) * g
             norm = np.sqrt(max(core.inner_tau(r, r, self.ambient), 0.0))
             if norm > 1e-8:
-                kept.append(r / norm)
+                # the roundoff Hermitian part of r grows by 1/norm: keep the skew part
+                r = r / norm
+                kept.append((r - r.conj().T) / 2)
         return SkewSubspace(self.ambient, kept)
 
 
@@ -396,6 +400,23 @@ def _checked_stack(zs, alg: TracialAlgebra) -> np.ndarray:
     return zs
 
 
+def _solve(zs: np.ndarray, S: SkewSubspace, p: int, tol: float, max_iter: int = 10_000):
+    """The stacked (coefficients, certificates, trials) of the best
+    approximants of a checked stack zs (K >= 1) in S (dim >= 1): one
+    ``_newton`` stack from the trace-orthogonal projection, which raises
+    nothing."""
+
+    def retract(ids, c, s):
+        # the residual w = z - y moves by +s when the coefficients of y move by -s
+        c = c - s
+        return c, zs[ids] - S.combine(c)
+
+    c = S.coords(zs)
+    c, _, resid, trials = _newton(c, zs - S.combine(c), retract, lambda frame, bt: bt, S.onb(), p, S.ambient, tol,
+                                  max_iter)
+    return c, resid, trials
+
+
 def best_approximants(
     zs: np.ndarray,
     S: SkewSubspace,
@@ -421,14 +442,7 @@ def best_approximants(
     if len(onb) == 0 or K == 0:
         return ProjectionResult(np.zeros_like(zs), zs.copy(), np.zeros(K), np.zeros(K, dtype=int), p,
                                 np.zeros((K, len(onb))))
-
-    def retract(ids, c, s):
-        # the residual w = z - y moves by +s when the coefficients of y move by -s
-        c = c - s
-        return c, zs[ids] - S.combine(c)
-
-    c = S.coords(zs)
-    c, _, resid, trials = _newton(c, zs - S.combine(c), retract, lambda frame, bt: bt, onb, p, alg, tol, max_iter)
+    c, resid, trials = _solve(zs, S, p, tol, max_iter)
     bad = [k for k, r in enumerate(resid.tolist()) if not r <= tol]
     if bad:
         k = bad[0]
@@ -491,86 +505,60 @@ def lifting_certificate(z: np.ndarray, S: SkewSubspace, p: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _pattern_search(fun, c0, step, shrink=0.5, min_step=1e-7, max_sweeps=400):
-    """Compass searches (Kolda, Lewis & Torczon, SIAM Review 45, 2003) of K
-    instances in lockstep, from the rows of c0 (K, m) with initial steps
-    ``step`` (K,); ``fun(owner, cs)`` maps coefficient vectors cs (N, m) of
-    the instances ``owner`` (N,) to their values.  A sweep takes the first
-    improving poll c +- step e_k in coordinate order, +step first, and polls
-    the coordinates it has left from the current point again after each
-    move, so every instance keeps its own point, step, sweep position and
-    sweep count and takes the iterates of polling one coordinate at a time.
-    Each round is one call of ``fun`` over the polls every live instance has
-    left.  Returns the stacked (c, f)."""
-    c = np.array(c0, dtype=float)
-    K, m = c.shape
-    f = fun(np.arange(K), c)
-    step = np.array(step, dtype=float)
-    moves = np.kron(np.eye(m), [[1.0], [-1.0]])  # +e_0, -e_0, +e_1, -e_1, ...
-    sweeps, pos, improved = np.zeros(K, dtype=int), np.full(K, m), np.zeros(K, dtype=bool)
-    live = np.arange(K)
-    while True:
-        # a finished sweep (or none begun) shrinks the step unless it moved;
-        # then the instance stops or begins its next sweep
-        end = live[pos[live] == m]
-        step[end[(sweeps[end] > 0) & ~improved[end]]] *= shrink
-        begin = (step[end] > min_step) & (sweeps[end] < max_sweeps)
-        live = live[~np.isin(live, end[~begin])]
-        sweeps[end[begin]] += 1
-        pos[end[begin]], improved[end[begin]] = 0, False
-        if not live.size:
-            return c, f
-        # the polls each live instance has left in its sweep, in order
-        counts = 2 * (m - pos[live])
-        owner = np.repeat(live, counts)
-        rows = np.arange(counts.sum()) + np.repeat(2 * pos[live] - np.cumsum(counts) + counts, counts)
-        polls = c[owner] + step[owner][:, None] * moves[rows]
-        vals = fun(owner, polls)
-        # each instance moves to its first improving poll, or ends its sweep
-        hits = np.flatnonzero(vals < f[owner] - 1e-15)
-        moved, first = np.unique(owner[hits], return_index=True)
-        pos[live] = m
-        c[moved], f[moved], improved[moved] = polls[hits[first]], vals[hits[first]], True
-        pos[moved] = rows[hits[first]] // 2 + 1
+def _inf_bracket(zs: np.ndarray, S: SkewSubspace):
+    """(lower, upper, witness) of inf_{y in S} ||z - y||_inf for each z of a
+    checked stack zs (K, n, n).
+
+    One ``_solve`` stack at p = MAX_EVEN_P finds y, each z divided by the
+    operator norm s of its trace-orthogonal residual so that the absolute
+    certificate tol means as much at every scale.  With w = z/s - y, the
+    upper end s ||w||_inf is the norm of the feasible residual z - s y (the
+    witness s y), and x = w^{p-1} - P_S(w^{p-1}) gives the lower end
+    s |Re tau(x* z/s)| / ||x||_1: x is trace-orthogonal to S, so
+    Re tau(x* (z - y)) = Re tau(x* z) for every y in S, and Hoelder bounds it
+    by ||x||_1 ||z - y||_inf.  Both ends hold for any y and any such x, so an
+    uncertified instance only widens its bracket.  The lower end is clamped
+    to the upper one against roundoff; both are 0 where the residual vanishes.
+    """
+    alg = S.ambient
+    if S.dim == 0 or not len(zs):
+        norms = core._operator_norms(zs)
+        return norms, norms, np.zeros_like(zs)
+    s = core._operator_norms(zs - S.project(zs))
+    s = np.where(s > 0.0, s, 1.0)
+    zs = zs / s[:, None, None]
+    y = S.combine(_solve(zs, S, core.MAX_EVEN_P, 1e-10)[0])
+    frame = core.Eigenframe(zs - y, alg)
+    wp1 = _objective(frame, core.MAX_EVEN_P, alg)[1]
+    x = wp1 - S.project(wp1)
+    pairing = np.abs((x.conj() * zs * core._diag_weights(alg)).real.sum(axis=(1, 2)))
+    norm1 = core._p_norms(x, 1, alg)
+    upper = s * np.abs(frame.lam).max(axis=-1)
+    lower = s * np.divide(pairing, norm1, out=np.zeros_like(norm1), where=norm1 > 0.0)
+    return np.minimum(lower, upper), upper, s[:, None, None] * y
 
 
 def quotient_norm(z: np.ndarray, S: SkewSubspace, p, return_witness: bool = False):
     """Quotient norm inf_{y in S} ||z - y||_p of a skew-Hermitian z of the
-    algebra, or of each matrix of a stack (K, n, n) (then an array of K
-    values and witnesses of shape (K, n, n)); one matrix is the case K = 1.
+    algebra, or of each matrix of a stack (K, n, n) (then arrays of K values
+    and witnesses of shape (K, n, n)); one matrix is the case K = 1.
 
     For even p the infimum is attained at the certified best approximant
-    (one ``best_approximants`` call).  For p = inf the norm is not smooth: a
-    derivative-free compass search over basis coefficients
-    (``_pattern_search`` on ``core._operator_norms`` of stacked residuals,
-    all matrices in lockstep) reports the best value it reaches.  That is an
-    upper bound on the infimum, and for a ratio with the quotient norm in
-    its denominator, such as the c_O check of ``models.validate_space``, it
-    is the optimistic side: a loose bound lowers the sampled ratio and can
-    hide a violation.
+    (one ``best_approximants`` call), the witness.  For p = inf the norm is
+    not smooth, and the value is the certified bracket ``(lower, upper)`` of
+    ``_inf_bracket``, whose witness attains the upper end.  A ratio with the
+    quotient norm in its denominator, such as the c_O check of
+    ``models.validate_space``, divides by the lower end, the conservative side.
     """
     alg = S.ambient
     single = np.ndim(z) == 2
     zs = np.asarray(z, dtype=complex)[None] if single else z
     if p == np.inf:
-        zs = _checked_stack(zs, alg)
-        c = np.zeros((len(zs), S.dim))
-        if S.dim == 0 or not len(zs):
-            vals = core._operator_norms(zs)
-        else:
-            def fun(owner, cs):
-                return core._operator_norms(zs[owner] - S.combine(cs))
-
-            # start from the better of the orthogonal projection and 0
-            coords = S.coords(zs)
-            at = fun(np.tile(np.arange(len(zs)), 2), np.concatenate([coords, c])).reshape(2, -1)
-            zero = at[1] < at[0]
-            c[~zero] = coords[~zero]
-            c, vals = _pattern_search(fun, c, step=0.25 * np.maximum(np.where(zero, at[1], at[0]), 1e-6))
-        witness = S.combine(c)
+        lower, upper, witness = _inf_bracket(_checked_stack(zs, alg), S)
+        vals = (float(lower[0]), float(upper[0])) if single else (lower, upper)
     else:
         result = best_approximants(zs, S, p)
         vals, witness = core._p_norms(result.residual, p, alg), result.projection
-    if single:
-        vals, witness = float(vals[0]), witness[0]
+        vals = float(vals[0]) if single else vals
+    witness = witness[0] if single else witness
     return (vals, witness) if return_witness else vals

@@ -18,9 +18,10 @@ from ncgeo import core, geometry, suites
 from ncgeo.cli import main
 from ncgeo.core import TracialAlgebra
 from ncgeo.geometry import exp_curve
+from ncgeo.models import build_model_space
 from ncgeo.projection import ConvergenceError
 from ncgeo.rng import trial_stream
-from ncgeo.serialization import canonical_dumps, curve_to_json, matrix_to_json
+from ncgeo.serialization import canonical_dumps, curve_to_json, matrix_from_json, matrix_to_json, modelspec_from_json
 from ncgeo.suites import _run_trials
 
 
@@ -71,6 +72,19 @@ def test_project_onto_zero_subspace_returns_input(files, capsys, rng, m3):
     resid = np.array(out["residual"]["re"]) + 1j * np.array(out["residual"]["im"])
     assert np.allclose(resid, z, atol=1e-14)
     assert out["optimality_residual"] == 0.0
+
+
+def test_project_at_infinity_prints_the_bracket_and_its_witness(files, capsys, rng):
+    # both ends of the certified bracket; the witness y attains the upper end
+    spec = {"kind": "special-diag-m2", "blocks": [2], "p_list": [2, 4]}
+    space = _write(files / "s.json", spec)
+    z = core.random_skew(build_model_space(modelspec_from_json(spec)).ambient, rng)
+    assert main(["project", "--z", _write(files / "z.json", matrix_to_json(z)), "--space", space, "--p", "inf"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["p"] == "inf" and out["certificate"] == "bracket"
+    assert 0.0 < out["quotient_norm_lower"] <= out["quotient_norm"]
+    witness = matrix_from_json(out["witness"])
+    assert core.operator_norm(z - witness) == pytest.approx(out["quotient_norm"], abs=1e-12)
 
 
 def test_project_rejects_a_non_skew_or_off_block_z_at_every_p(files, capsys, rng):

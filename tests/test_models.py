@@ -385,7 +385,7 @@ def _loop_validate_space(space, trials, seed):
     models._structural_checks(space)
     alg = space.ambient
     rng = np.random.default_rng(seed)
-    worst_c_ratio = 0.0
+    worst_c_ratio = c_width = 0.0
     c_p = {p: 1.0 for p in space.k_O_p}
     for k in range(trials):
         z = core.random_skew(alg, rng)
@@ -395,15 +395,17 @@ def _loop_validate_space(space, trials, seed):
         horiz = operator_norm(space.horizontal_project(z))
         worst_c_ratio = max(worst_c_ratio, horiz / nz)
         if k < 10:
-            qn = quotient_norm(z, space.isotropy, np.inf)
-            if qn > 1e-12:
-                worst_c_ratio = max(worst_c_ratio, horiz / qn)
+            lower, upper = quotient_norm(z, space.isotropy, np.inf)
+            if lower > 1e-12:
+                worst_c_ratio = max(worst_c_ratio, horiz / lower)
+            if upper > 0.0:
+                c_width = max(c_width, (upper - lower) / upper)
         y = space.isotropy.project(z)
         ny = operator_norm(y)
         if ny > 1e-12:
             for p in c_p:
                 c_p[p] = min(c_p[p], p_norm(y, p, alg) / ny)
-    return {"c_ratio": worst_c_ratio, "c_p": c_p}
+    return {"c_ratio": worst_c_ratio, "c_p": c_p, "c_width": c_width}
 
 
 def _loop_center_q_checks(space, p, trials, seed, tol=1e-8):
@@ -553,7 +555,24 @@ def test_validate_space_matches_per_sample_loop(name):
     sp = SPACES[name]
     for seed, trials in ((3, 4), (4, 25)):
         assert validate_space(sp, trials=trials, seed=seed) == _loop_validate_space(sp, trials, seed)
-    assert validate_space(sp, trials=0) == {"c_ratio": 0.0, "c_p": {p: 1.0 for p in sp.k_O_p}}
+    assert validate_space(sp, trials=0) == {"c_ratio": 0.0, "c_p": {p: 1.0 for p in sp.k_O_p}, "c_width": 0.0}
+
+
+@pytest.mark.parametrize("name", sorted(SPACES))
+def test_validate_space_makes_one_newton_solve_and_no_norm_per_poll(name, newton_stack_sizes, monkeypatch):
+    # the quotient norms of the c_O check are one stacked p = 64 solve of the
+    # first 10 samples; no search polls the operator norm, so its calls are
+    # four stacks (samples, horizontal parts, starting residuals, isotropy
+    # parts) whatever the sample count
+    calls = []
+    norms = core._operator_norms
+    monkeypatch.setattr(core, "_operator_norms", lambda x: calls.append(len(x)) or norms(x))
+    for trials in (12, 40):
+        calls.clear()
+        newton_stack_sizes.clear()
+        validate_space(SPACES[name], trials=trials, seed=5)
+        assert newton_stack_sizes == [10]
+        assert calls == [trials, trials, 10, trials]
 
 
 def test_checks_solve_no_sample_in_a_loop():

@@ -8,12 +8,11 @@ import pytest
 from ncgeo import core, suites
 from ncgeo.core import TracialAlgebra, operator_norm, p_norm
 from ncgeo.geometry import HomSpace
-from ncgeo.models import ModelSpec, build_model_space, conditional_expectation
+from ncgeo.models import ModelSpec, build_model_space, conditional_expectation, validate_space
 from ncgeo.projection import (
     ConvergenceError,
     SkewSubspace,
     _first_variation,
-    _pattern_search,
     best_approximant,
     best_approximants,
     hermitian_best_approximant,
@@ -688,7 +687,7 @@ def test_quotient_norm_inf_is_upper_bound(rng):
     onb = orthonormal_basis(S)
     for _ in range(5):
         z = core.random_skew(M4, rng)
-        val, witness = quotient_norm(z, S, np.inf, return_witness=True)
+        (_, val), witness = quotient_norm(z, S, np.inf, return_witness=True)
         assert val <= operator_norm(z) + 1e-12
         assert operator_norm(z - witness) == pytest.approx(val, abs=1e-12)
         # no sampled competitor beats the reported value meaningfully
@@ -697,49 +696,43 @@ def test_quotient_norm_inf_is_upper_bound(rng):
             assert operator_norm(z - y) >= val - 1e-4
 
 
-def _coordinate_pattern_search(fun, c0, step, shrink=0.5, min_step=1e-7, max_sweeps=400):
-    # reference: the compass search polling one coordinate per call
-    c = np.asarray(c0, dtype=float).copy()
-    f = fun(c[None])[0]
-    sweeps = 0
-    while step > min_step and sweeps < max_sweeps:
-        sweeps += 1
-        improved = False
-        for k in range(len(c)):
-            polls = np.repeat(c[None], 2, axis=0)
-            polls[:, k] += (step, -step)
-            for trial, ft in zip(polls, fun(polls)):
-                if ft < f - 1e-15:
-                    c, f, improved = trial, ft, True
-                    break
-        if not improved:
-            step *= shrink
-    return c, f
+def test_quotient_norm_inf_bracket_holds_against_random_competitors(rng):
+    # the lower end is below ||z - y|| for every y in S, not only at the witness
+    sp = build_model_space(ModelSpec("special-diag-m2", blocks=(2,)))
+    for S in (_random_subspace(M4, rng, 3), sp.isotropy):
+        onb = orthonormal_basis(S)
+        scales = (0.01, 0.5, 1.0, 2.0, 100.0)
+        zs = np.array([core.random_skew(S.ambient, rng, scale) for scale in scales])
+        lower, upper = quotient_norm(zs, S, np.inf)
+        assert np.all(lower <= upper) and np.all(lower > 0.0)
+        for z, lo, scale in zip(zs, lower, scales):
+            ys = onb.combine(scale * rng.standard_normal((50, S.dim)))
+            assert np.all(lo <= core._operator_norms(z - ys) * (1.0 + 1e-12))
 
 
-def test_pattern_search_matches_coordinate_polls(rng):
-    # one lockstep call of several instances reaches, for each instance, the
-    # iterates of the coordinate loop run alone, exactly, in fewer objective calls
-    calls = {"lockstep": 0, "coordinate": 0}
-    for _ in range(5):
-        S = _random_subspace(M4, rng, int(rng.integers(2, 6)))
-        zs = np.array([core.random_skew(M4, rng) for _ in range(4)])
-        c0 = rng.standard_normal((4, S.dim))
-        steps = rng.uniform(0.05, 0.5, 4)
+@pytest.mark.parametrize("spec", suites.default_model_specs(), ids=lambda spec: spec.kind)
+def test_quotient_norm_inf_bracket_is_narrow_on_the_model_spaces(spec):
+    # at the samples of validate_space's c_O check the bracket is within 1%
+    sp = build_model_space(spec)
+    for seed in range(1000, 1010):
+        assert validate_space(sp, trials=20, seed=seed)["c_width"] <= 1e-2
 
-        def lockstep(owner, cs):
-            calls["lockstep"] += 1
-            return core._operator_norms(zs[owner] - S.combine(cs))
 
-        c, f = _pattern_search(lockstep, c0, step=steps)
-        for k in range(4):
-            def alone(cs, z=zs[k]):
-                calls["coordinate"] += 1
-                return core._operator_norms(z - S.combine(cs))
-
-            c_ref, f_ref = _coordinate_pattern_search(alone, c0[k], step=steps[k])
-            assert np.array_equal(c[k], c_ref) and f[k] == f_ref
-    assert calls["lockstep"] < calls["coordinate"]
+def test_quotient_norm_inf_edge_cases(rng):
+    S = _random_subspace(M4, rng, 3)
+    z = core.random_skew(M4, rng)
+    # no matrices
+    (lower, upper), witness = quotient_norm(np.zeros((0, 4, 4), dtype=complex), S, np.inf, return_witness=True)
+    assert lower.shape == upper.shape == (0,) and witness.shape == (0, 4, 4)
+    # the zero subspace: the bracket closes on the operator norm
+    (lower, upper), witness = quotient_norm(z, SkewSubspace(M4, []), np.inf, return_witness=True)
+    assert lower == upper == operator_norm(z) and not witness.any()
+    # z in S: the bracket closes on 0 (exactly for z = 0), the witness is z
+    (lower, upper), witness = quotient_norm(np.zeros((4, 4), dtype=complex), S, np.inf, return_witness=True)
+    assert lower == upper == 0.0 and not witness.any()
+    y = orthonormal_basis(S).combine(rng.standard_normal(3))
+    (lower, upper), witness = quotient_norm(y, S, np.inf, return_witness=True)
+    assert 0.0 <= lower <= upper < 1e-14 and operator_norm(witness - y) < 1e-14
 
 
 @pytest.mark.parametrize("p", [np.inf, 4, 6])
@@ -750,13 +743,16 @@ def test_stacked_quotient_norm_matches_single_calls(p, rng):
         alg = S.ambient
         zs = np.array([core.random_skew(alg, rng, scale) for scale in (0.2, 1.0, 3.0, 1.0, 0.5)])
         vals, witnesses = quotient_norm(zs, S, p, return_witness=True)
-        assert vals.shape == (5,) and witnesses.shape == zs.shape
-        for z, val, witness in zip(zs, vals, witnesses):
+        # at p = inf the value is the bracket (lower, upper), compared end by end
+        ends = np.array(vals if p == np.inf else [vals])
+        assert ends.shape[1:] == (5,) and witnesses.shape == zs.shape
+        for k, z in enumerate(zs):
             single, single_witness = quotient_norm(z, S, p, return_witness=True)
-            assert isinstance(single, float) and single == val
-            assert np.array_equal(single_witness, witness)
+            single_ends = single if p == np.inf else (single,)
+            assert all(isinstance(v, float) for v in single_ends) and list(single_ends) == ends[:, k].tolist()
+            assert np.array_equal(single_witness, witnesses[k])
             assert quotient_norm(z, S, p) == single
-        assert quotient_norm(zs[:0], S, p).shape == (0,)
+        assert np.shape(quotient_norm(zs[:0], S, p))[-1] == 0
 
 
 @pytest.mark.parametrize("p", [np.inf, 4])
