@@ -14,9 +14,10 @@ Subcommands
 Every compute command prints one JSON record to standard output.  Exit
 status: 0 on success, 1 when the verification suite reports violations,
 2 on usage or schema errors (the offending precondition is named on
-standard error), 3 when a numerical solver does not converge (one line on
-standard error).  ``verify`` runs trials in one thread, as they hold the GIL;
-NCGEO_THREADS is validated (exit 2 unless a positive integer), reserved for a process pool.
+standard error), 3 when a solver does not converge or a ``verify`` trial
+raises (one line on standard error, naming the trial's label, index, seed).
+``verify`` runs trials in one thread, as they hold the GIL; NCGEO_THREADS
+is validated (exit 2 unless a positive integer), reserved for a process pool.
 """
 
 from __future__ import annotations

@@ -39,6 +39,7 @@ from .projection import (
     best_approximants,
     hermitian_best_approximant,
     orthonormal_basis,
+    quotient_norm,
     standard_skew_basis,
 )
 
@@ -304,8 +305,6 @@ def validate_space(space: HomSpace, trials: int = 50, seed: int = 0) -> dict:
     (upper - lower) / upper.  The samples are drawn as one stack and
     measured by stacked norms and one lockstep quotient norm.
     """
-    from .projection import quotient_norm
-
     alg = space.ambient
     zs = 1j * core._random_hermitians(alg, np.random.default_rng(seed), max(trials, 0))
     nz = core._operator_norms(zs)

@@ -34,9 +34,9 @@ independent inputs (K, n, n) and iterates them in lockstep, with one
 stacked eigendecomposition, Hessian, Newton solve and line-search trial for
 all instances still iterating.  Each instance keeps its own certificate,
 damping, steepest-descent fallback, Armijo backtracking and trial budget,
-and drops out once it is done, so its numbers are those of a solve on its
-own; ``best_approximant`` is the case K = 1, and the coset distance runs one
-instance per multistart.
+so its numbers are those of a solve on its own, and leaves at one exit, the
+certificate test (a failed line search moves nothing, so it stagnates).
+``best_approximant`` is K = 1; the coset distance runs one instance per start.
 
 The module also provides the quotient norm inf_y ||z - y|| of one matrix or
 a stack: exact via Q for even p, and for p = inf a certified bracket from one
@@ -239,44 +239,15 @@ class ProjectionResult:
     coefficients: np.ndarray
 
 
-def _powers(w: np.ndarray, p: int):
-    """(w^{p-1}, w^p) of one matrix or of each matrix of a stack, for even p.
-
-    Each power is multiplied as np.linalg.matrix_power multiplies it (binary
-    powering over the squares w^(2^j), (w w) w for the exponent 3), so the
-    values are the same bit for bit; the two powers share the squares.
-    """
-    squares = [w]
-    while 2 ** len(squares) <= p:
-        squares.append(squares[-1] @ squares[-1])
-
-    def power(e):
-        if e == 3:
-            return squares[1] @ w
-        out = None
-        for j, z in enumerate(squares):
-            if e >> j & 1:
-                out = z if out is None else out @ z
-        return out
-
-    return power(p - 1), power(p)
-
-
 def _objective(w, p: int, alg: TracialAlgebra):
-    """f = ||w||_p^p = (-1)^(p/2) tau(w^p) of each skew-Hermitian w of a stack
-    (K, n, n), as a list, and the stack of w^{p-1}; for a stacked Eigenframe,
-    f = sum_a d_a lam_a^p and w^{p-1} = V (i lam)^{p-1} V*."""
+    """f = ||w||_p^p = (-1)^(p/2) tau(w^{p-1} w) of each skew-Hermitian w of a
+    stack (K, n, n), as a list, and the stack of w^{p-1}, with no w^p formed; for
+    a stacked Eigenframe, f = sum_a d_a lam_a^p and w^{p-1} = V (i lam)^{p-1} V*."""
     if isinstance(w, core.Eigenframe):
         return (w.lam**p @ w.weights).tolist(), (w.frame * ((1j * w.lam) ** (p - 1))[..., None, :]) @ w.frame.conj().mT
-    wp1, wp = _powers(w, p)
-    f = (core._diag_weights(alg) @ wp.diagonal(0, -2, -1)[..., None]).real[..., 0]
+    wp1 = np.linalg.matrix_power(w, p - 1)
+    f = (core._diag_weights(alg) @ (wp1 * w.mT).sum(-1)[..., None]).real[..., 0]
     return ((-1) ** (p // 2) * f).tolist(), wp1
-
-
-def _first_variation(wp1, onb, alg):
-    """Re tau(w^{p-1} b_k) over the stacked basis from w^{p-1} (one matrix or
-    a stack of them); its max modulus certifies w."""
-    return core._tau_stack(wp1, onb, alg).real
 
 
 def _descent_steps(hess, grad):
@@ -315,13 +286,13 @@ def _newton(state, w, retract, left, onb, p, alg, tol, max_iter=10_000):
     Newton direction falls back to steepest descent.  Trials within roundoff
     of the Armijo bound are accepted, so termination rests on the
     certificate.  Each instance keeps its own certificate, damping, line
-    search and budget of ``max_iter`` trials, and leaves the loop once it is
-    certified, out of budget or stagnated (its line search failed, or an
-    accepted trial lowered f by roundoff at most and the next certificate
-    did not fall); the matrix work of the instances still iterating is
-    batched, their scalar bookkeeping is done per instance.  Returns the
-    stacked ``(state, f, certificate, trials)``; a certificate above tol
-    means the budget ran out or the instance stagnated.
+    search and budget of ``max_iter`` trials.  It leaves at the one exit, the
+    certificate test, once certified, out of budget or stagnated: its last
+    line search lowered f by roundoff at most or failed (moving nothing), and
+    the certificate did not fall.  The matrix work of the live instances is
+    batched, their scalar bookkeeping per instance.  Returns the stacked
+    ``(state, f, certificate, trials)``; a certificate above tol means the
+    budget ran out or the instance stagnated.
     """
     sign = (-1) ** (p // 2)
     eye = np.eye(len(onb))
@@ -329,32 +300,22 @@ def _newton(state, w, retract, left, onb, p, alg, tol, max_iter=10_000):
     out_state, out_f, out_resid, out_trials = np.empty_like(state), [0.0] * K, [0.0] * K, [0] * K
     ids, state, w = np.arange(K), state.copy(), w[np.arange(K)]
     (f, wp1), trials = _objective(w, p, alg), [0] * K
-    # whether the last accepted trial lowered f by roundoff at most; the certificate before it
+    # whether the last line search lowered f by roundoff at most; the certificate before it
     flat, prev = [False] * K, [math.inf] * K
-
-    def leave(going, resid):
-        # store the instances that leave, keep the others
-        nonlocal ids, state, w, wp1, f, trials, flat, prev
-        for j, g in enumerate(going):
-            if not g:
-                i = ids[j]
-                out_state[i], out_f[i], out_resid[i], out_trials[i] = state[j], f[j], resid[j], trials[j]
-        keep = [j for j, g in enumerate(going) if g]
-        ids, state, w, wp1 = ids[keep], state[keep], w[keep], wp1[keep]
-        f, trials = [f[j] for j in keep], [trials[j] for j in keep]
-        flat, prev = [flat[j] for j in keep], [prev[j] for j in keep]
-        return keep
-
     while len(ids):
-        t = _first_variation(wp1, onb, alg)
+        t = core._tau_stack(wp1, onb, alg).real
         resid = np.abs(t).max(axis=1).tolist()
         going = [r > tol and n < max_iter and not (fl and r >= pr) for r, n, fl, pr in zip(resid, trials, flat, prev)]
         if not all(going):
-            keep = leave(going, resid)
-            if not len(ids):
+            for j in (j for j, g in enumerate(going) if not g):
+                i = ids[j]
+                out_state[i], out_f[i], out_resid[i], out_trials[i] = state[j], f[j], resid[j], trials[j]
+            keep = [j for j, g in enumerate(going) if g]
+            if not keep:
                 break
-            t, resid = t[keep], [resid[j] for j in keep]
-        prev = resid
+            ids, state, w, wp1, t = ids[keep], state[keep], w[keep], wp1[keep], t[keep]
+            f, trials, resid = [f[j] for j in keep], [trials[j] for j in keep], [resid[j] for j in keep]
+        prev, flat = resid, [True] * len(ids)
         grad = sign * p * t
         frame = w if isinstance(w, core.Eigenframe) else core.Eigenframe(w, alg)
         bt = frame.transform(onb)
@@ -365,7 +326,7 @@ def _newton(state, w, retract, left, onb, p, alg, tol, max_iter=10_000):
         # the line searches in lockstep: the instances still backtracking
         # (positions pend among the live ones, selected by rows) share the
         # scale; every live instance takes the first trial
-        accepted, pend, rows, scale = [False] * len(ids), range(len(ids)), slice(None), 1.0
+        pend, rows, scale = range(len(ids)), slice(None), 1.0
         while True:
             moved, w_new = retract(ids[rows], state[rows], scale * step[rows])
             f_new, wp1_new = _objective(w_new, p, alg)
@@ -373,7 +334,7 @@ def _newton(state, w, retract, left, onb, p, alg, tol, max_iter=10_000):
             for k, j in enumerate(pend):
                 trials[j] += 1
                 if f_new[k] <= f[j] + 1e-4 * scale * slope[j] + roundoff[j]:
-                    accepted[j], flat[j], f[j] = True, f[j] - f_new[k] <= roundoff[j], f_new[k]
+                    flat[j], f[j] = f[j] - f_new[k] <= roundoff[j], f_new[k]
                     state[j], w[j], wp1[j] = moved[k], w_new[k], wp1_new[k]
                 elif trials[j] < max_iter:
                     still.append(j)
@@ -381,8 +342,6 @@ def _newton(state, w, retract, left, onb, p, alg, tol, max_iter=10_000):
             if scale < 1e-14 or not still:
                 break
             pend = rows = still
-        if not all(accepted):
-            leave(accepted, resid)
     return out_state, np.array(out_f), np.array(out_resid), np.array(out_trials, dtype=int)
 
 
@@ -497,7 +456,7 @@ def lifting_certificate(z: np.ndarray, S: SkewSubspace, p: int) -> float:
     if len(onb) == 0:
         return 0.0
     wp1 = np.linalg.matrix_power(np.asarray(z, dtype=complex), p - 1)
-    return float(np.max(np.abs(_first_variation(wp1, onb, S.ambient))))
+    return float(np.max(np.abs(core._tau_stack(wp1, onb, S.ambient).real)))
 
 
 # ---------------------------------------------------------------------------

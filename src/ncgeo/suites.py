@@ -56,7 +56,7 @@ from .models import (
     special_diag_checks,
     validate_space,
 )
-from .projection import SkewSubspace, best_approximant, orthonormal_basis
+from .projection import ConvergenceError, SkewSubspace, best_approximant, orthonormal_basis
 from .rng import trial_stream
 from .serialization import SchemaError, _construct, _json_array, _json_value
 
@@ -262,8 +262,14 @@ def _n_workers() -> int:
 
 def _run_trials(seed: int, label: str, n: int, fn):
     """fn(trial, rng) -> margin for trials 0..n-1, in order, in the calling
-    thread; returns the violation count and the worst margin."""
-    margins = [fn(k, trial_stream(seed, label, k)) for k in range(n)]
+    thread; returns the violation count and the worst margin.  A trial's
+    ValueError or ConvergenceError re-raises as a ConvergenceError naming its key."""
+    margins = []
+    for k in range(n):
+        try:
+            margins.append(fn(k, trial_stream(seed, label, k)))
+        except (ValueError, ConvergenceError) as exc:
+            raise ConvergenceError(f"{label} trial {k} (seed {seed}): {exc}") from exc
     # a NaN margin is a violation, and the worst margin whatever the order
     return sum(1 for m in margins if not m >= 0.0), float(np.min(margins, initial=math.inf))
 

@@ -483,6 +483,25 @@ def test_verify_nan_margin_writes_report_and_exits_one(files, capsys, monkeypatc
     assert rep["passed"] is False
 
 
+def test_verify_trial_that_raises_exits_three_and_names_its_key(files, capsys, monkeypatch):
+    # the config is valid, so a ValueError inside a trial is a numerical
+    # fault (exit 3), not a usage error (exit 2); the message names the
+    # (seed, label, trial) key that replays it
+    label = "core:clarkson-inequalities"
+
+    def trial(cfg, k, rng):
+        if k == 1:
+            raise ValueError("basis elements must be skew-Hermitian")
+        return 1.0
+
+    monkeypatch.setitem(suites.RECORDS, label, (lambda cfg: 3, trial))
+    cfg = _write(files / "cfg.json", {"seed": 7, "dims": [2], "p_list": [2], "trials": 1, "suites": ["core"]})
+    assert main(["verify", "--config", cfg]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"ncgeo: no convergence: {label} trial 1 (seed 7): basis elements must be skew-Hermitian\n"
+
+
 def test_python_dash_m_runs_the_cli():
     src = str(Path(ncgeo.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

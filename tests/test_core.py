@@ -546,6 +546,16 @@ def test_no_public_function_that_nothing_calls():
     assert unused == set(_UNCALLED_EXPORTS)
 
 
+#: the line count of src/ncgeo/*.py; a change that has to grow src/ raises it
+#: and says why in CHANGES.md
+_SRC_LINE_BUDGET = 4109
+
+
+def test_src_stays_within_its_line_budget():
+    total = sum(len(path.read_text().splitlines()) for path in Path(core.__file__).parent.glob("*.py"))
+    assert total <= _SRC_LINE_BUDGET, f"src/ncgeo has {total} lines, over its budget of {_SRC_LINE_BUDGET}"
+
+
 def test_no_eigvals_outside_from_unitary():
     # the widest-gap search of Eigenframe.from_unitary is the one eigvals
     # call of the package

@@ -5,14 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ncgeo import core, suites
+from ncgeo import core, projection, suites
 from ncgeo.core import TracialAlgebra, operator_norm, p_norm
 from ncgeo.geometry import HomSpace
 from ncgeo.models import ModelSpec, build_model_space, conditional_expectation, validate_space
 from ncgeo.projection import (
     ConvergenceError,
     SkewSubspace,
-    _first_variation,
     best_approximant,
     best_approximants,
     hermitian_best_approximant,
@@ -368,7 +367,7 @@ def test_hessian_matches_power_sum_oracle(alg, p, rng):
         hess = frame.h_matrix(bt, bt, p)
         assert np.max(np.abs(hess - ref)) <= 1e-12 * np.max(np.abs(ref))
         wp1 = np.linalg.matrix_power(w, p - 1)
-        t = _first_variation(wp1, onb, alg)
+        t = core._tau_stack(wp1, onb, alg).real
         t_ref = np.array([np.real(core._tau_product(wp1, bk, alg)) for bk in onb])
         assert np.allclose(t, t_ref, rtol=1e-12, atol=1e-13)
 
@@ -563,6 +562,37 @@ def test_best_approximant_stops_on_roundoff_stagnation():
         with pytest.raises(ConvergenceError, match=rf"after {trials} line-search trials \(instance 1 of 2\)"):
             best_approximants(np.array([0.1 * z, z]), S, 8)
     assert len(stalled) >= 5
+
+
+def test_failed_line_search_leaves_through_the_stagnation_test():
+    # every trial of instance 0 has a NaN w, so its first line search halves
+    # 47 times, to a scale below 1e-14, and fails; it leaves at the next
+    # certificate test with its start state, f and certificate, and the other
+    # two instances certify as they do when solved alone
+    gen = np.random.default_rng(22)
+    S = _random_subspace(M3, gen, 4)
+    zs = np.array([core.random_skew(M3, gen) for _ in range(3)])
+    onb, c0 = S.onb(), S.coords(zs)
+    w0 = zs - S.combine(c0)
+
+    def solve(ids):
+        def retract(live, c, s):
+            c = c - s
+            w = zs[ids][live] - S.combine(c)
+            w[ids[live] == 0] = np.nan
+            return c, w
+
+        return projection._newton(c0[ids], w0[ids], retract, lambda frame, bt: bt, onb, 4, M3, 1e-10)
+
+    c, f, resid, trials = solve(np.arange(3))
+    assert trials.tolist() == [47, 4, 4]
+    f0, wp1 = projection._objective(w0, 4, M3)
+    assert np.array_equal(c[0], c0[0]) and f[0] == f0[0]
+    assert resid[0] == np.abs(core._tau_stack(wp1[0], onb, M3).real).max() > 1e-10
+    for k in (1, 2):
+        alone = solve(np.array([k]))
+        assert np.array_equal(alone[0][0], c[k]) and alone[1][0] == f[k]
+        assert alone[2][0] == resid[k] <= 1e-10 and alone[3][0] == trials[k]
 
 
 # ---------------------------------------------------------------------------

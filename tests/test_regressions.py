@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from ncgeo import core, suites
+from ncgeo import core, geometry, projection, suites
 from ncgeo.models import ModelSpec, build_model_space
 from ncgeo.projection import quotient_norm
 from ncgeo.rng import trial_stream
@@ -31,3 +31,33 @@ def test_horizontal_bijection_trial_with_a_small_complement_residual():
     cfg = suites.SuiteConfig(seed=6025, trials=1)
     label = "projection:horizontal-bijection"
     assert suites.RECORDS[label][1](cfg, 15, trial_stream(cfg.seed, label, 15)) >= 0.0
+
+
+# ROADMAP item 9's guard query; item 9 updates the trial counts when it stops at the guard
+_GUARD_VALUE = 0.43705553617655984
+_GUARD_CERTIFICATE = 7.172040739078511e-14
+_GUARD_TRIALS = [6, 3, 8, 8, 651, 8, 7, 643, 9, 8, 7, 7, 6, 9]
+
+
+def test_coset_guard_query_where_two_starts_crawl(monkeypatch):
+    # center-quotient (3,3) at p = 4: starts 4 and 7 crawl along the cut-locus
+    # guard for about 650 trials each and leave uncertified through the
+    # stagnation test; the other 12 certify in 3-9 trials
+    sp = build_model_space(ModelSpec("center-quotient", blocks=(3, 3)))
+    alg, iso = sp.ambient, sp.isotropy
+    rng = np.random.default_rng(14004)
+    z = core.random_skew(alg, rng)
+    z = z * (rng.uniform(0.2, 2.8) / core.operator_norm(z))
+    v = core.unitary_exp(z) @ core.unitary_exp(iso.combine(rng.standard_normal(iso.dim)))
+    runs, newton = [], projection._newton
+
+    def spy(*args, **kw):
+        runs.append(newton(*args, **kw))
+        return runs[-1]
+
+    monkeypatch.setattr(projection, "_newton", spy)
+    res = geometry.quotient_distance(sp, np.eye(alg.dim), v, 4, multistarts=6, seed=14)
+    assert (res.value, res.stationarity_residual, res.starts) == (_GUARD_VALUE, _GUARD_CERTIFICATE, 14)
+    ((_, _, certificates, trials),) = runs
+    assert trials.tolist() == _GUARD_TRIALS
+    assert [k for k, r in enumerate(certificates) if not r <= 1e-9] == [4, 7]
