@@ -447,11 +447,13 @@ class Eigenframe:
 
     def __init__(self, w: np.ndarray, alg: TracialAlgebra | None = None):
         alg = TracialAlgebra.full(w.shape[-1]) if alg is None else alg
-        self.lam = np.empty(w.shape[:-1])
-        self.frame = np.zeros(w.shape, dtype=complex)
+        self.weights = _diag_weights(alg)
+        if len(alg.block_dims) == 1:  # no blocks to place
+            self.lam, self.frame = np.linalg.eigh(-1j * w)
+            return
+        self.lam, self.frame = np.empty(w.shape[:-1]), np.zeros(w.shape, dtype=complex)
         for sl in alg.block_slices():
             self.lam[..., sl], self.frame[..., sl, sl] = np.linalg.eigh(-1j * w[..., sl, sl])
-        self.weights = _diag_weights(alg)
 
     @classmethod
     def from_unitary(cls, u: np.ndarray, alg: TracialAlgebra | None = None) -> "Eigenframe":
@@ -469,17 +471,17 @@ class Eigenframe:
         trace weights stay attached."""
         n = u.shape[-1]
         far = ~(u.diagonal(0, -2, -1).real.sum(axis=-1) > n - 1 - np.cos(np.pi / n))
-        alpha = np.sort(np.angle(np.linalg.eigvals(u[far])), axis=-1)
-        gaps = np.concatenate((alpha[:, 1:], alpha[:, :1] + 2 * np.pi), axis=-1) - alpha
-        k = gaps.argmax(axis=-1) + np.arange(0, alpha.size, n)
         phi = np.zeros(far.shape)
-        phi[far] = (alpha + gaps / 2.0).ravel()[k] - np.pi  # the middle of each widest gap (flat index k)
-        phi = phi[..., None]
-        r = np.exp(-1j * phi)[..., None] * u
+        if far.any():
+            alpha = np.sort(np.angle(np.linalg.eigvals(u[far])), axis=-1)
+            gaps = np.concatenate((alpha[:, 1:], alpha[:, :1] + 2 * np.pi), axis=-1) - alpha
+            k = gaps.argmax(axis=-1) + np.arange(0, alpha.size, n)
+            phi[far] = (alpha + gaps / 2.0).ravel()[k] - np.pi  # the middle of each widest gap (flat index k)
+        r = np.exp(-1j * phi)[..., None, None] * u
         eye = _eye(n)
         x = np.linalg.solve(eye + r, r - eye)
         frame = cls((x - x.conj().mT) / 2.0, alg)
-        theta = 2.0 * np.arctan(frame.lam) + phi
+        theta = 2.0 * np.arctan(frame.lam) + phi[..., None]
         theta -= 2 * np.pi * np.rint(theta / (2 * np.pi))
         theta[theta <= -np.pi + _BRANCH_SNAP] += 2 * np.pi
         frame.lam = np.minimum(np.maximum(theta, -np.pi), np.pi)

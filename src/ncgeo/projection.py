@@ -34,8 +34,10 @@ independent inputs (K, n, n) and iterates them in lockstep, with one
 stacked eigendecomposition, Hessian, Newton solve and line-search trial for
 all instances still iterating.  Each instance keeps its own certificate,
 damping, steepest-descent fallback, Armijo backtracking and trial budget,
-so its numbers are those of a solve on its own, and leaves at one exit, the
-certificate test (a failed line search moves nothing, so it stagnates).
+and leaves at one exit, the certificate test (a failed line search moves
+nothing, so it stagnates).  A best approximant's numbers are those of a
+solve on its own; a coset instance's f is one row of a matrix-vector product
+over the stack (``_objective``), so it may differ in the last bit.
 ``best_approximant`` is K = 1; the coset distance runs one instance per start.
 
 The module also provides the quotient norm inf_y ||z - y|| of one matrix or
@@ -294,8 +296,7 @@ def _newton(state, w, retract, left, onb, p, alg, tol, max_iter=10_000):
     ``(state, f, certificate, trials)``; a certificate above tol means the
     budget ran out or the instance stagnated.
     """
-    sign = (-1) ** (p // 2)
-    eye = np.eye(len(onb))
+    sign, eye = (-1) ** (p // 2), np.eye(len(onb))
     K = len(state)
     out_state, out_f, out_resid, out_trials = np.empty_like(state), [0.0] * K, [0.0] * K, [0] * K
     ids, state, w = np.arange(K), state.copy(), w[np.arange(K)]
@@ -330,14 +331,19 @@ def _newton(state, w, retract, left, onb, p, alg, tol, max_iter=10_000):
         while True:
             moved, w_new = retract(ids[rows], state[rows], scale * step[rows])
             f_new, wp1_new = _objective(w_new, p, alg)
-            still = []
+            still, took, at = [], [], []  # the accepted rows of the trial and their positions
             for k, j in enumerate(pend):
                 trials[j] += 1
                 if f_new[k] <= f[j] + 1e-4 * scale * slope[j] + roundoff[j]:
                     flat[j], f[j] = f[j] - f_new[k] <= roundoff[j], f_new[k]
-                    state[j], w[j], wp1[j] = moved[k], w_new[k], wp1_new[k]
+                    took.append(k)
+                    at.append(j)
                 elif trials[j] < max_iter:
                     still.append(j)
+            if len(took) == len(ids):  # every live instance took the trial
+                state, w, wp1 = moved, w_new, wp1_new
+            elif took:
+                state[at], w[at], wp1[at] = moved[took], w_new[took], wp1_new[took]
             scale *= 0.5
             if scale < 1e-14 or not still:
                 break

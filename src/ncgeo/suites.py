@@ -605,14 +605,10 @@ def _metric(cfg, k, rng):
     p = _even_p(cfg, k)
     u, v, w = (core.random_unitary(alg, rng) for _ in range(3))
     tol = cfg.tol("metric")
-    m = tol - abs(unitary_distance(u, v, p, alg) - unitary_distance(v, u, p, alg))
-    m = min(
-        m,
-        unitary_distance(u, w, p, alg) + unitary_distance(w, v, p, alg)
-        - unitary_distance(u, v, p, alg) + tol,
-    )
-    m = min(m, 1e-10 - abs(unitary_distance(w @ u, w @ v, p, alg) - unitary_distance(u, v, p, alg)))
-    return m
+    pairs = np.stack([u, v, u, w, w @ u]), np.stack([v, u, w, v, w @ v])
+    uv, vu, uw, wv, shifted = unitary_distance(*pairs, p, alg).tolist()
+    m = min(tol - abs(uv - vu), uw + wv - uv + tol)
+    return min(m, 1e-10 - abs(shifted - uv))
 
 
 @_register("geometry:distance-sandwich", lambda cfg: cfg.trials * len(cfg.even_ps()))

@@ -79,6 +79,16 @@ def test_criterion_01_clarkson():
     _report(1, "clarkson-inequalities", violations == 0, f"{violations}/{total} violations at 1e-10")
 
 
+def _unitary_pairs(alg, label, count):
+    """Stacks (us, vs) of ``count`` pairs; pair k is the two random_unitary
+    draws of trial_stream(SEED, label, k), in that order."""
+    pairs = []
+    for k in range(count):
+        rng = trial_stream(SEED, label, k)
+        pairs.append((core.random_unitary(alg, rng), core.random_unitary(alg, rng)))
+    return np.array([u for u, _ in pairs]), np.array([v for _, v in pairs])
+
+
 def test_criterion_02_distance_sandwich():
     lo = math.sqrt(1.0 - math.pi**2 / 12.0)
     violations = 0
@@ -86,14 +96,12 @@ def test_criterion_02_distance_sandwich():
     for p in P_EVEN:
         for n in DIMS:
             alg = TracialAlgebra.full(n)
-            for k in range(1000 // len(DIMS)):
-                rng = trial_stream(SEED, f"sandwich-{n}-{p}", k)
-                u, v = core.random_unitary(alg, rng), core.random_unitary(alg, rng)
-                d = unitary_distance(u, v, p, alg)
-                gap = p_norm(u - v, p, alg)
-                total += 1
-                if not (lo * d <= gap + 1e-9 and gap <= d + 1e-9):
-                    violations += 1
+            # each pair from its own trial stream, the distances and gaps as stacks
+            us, vs = _unitary_pairs(alg, f"sandwich-{n}-{p}", 1000 // len(DIMS))
+            d = unitary_distance(us, vs, p, alg)
+            gap = core._p_norms(us - vs, p, alg)
+            total += len(d)
+            violations += int(np.count_nonzero(~((lo * d <= gap + 1e-9) & (gap <= d + 1e-9))))
     pi_err = max(
         abs(unitary_distance(np.eye(n, dtype=complex), -np.eye(n, dtype=complex), p, TracialAlgebra.full(n)) - math.pi)
         for n in DIMS
@@ -101,11 +109,7 @@ def test_criterion_02_distance_sandwich():
     )
     # the diameter never exceeds pi: 10_000 sampled pairs
     alg = TracialAlgebra.full(4)
-    diam = 0.0
-    for k in range(10_000):
-        rng = trial_stream(SEED, "diameter", k)
-        u, v = core.random_unitary(alg, rng), core.random_unitary(alg, rng)
-        diam = max(diam, unitary_distance(u, v, 4, alg))
+    diam = float(np.max(unitary_distance(*_unitary_pairs(alg, "diameter", 10_000), 4, alg)))
     ok = violations == 0 and pi_err <= 1e-12 and diam <= math.pi + 1e-9
     _report(
         2,

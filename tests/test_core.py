@@ -232,6 +232,15 @@ def test_frame_without_algebra_is_the_full_algebra_frame(rng, m4):
         assert np.array_equal(getattr(one, attr), getattr(full, attr))
 
 
+@pytest.mark.parametrize("alg", [None, TracialAlgebra.full(4), TracialAlgebra.tensor_square(2)])
+def test_one_block_frame_is_one_eigh(alg, rng, m4):
+    ws = np.array([core.random_skew(m4, rng) for _ in range(3)])
+    for w in (ws, ws[1]):
+        lam, frame = np.linalg.eigh(-1j * w)
+        ef = core.Eigenframe(w, alg)
+        assert np.array_equal(ef.lam, lam) and np.array_equal(ef.frame, frame)
+
+
 def test_stacked_exp_takes_one_parameter_per_frame(rng, m4):
     ws = np.array([core.random_skew(m4, rng) for _ in range(5)])
     ts = rng.uniform(-1.0, 1.0, 5)
@@ -363,6 +372,27 @@ def test_near_identity_logs_take_no_eigvals(n, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvals", recorded)
     core.Eigenframe.from_unitary(stack)
     assert len(seen) == 1 and np.array_equal(seen[0], stack[~inside])
+
+
+@pytest.mark.parametrize("alg", [TracialAlgebra.full(4), TracialAlgebra.direct_sum((2, 3), (0.4, 0.6))])
+def test_near_identity_stack_takes_no_eigvals_and_is_the_per_matrix_frames(alg, monkeypatch):
+    # every matrix inside the Frobenius bound, the bound-straddling ones of
+    # _frobenius_bound_spectra included: no eigvals call, and each frame of
+    # the stack is that matrix's own frame, bit for bit
+    gen = np.random.default_rng(31)
+    stack = [unitary_exp(core.random_skew(alg, gen, s)) for s in (1e-9, 1e-3, 0.1, 0.4)]
+    if len(alg.block_dims) == 1:
+        q = core.random_unitary(alg, gen)
+        stack += [q @ np.diag(s) @ q.conj().T for s in _frobenius_bound_spectra(alg.dim)[:3]]
+    stack = np.array(stack)
+    monkeypatch.setattr(np.linalg, "eigvals", None)
+    frame = core.Eigenframe.from_unitary(stack, alg)
+    for k, u in enumerate(stack):
+        one = core.Eigenframe.from_unitary(u, alg)
+        assert np.array_equal(one.lam, frame.lam[k]) and np.array_equal(one.frame, frame.frame[k])
+    monkeypatch.undo()
+    for z, u in zip(principal_log(stack), stack):
+        assert operator_norm(z - _schur_log(u)) <= 1e-13
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8])

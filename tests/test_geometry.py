@@ -110,6 +110,23 @@ def test_distance_sandwich(p, rng):
         assert gap <= d + 1e-9
 
 
+@pytest.mark.parametrize("p", [2, 4, 3.0, np.inf])
+def test_stacked_unitary_distance_is_each_pair_bit_for_bit(p, rng):
+    # Haar pairs, an equal pair, an antipodal pair and a near-identity pair,
+    # on one block and on two weighted blocks
+    for alg in (M4, TracialAlgebra.direct_sum((2, 3), (0.3, 0.7))):
+        one = alg.identity()
+        us = np.array([core.random_unitary(alg, rng) for _ in range(5)] + [one, one, one])
+        vs = np.array([core.random_unitary(alg, rng) for _ in range(5)]
+                      + [one, -one, unitary_exp(core.random_skew(alg, rng, 1e-6))])
+        d = unitary_distance(us, vs, p, alg)
+        assert d.shape == (8,)
+        assert d.tolist() == [unitary_distance(u, v, p, alg) for u, v in zip(us, vs)]
+    assert isinstance(unitary_distance(us[0], vs[0], p, alg), float)
+    with pytest.raises(ValueError, match="does not match algebra dim"):
+        unitary_distance(us, vs, p, M4)
+
+
 def test_diameter_is_pi(rng):
     worst = 0.0
     for _ in range(500):
@@ -1272,6 +1289,20 @@ def test_loop_competitor_stacks_match_single_curves(rng):
         _check_unitary_nodes(nodes)
     with pytest.raises(ValueError, match="grid too coarse"):
         _check_unitary_nodes(np.array([[np.eye(5), -np.eye(5)]]))
+
+
+def test_coarse_grid_check_measures_only_past_the_frobenius_bound(monkeypatch):
+    # 1 and e^{i theta} 1 in M_2 with |e^{i theta} - 1| = 1.5: Frobenius gap
+    # 2.12, uniform gap 1.5, so they pass; 1 and -1 (uniform gap 2) do not
+    one = np.eye(2, dtype=complex)
+    turned = np.exp(2j * np.arcsin(0.75)) * one
+    assert np.linalg.norm(turned - one) > 2.12 and operator_norm(turned - one) == pytest.approx(1.5, abs=1e-15)
+    _check_unitary_nodes(np.array([one, turned]))
+    with pytest.raises(ValueError, match="grid too coarse"):
+        _check_unitary_nodes(np.array([one, -one]))
+    # below the Frobenius bound no uniform norm is measured
+    monkeypatch.setattr(core, "_max_operator_norm", None)
+    _check_unitary_nodes(exp_curve(core.random_skew(M4, np.random.default_rng(3))).nodes)
 
 
 def test_orbit_gap_separates_points(rng):

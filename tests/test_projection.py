@@ -499,6 +499,30 @@ def test_best_approximants_mixes_zero_and_many_step_instances():
     assert res.iterations.max() >= 5 and backtracked >= 3
 
 
+def test_stacked_solves_are_the_solo_solves_bit_for_bit(monkeypatch):
+    # at p = 8 from mixed scales some line searches are taken at the first
+    # trial by every live instance (the stack becomes the trial's) and some
+    # by only a part (their rows are copied); a solo solve takes every
+    # accepted trial whole.  Either way each instance ends with the
+    # coefficients, certificate and trial count of its solo solve.
+    gen = np.random.default_rng(6)
+    S = _random_subspace(M4, gen, 8)
+    zs = np.array([core.random_skew(M4, gen, (0.5, 1.0, 2.0)[i % 3]) for i in range(12)])
+    # _newton takes one _tau_stack per iterate, then one _objective per trial:
+    # the stack size of each trial, per line search (first, the starting f)
+    searches, objective, tau_stack = [[]], projection._objective, core._tau_stack
+    monkeypatch.setattr(core, "_tau_stack", lambda x, *a: searches.append([]) or tau_stack(x, *a))
+    monkeypatch.setattr(projection, "_objective", lambda w, *a: searches[-1].append(len(w)) or objective(w, *a))
+    res = best_approximants(zs, S, 8)
+    monkeypatch.undo()
+    assert any(len(s) == 1 for s in searches[1:])  # every live instance took the first trial
+    assert any(len(s) > 1 and s[1] < s[0] for s in searches[1:])  # some took it, some backtracked
+    for k, z in enumerate(zs):
+        one = best_approximant(z, S, 8)
+        assert np.array_equal(one.coefficients, res.coefficients[k])
+        assert (one.optimality_residual, one.iterations) == (res.optimality_residual[k], res.iterations[k])
+
+
 def test_best_approximants_empty_stack_and_empty_subspace(rng):
     S = _random_subspace(M3, rng, 2)
     res = best_approximants(np.zeros((0, 3, 3), dtype=complex), S, 4)
