@@ -40,6 +40,14 @@ solve on its own; a coset instance's f is one row of a matrix-vector product
 over the stack (``_objective``), so it may differ in the last bit.
 ``best_approximant`` is K = 1; the coset distance runs one instance per start.
 
+A subspace holds its basis as one array (dim, n, n), orthonormalized by one
+thin QR (``_gram_schmidt``).  Its trace-orthogonal complement F, which
+z -> z - Q(z) maps bijectively onto the quotient, is the last N - dim S
+columns of one complete QR of the coordinates of that orthonormal basis in
+the standard basis E of the skew part (N = sum d^2), combined with E; an
+entry of F and its mirror are one real combination of entries of E, so F is
+skew-Hermitian to the last bit.
+
 The module also provides the quotient norm inf_y ||z - y|| of one matrix or
 a stack: exact via Q for even p, and for p = inf a certified bracket from one
 p = 64 solve, whose residual is feasible (the upper end) and whose
@@ -51,6 +59,7 @@ spaces live with the model table (``models.conditional_expectation``).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -86,23 +95,23 @@ class ConvergenceError(RuntimeError):
 @dataclass
 class SkewSubspace:
     """The real-linear span of a basis of skew-Hermitian elements of an
-    algebra.  The basis is orthonormalized lazily in the trace inner
-    product <a, b> = Re tau(b* a).
+    algebra, held as one array (dim, n, n) (a list of matrices is accepted).
+    The basis is orthonormalized lazily in the trace inner product
+    <a, b> = Re tau(b* a).
     """
 
     ambient: TracialAlgebra
-    basis: list
+    basis: np.ndarray
     _onb: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        self.basis = [np.asarray(b, dtype=complex) for b in self.basis]
         n = self.ambient.dim
-        if any(b.shape != (n, n) for b in self.basis):
+        if any(np.shape(b) != (n, n) for b in self.basis):
             raise ValueError("basis element shape does not match the ambient algebra")
-        stack = np.array(self.basis).reshape(len(self.basis), n, n)
-        if not core.is_skew_hermitian(stack, tol=1e-10 * n):
+        self.basis = np.asarray(self.basis, dtype=complex).reshape(-1, n, n)
+        if not core.is_skew_hermitian(self.basis, tol=1e-10 * n):
             raise ValueError("basis elements must be skew-Hermitian")
-        if not core.in_algebra(stack, self.ambient):
+        if not core.in_algebra(self.basis, self.ambient):
             raise ValueError("basis elements must lie in the algebra (no off-block entries)")
 
     @property
@@ -137,71 +146,53 @@ class SkewSubspace:
         return self.combine(self.coords(z))
 
     def contains(self, z: np.ndarray, tol: float = 1e-9) -> bool:
-        resid = z - self.project(z)
-        scale = max(1.0, np.sqrt(max(core.inner_tau(z, z, self.ambient), 0.0)))
-        return np.sqrt(max(core.inner_tau(resid, resid, self.ambient), 0.0)) <= tol * scale
+        """Whether z, or every matrix of a stack (K, n, n), lies in the span:
+        its residual has 2-norm at most tol max(1, ||z||_2)."""
+        z, alg = np.asarray(z, dtype=complex), self.ambient
+        resid = core._p_norms(z - self.project(z), 2, alg)
+        return bool(np.all(resid <= tol * np.maximum(1.0, core._p_norms(z, 2, alg))))
 
     def lie_closed(self, tol: float = 1e-9) -> bool:
         """Whether [b_j, b_k] lies in the span for every basis pair."""
         b = self.onb()
-        for i in range(len(b)):
-            for j in range(i + 1, len(b)):
-                if not self.contains(b[i] @ b[j] - b[j] @ b[i], tol):
-                    return False
-        return True
+        i, j = np.triu_indices(len(b), 1)
+        return self.contains(b[i] @ b[j] - b[j] @ b[i], tol)
 
     def complement(self) -> "SkewSubspace":
-        """Trace-orthogonal complement inside the ambient skew part."""
+        """Trace-orthogonal complement inside the ambient skew part, from one
+        complete QR (see the module docstring)."""
         full = standard_skew_basis(self.ambient)
-        kept = []
-        for f in full:
-            r = f - self.project(f)
-            for g in kept:
-                r = r - core.inner_tau(r, g, self.ambient) * g
-            norm = np.sqrt(max(core.inner_tau(r, r, self.ambient), 0.0))
-            if norm > 1e-8:
-                # the roundoff Hermitian part of r grows by 1/norm: keep the skew part
-                r = r / norm
-                kept.append((r - r.conj().T) / 2)
-        return SkewSubspace(self.ambient, kept)
+        q = np.linalg.qr(self.coords(full), mode="complete")[0]
+        return SkewSubspace(self.ambient, np.tensordot(q[:, self.dim :], full, axes=(0, 0)))
 
 
-def standard_skew_basis(alg: TracialAlgebra) -> list:
-    """Deterministic trace-orthonormal basis of the skew part of the algebra."""
-    out = []
-    n = alg.dim
-    w = core._diag_weights(alg)
-    for sl, d in zip(alg.block_slices(), alg.block_dims):
-        base = sl.start
-        for j in range(d):
+def standard_skew_basis(alg: TracialAlgebra) -> np.ndarray:
+    """Deterministic trace-orthonormal basis of the skew part of the algebra,
+    as an array (sum of d^2, n, n)."""
+    n, w, out = alg.dim, core._diag_weights(alg), []
+    for sl in alg.block_slices():
+        for j in range(sl.start, sl.stop):
             e = np.zeros((n, n), dtype=complex)
-            e[base + j, base + j] = 1j
-            out.append(e / np.sqrt(w[base + j]))
-        for j in range(d):
-            for k in range(j + 1, d):
-                scale = 1.0 / np.sqrt(w[base + j] + w[base + k])
+            e[j, j] = 1j
+            out.append(e / np.sqrt(w[j]))
+        for j, k in itertools.combinations(range(sl.start, sl.stop), 2):
+            for upper, lower in ((1.0, -1.0), (1j, 1j)):
                 e = np.zeros((n, n), dtype=complex)
-                e[base + j, base + k] = 1.0
-                e[base + k, base + j] = -1.0
-                out.append(e * scale)
-                e = np.zeros((n, n), dtype=complex)
-                e[base + j, base + k] = 1j
-                e[base + k, base + j] = 1j
-                out.append(e * scale)
-    return out
+                e[j, k], e[k, j] = upper, lower
+                out.append(e * (1.0 / np.sqrt(w[j] + w[k])))
+    return np.array(out)
 
 
-def _gram_schmidt(basis, alg):
-    """Gram-Schmidt in order, as a thin QR of the real coordinates scaled
-    by sqrt(d_i) per column (diag R > 0, so Q is the Gram-Schmidt basis)."""
+def _gram_schmidt(basis: np.ndarray, alg):
+    """Gram-Schmidt in order of a basis array (m, n, n), as a thin QR of the
+    real coordinates scaled by sqrt(d_i) per column (diag R > 0, so Q is the
+    Gram-Schmidt basis)."""
     n, m = alg.dim, len(basis)
     real_dim = sum(d * d for d in alg.block_dims)
     if m > real_dim:
         raise ValueError(f"rank-deficient basis: {m} elements in a skew part of real dimension {real_dim}")
-    if m == 0:
-        return np.zeros((0, n, n), dtype=complex)
     root = np.sqrt(core._diag_weights(alg))
-    scaled = np.asarray(basis, dtype=complex).reshape(m, n * n) * np.tile(root, n)
+    scaled = basis.reshape(m, n * n) * np.tile(root, n)
     q, r = np.linalg.qr(np.concatenate([scaled.real, scaled.imag], axis=1).T)
     diag = np.diagonal(r)
     if np.any(diag**2 <= 1e-12):
@@ -213,9 +204,7 @@ def _gram_schmidt(basis, alg):
 def orthonormal_basis(S: SkewSubspace) -> SkewSubspace:
     """Gram-Schmidt in the trace inner product; same span, deterministic."""
     onb = _gram_schmidt(S.basis, S.ambient)
-    out = SkewSubspace(S.ambient, list(onb))
-    out._onb = onb
-    return out
+    return SkewSubspace(S.ambient, onb, _onb=onb)
 
 
 # ---------------------------------------------------------------------------

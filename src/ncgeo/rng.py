@@ -9,8 +9,8 @@ Philox is a counter-based generator with a published specification, so an
 independent implementation can reproduce the exact trial streams from the
 (seed, label, trial) triple.  The label enters the key as the CRC-32 of its
 UTF-8 bytes; the 128-bit counter holds the trial index in its lowest word.
-Streams for distinct trials are independent regardless of execution order,
-which keeps parallel and serial suite runs byte-identical.
+Streams for distinct trials are independent of the order the trials run
+in, so any trial replays from its (seed, label, trial) key alone.
 """
 
 from __future__ import annotations

@@ -329,7 +329,8 @@ def _clarkson_margin(a, b, p, alg, tol):
 
 
 def _clarkson_ps(cfg: SuiteConfig) -> list:
-    return sorted({1.5, 2.0} | {float(p) for p in cfg.p_list})
+    # Clarkson's inequalities hold for 1 < p < inf
+    return sorted({1.5, 2.0} | {float(p) for p in cfg.p_list if p > 1})
 
 
 @_register("core:clarkson-inequalities", lambda cfg: cfg.trials * len(cfg.dims) * len(_clarkson_ps(cfg)))
@@ -542,8 +543,7 @@ def _lattice_search(z, S, p, alg):
     grid as (P1 A) P2^T, with P1, P2 the Vandermonde rows of d = c - c0, in
     blocks of _LATTICE_BLOCK_ROWS rows; the argmin is the grid's first least
     value, as np.argmin of the whole grid takes it."""
-    onb = orthonormal_basis(S)
-    b = np.array(onb.basis)
+    b = S.onb()
 
     def sweep(c0, half_width, pitch):
         g1, g2 = (np.arange(c - half_width, c + half_width + pitch / 2, pitch) for c in c0)
@@ -557,7 +557,7 @@ def _lattice_search(z, S, p, alg):
         kk = np.unravel_index(firsts[int(np.argmin([v for v, _ in firsts]))][1], (len(g1), len(g2)))
         return np.array([g1[kk[0]], g2[kk[1]]])
 
-    c = sweep(onb.coords(z), 0.55, 1e-3)
+    c = sweep(S.coords(z), 0.55, 1e-3)
     for pitch in (1e-4, 1e-5):
         c = sweep(c, 120 * pitch, pitch)
     return c

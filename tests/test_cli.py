@@ -384,6 +384,19 @@ def test_verify_runs_and_is_deterministic(files, capsys, monkeypatch):
     assert all("runtime_s" not in r for r in rep["records"])
 
 
+def test_verify_at_p_one_writes_its_report(files, capsys):
+    # Clarkson's inequalities need 1 < p < inf: p = 1 drops out of their
+    # record instead of dividing by p - 1
+    cfg = _write(files / "cfg.json", {"p_list": [1], "trials": 1})
+    report = files / "r.json"
+    assert main(["verify", "--config", cfg, "--report", str(report)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    rep = json.loads(report.read_text())
+    assert rep["passed"] is True
+    (rec,) = [r for r in rep["records"] if r["anchor"] == "clarkson-inequalities"]
+    assert rec["trials"] == 2 * len(suites.SuiteConfig().dims)
+
+
 @pytest.mark.parametrize("threads", ["abc", "0"])
 def test_verify_rejects_bad_thread_count(threads, files, capsys, monkeypatch):
     cfg = _write(files / "cfg.json", {"seed": 7, "dims": [2], "p_list": [2], "trials": 1, "suites": ["core"]})

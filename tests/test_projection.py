@@ -122,6 +122,79 @@ def test_subspace_rejects_non_skew():
         SkewSubspace(M3, [np.eye(3, dtype=complex)])
 
 
+def test_subspace_holds_its_basis_as_one_array(rng):
+    basis = [core.random_skew(M3, rng) for _ in range(2)]
+    for given in (basis, np.array(basis)):
+        S = SkewSubspace(M3, given)
+        assert S.basis.shape == (2, 3, 3) and np.array_equal(S.basis, np.array(basis))
+    assert SkewSubspace(M3, []).basis.shape == (0, 3, 3)
+    with pytest.raises(ValueError, match="basis element shape does not match the ambient algebra"):
+        SkewSubspace(M3, [basis[0], np.zeros((2, 2), dtype=complex)])
+
+
+# ---------------------------------------------------------------------------
+# complement, membership and Lie closure
+# ---------------------------------------------------------------------------
+
+_SUBSPACE_ALGEBRAS = pytest.mark.parametrize(
+    "alg",
+    [M3, TracialAlgebra.direct_sum((2, 3), (0.3, 0.7)), T2],
+    ids=["m3", "m2+m3", "m2xm2"],
+)
+
+
+def _skew_dim(alg):
+    return sum(d * d for d in alg.block_dims)
+
+
+@_SUBSPACE_ALGEBRAS
+@pytest.mark.parametrize("dim", [0, 1, 3, "full"])
+def test_complement_is_an_orthonormal_skew_supplement(alg, dim, rng):
+    dim = _skew_dim(alg) if dim == "full" else dim
+    S = _random_subspace(alg, rng, dim)
+    F = S.complement()
+    assert F.dim == _skew_dim(alg) - dim
+    assert core.is_skew_hermitian(F.basis, tol=0)
+    assert core.in_algebra(F.basis, alg, tol=0)
+    gram = np.array([[core.inner_tau(a, b, alg) for b in F.basis] for a in F.basis]).reshape(F.dim, F.dim)
+    assert np.max(np.abs(gram - np.eye(F.dim)), initial=0.0) < 1e-13
+    # trace-orthogonal to S, and S + F is the whole skew part
+    assert np.max(np.abs(S.coords(F.basis)), initial=0.0) < 1e-13
+    z = core.random_skew(alg, rng)
+    assert operator_norm(S.project(z) + F.project(z) - z) < 1e-12
+
+
+@_SUBSPACE_ALGEBRAS
+@pytest.mark.parametrize("dim", [0, 1, 3, "full"])
+def test_contains_one_matrix_and_a_stack(alg, dim, rng):
+    dim = _skew_dim(alg) if dim == "full" else dim
+    S = _random_subspace(alg, rng, dim)
+    members = S.combine(rng.standard_normal((4, dim)))
+    assert all(S.contains(y) for y in members)
+    assert S.contains(members)
+    assert S.contains(members[:0])
+    if dim < _skew_dim(alg):
+        outside = S.complement().basis[0]
+        assert not S.contains(outside)
+        assert not S.contains(np.concatenate([members, outside[None]]))
+
+
+@_SUBSPACE_ALGEBRAS
+@pytest.mark.parametrize("dim", [0, 1, "full"])
+def test_trivial_and_full_subspaces_are_lie_closed(alg, dim, rng):
+    dim = _skew_dim(alg) if dim == "full" else dim
+    assert _random_subspace(alg, rng, dim).lie_closed()
+
+
+def test_random_plane_of_m3_is_not_lie_closed(rng):
+    assert not _random_subspace(M3, rng, 2).lie_closed()
+
+
+@pytest.mark.parametrize("spec", suites.default_model_specs(), ids=lambda s: s.kind)
+def test_default_isotropy_algebras_are_lie_closed(spec):
+    assert build_model_space(spec).isotropy.lie_closed()
+
+
 # ---------------------------------------------------------------------------
 # conditional expectations
 # ---------------------------------------------------------------------------
