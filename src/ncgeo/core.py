@@ -37,6 +37,7 @@ Matrices are plain complex numpy arrays; every function is pure.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -698,6 +699,14 @@ def _check_even_p(p) -> int:
     if p > MAX_EVEN_P:
         raise ValueError(f"even p above {MAX_EVEN_P} is not supported (got {float(p):g})")
     return int(p)
+
+
+def _check_integer(x, name: str) -> int:
+    """x as an int: an integer (numpy's too) or a number of integral value;
+    anything else is a ValueError naming ``name`` (never truncated)."""
+    if isinstance(x, numbers.Integral) or isinstance(x, numbers.Real) and float(x).is_integer():
+        return int(x)
+    raise ValueError(f"{name}: expected an integer, got {x!r}")
 
 
 def h_form(a: np.ndarray, b: np.ndarray, c: np.ndarray, p: int, alg: TracialAlgebra) -> float:

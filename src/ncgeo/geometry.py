@@ -8,9 +8,9 @@ The unitary group carries the bi-invariant rectifiable p-distance
 realized by one-parameter curves t |-> u e^{tz}.  A homogeneous space is a
 transitive action of the unitary group together with the isotropy Lie
 algebra at a basepoint; tangent vectors are measured by the quotient norm
-inf_y ||z - y||_p over the isotropy algebra, lengths of orbit curves by
-integrating quotient speeds of lifts (``quotient_speeds``), and the coset
-distance by
+inf_y ||z - y||_p over the isotropy algebra (``projection.quotient_norm``),
+lengths of orbit curves by integrating the quotient norms of the velocities
+of lifts, and the coset distance by
 
     qd_p(u.x, v.x) = min_{g in G_x} d_p(u, v g),
 
@@ -31,10 +31,10 @@ the velocities are built on first access); almost-isometric lifts of orbit curve
 built from the polygonal approximation of -Q(Gamma* dGamma); initial-value
 minimal geodesics with certified minimal symbols; the rectifiable length
 of orbit curves as a supremum of partition sums; and the convexity and
-minimality probes for the local geometry experiments.  ``quotient_speeds``
-is the one nodal quotient-speed routine: the lift solves its nodes and
-chord midpoints in one call, and the minimality probe all the nodes of all
-its competitors in one call.
+minimality probes for the local geometry experiments.  Every quotient speed
+is a ``quotient_norm`` of a stack of velocities: the lift solves its nodes
+and chord midpoints in one call, and the minimality probe all the nodes of
+all its competitors in one call.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ import scipy.integrate
 
 from . import core, projection
 from .core import Eigenframe, TracialAlgebra, principal_log, unitary_exp
-from .projection import ConvergenceError, SkewSubspace, best_approximants, lifting_certificate
+from .projection import ConvergenceError, SkewSubspace, lifting_certificate, quotient_norm
 
 __all__ = [
     "SampledCurve",
@@ -62,7 +62,6 @@ __all__ = [
     "ProbeReport",
     "curve_length_p",
     "quotient_length",
-    "quotient_speeds",
     "unitary_distance",
     "quotient_distance",
     "quotient_distances",
@@ -121,8 +120,8 @@ class SampledCurve:
     def n_intervals(self) -> int:
         return len(self.grid) - 1
 
-    def validate_unitary(self, tol: float = 1e-9):
-        _check_unitary_nodes(self.nodes, tol)
+    def validate_unitary(self):
+        _check_unitary_nodes(self.nodes)
 
     def left_velocities(self) -> np.ndarray:
         """Gamma* dGamma at every node (stored exactly or by finite differences)."""
@@ -142,12 +141,12 @@ class SampledCurve:
         return (1.0 - s) * self.nodes[k] + s * self.nodes[k + 1]
 
 
-def _check_unitary_nodes(nodes: np.ndarray, tol: float = 1e-9):
+def _check_unitary_nodes(nodes: np.ndarray):
     """The checks of SampledCurve.validate_unitary on the nodes (m, n, n) of
     one curve or of each curve of a stack (K, m, n, n): every node unitary
-    within tol * n, adjacent nodes at uniform distance below 2, measured only
+    within 1e-9 n, adjacent nodes at uniform distance below 2, measured only
     where their largest Frobenius distance, an upper bound, nearly reaches 2."""
-    bad = np.argwhere(~(core._unitary_defects(nodes) <= tol * nodes.shape[-1]))
+    bad = np.argwhere(~(core._unitary_defects(nodes) <= 1e-9 * nodes.shape[-1]))
     if bad.size:
         raise ValueError(f"curve node {bad[0, -1]} is not unitary within tolerance")
     gaps = nodes[..., 1:, :, :] - nodes[..., :-1, :, :]
@@ -191,9 +190,7 @@ def exp_curve(z: np.ndarray, n_nodes: int = 65, target: str = "unitary") -> Samp
     return SampledCurve(grid, nodes, target=target, velocities=vel)
 
 
-def loop_deformed_exp_curve(
-    z: np.ndarray, xi: np.ndarray, amplitude: float, n_nodes: int = 65, target: str = "unitary"
-) -> SampledCurve:
+def loop_deformed_exp_curve(z: np.ndarray, xi: np.ndarray, amplitude: float, n_nodes: int = 65) -> SampledCurve:
     """Gamma(t) = e^{tz} e^{phi(t) xi} with the bump phi(t) = amplitude*t*(1-t).
 
     Joins the same endpoints as e^{tz}; the left-translated velocity is
@@ -201,7 +198,7 @@ def loop_deformed_exp_curve(
     """
     grid = np.linspace(0.0, 1.0, n_nodes)
     nodes, vel = _loop_deformed_nodes(z, xi, amplitude, grid)
-    return SampledCurve(grid, nodes, target=target, velocities=vel)
+    return SampledCurve(grid, nodes, velocities=vel)
 
 
 def _loop_deformed_nodes(z, xi, amplitude, grid):
@@ -217,7 +214,7 @@ def _loop_deformed_nodes(z, xi, amplitude, grid):
     return nodes, loops.conj().mT @ z @ loops + bump * xi[..., None, :, :]
 
 
-def reparametrized_exp_curve(z: np.ndarray, warp: float, n_nodes: int = 65, target: str = "unitary") -> SampledCurve:
+def reparametrized_exp_curve(z: np.ndarray, warp: float, n_nodes: int = 65) -> SampledCurve:
     """e^{phi(t) z} with the monotone warp phi(t) = t - warp*sin(2 pi t)/(2 pi)."""
     if not 0.0 <= warp < 1.0:
         raise ValueError("warp must lie in [0, 1) to keep phi monotone")
@@ -225,7 +222,7 @@ def reparametrized_exp_curve(z: np.ndarray, warp: float, n_nodes: int = 65, targ
     grid = np.linspace(0.0, 1.0, n_nodes)
     nodes = unitary_exp(z, grid - warp * np.sin(2 * np.pi * grid) / (2 * np.pi))
     vel = (1.0 - warp * np.cos(2 * np.pi * grid))[:, None, None] * z
-    return SampledCurve(grid, nodes, target=target, velocities=vel)
+    return SampledCurve(grid, nodes, velocities=vel)
 
 
 def _geodesic_resample(curve: SampledCurve, new_params: np.ndarray) -> np.ndarray:
@@ -281,7 +278,7 @@ class HomSpace:
         return self.act(u, self.basepoint)
 
     def k_O(self, p) -> float:
-        p = int(p)
+        p = core._check_even_p(p)
         if p not in self.k_O_p:
             raise ValueError(f"no projection bound recorded for p = {p}")
         return self.k_O_p[p]
@@ -347,24 +344,16 @@ def curve_length_p(curve: SampledCurve, p, alg: TracialAlgebra) -> float:
     return _simpson(core._p_norms(curve.left_velocities(), p, alg), curve.grid)
 
 
-def quotient_speeds(vel: np.ndarray, space: HomSpace, p, tol: float = 1e-10):
-    """Nodewise projections Q(v) and quotient speeds ||v - Q(v)||_p of a
-    stack of velocities, where Q is the certified best approximant onto the
-    isotropy algebra: one stacked cold solve (``best_approximants``) and one
-    stacked p-norm.  Returns (projections, speeds)."""
-    res = best_approximants(vel, space.isotropy, int(p), tol=tol)
-    return res.projection, core._p_norms(res.residual, p, space.ambient)
-
-
-def quotient_length(curve: SampledCurve, space: HomSpace, p, tol: float = 1e-10) -> float:
-    """Quotient length of the orbit curve below a unitary lift.
+def quotient_length(curve: SampledCurve, space: HomSpace, p) -> float:
+    """Quotient length of the orbit curve below a unitary lift, for even p.
 
     Integrates the quotient speeds ||v - Q(v)||_p of the nodewise left
-    velocities v (``quotient_speeds``).  Independent of the chosen lift up
-    to solver plus quadrature error.
+    velocities v (one stacked ``quotient_norm``).  Independent of the chosen
+    lift up to solver plus quadrature error.
     """
+    p = core._check_even_p(p)
     curve.validate_unitary()
-    return _simpson(quotient_speeds(curve.left_velocities(), space, p, tol)[1], curve.grid)
+    return _simpson(quotient_norm(curve.left_velocities(), space.isotropy, p), curve.grid)
 
 
 def quotient_uniform_length(curve: SampledCurve, space: HomSpace) -> float:
@@ -400,20 +389,19 @@ class QuotientDistanceResult:
     g_opt: np.ndarray
     stationarity_residual: float
     starts: int
-    p: int
 
 
-def quotient_distance(space: HomSpace, u: np.ndarray, v: np.ndarray, p, multistarts: int = 6, seed: int = 0,
-                      tol: float = 1e-9) -> QuotientDistanceResult:
+def quotient_distance(space: HomSpace, u: np.ndarray, v: np.ndarray, p, multistarts: int = 6,
+                      seed: int = 0) -> QuotientDistanceResult:
     """Coset distance min_{g in G_x} d_p(u, v g) with a stationarity
     certificate: the one-query case of ``quotient_distances``."""
-    return quotient_distances(space, np.asarray(u)[None], np.asarray(v)[None], p, multistarts, [seed], tol)[0]
+    return quotient_distances(space, np.asarray(u)[None], np.asarray(v)[None], p, multistarts, [seed])[0]
 
 
-def quotient_distances(space: HomSpace, us: np.ndarray, vs: np.ndarray, p, multistarts: int, seeds,
-                       tol: float = 1e-9) -> list:
+def quotient_distances(space: HomSpace, us: np.ndarray, vs: np.ndarray, p, multistarts: int, seeds) -> list:
     """Coset distances min_{g in G_x} d_p(u, v g) of the pairs (us[i], vs[i])
-    with stationarity certificates, the starts of the i-th seeded by seeds[i].
+    with stationarity certificates (certified at 1e-9), the starts of the
+    i-th seeded by seeds[i].
 
     By bi-invariance of d_p the two-sided infimum over the isotropy group
     collapses to a right translation of v.  One lockstep run of the
@@ -453,7 +441,7 @@ def quotient_distances(space: HomSpace, us: np.ndarray, vs: np.ndarray, p, multi
         raise ValueError(f"quotient_distances takes one seed per pair ({len(bases)}), got {len(seeds)}")
     m, ws = G.dim, principal_log(bases)
     if m == 0:
-        return [QuotientDistanceResult(core.p_norm(w, p, alg), np.eye(alg.dim, dtype=complex), 0.0, 1, p) for w in ws]
+        return [QuotientDistanceResult(core.p_norm(w, p, alg), np.eye(alg.dim, dtype=complex), 0.0, 1) for w in ws]
 
     per = 2 + 3 * max(0, multistarts - 2)  # the starts of each pair, consecutive in the stack
     starts = np.zeros((len(bases), per, m))
@@ -486,11 +474,11 @@ def quotient_distances(space: HomSpace, us: np.ndarray, vs: np.ndarray, p, multi
 
     g = Eigenframe(G.combine(starts.reshape(-1, m))).exp()
     w = Eigenframe.from_unitary(bases[owner] @ g, alg)
-    g, f, resid, _ = projection._newton(g, w, retract, left, G.onb(), p, alg, tol)
+    g, f, resid, _ = projection._newton(g, w, retract, left, G.onb(), p, alg, 1e-9)
     out = []
     for lo in range(0, len(owner), per):
-        k = lo + np.lexsort((f[lo : lo + per], ~(resid[lo : lo + per] <= tol)))[0]
-        out.append(QuotientDistanceResult(max(f[k], 0.0) ** (1.0 / p), g[k], float(resid[k]), per, p))
+        k = lo + np.lexsort((f[lo : lo + per], ~(resid[lo : lo + per] <= 1e-9)))[0]
+        out.append(QuotientDistanceResult(max(f[k], 0.0) ** (1.0 / p), g[k], float(resid[k]), per))
     return out
 
 
@@ -659,9 +647,7 @@ class IsometricLiftResult:
         return self.length_p - self.quotient_length_p
 
 
-def epsilon_isometric_lift(
-    curve: SampledCurve, space: HomSpace, p, epsilon: float, tol: float = 1e-10
-) -> IsometricLiftResult:
+def epsilon_isometric_lift(curve: SampledCurve, space: HomSpace, p, epsilon: float) -> IsometricLiftResult:
     """Build a lift whose p-length exceeds the quotient length by less than
     epsilon (plus numerical slack).
 
@@ -685,7 +671,7 @@ def epsilon_isometric_lift(
     # the nodal and the midpoint projections are one stacked solve
     h = curve.grid[1] - curve.grid[0]
     v_half = principal_log(curve.nodes[:-1].conj().mT @ curve.nodes[1:]) / h  # an exactly skew log
-    q, speeds = quotient_speeds(np.concatenate([vel, v_half]), space, p, tol)
+    speeds, q = quotient_norm(np.concatenate([vel, v_half]), space.isotropy, p, return_witness=True)
     m = len(vel)
     alpha, q_half = -q[:m], q[m:]
     w_curve = SampledCurve(curve.grid, alpha, target="algebra")
@@ -698,7 +684,7 @@ def epsilon_isometric_lift(
             f"field band is {band:.3e} against epsilon {epsilon:.1e}"
         )
 
-    lift = lift_ode_solve(w_curve, space, defect_tol=1e-6)
+    lift = lift_ode_solve(w_curve, space)
     u_at_nodes = lift.u_nodes[:: (len(lift.u_nodes) - 1) // curve.n_intervals]
 
     beta_nodes = np.einsum("kij,kjl->kil", curve.nodes, u_at_nodes)
@@ -731,14 +717,7 @@ class GeodesicResult:
                                               "within_radius", "p")}
 
 
-def minimal_geodesic(
-    space: HomSpace,
-    target: np.ndarray,
-    p,
-    multistarts: int = 6,
-    seed: int = 0,
-    tol: float = 1e-9,
-) -> GeodesicResult:
+def minimal_geodesic(space: HomSpace, target: np.ndarray, p, multistarts: int = 6, seed: int = 0) -> GeodesicResult:
     """Initial-value minimal curve from the basepoint to target . x.
 
     Minimizes ||log(v e^y)||_p over the isotropy algebra (the coset
@@ -749,7 +728,7 @@ def minimal_geodesic(
     """
     p = core._check_even_p(p)
     v = np.asarray(target, dtype=complex)
-    qd = quotient_distance(space, space.ambient.identity(), v, p, multistarts, seed, tol)
+    qd = quotient_distance(space, space.ambient.identity(), v, p, multistarts, seed)
     return _geodesic_through(space, v, qd.g_opt, p)
 
 
@@ -762,28 +741,20 @@ def _geodesic_through(space: HomSpace, v: np.ndarray, g_opt: np.ndarray, p: int)
     return GeodesicResult(z, core.p_norm(z, p, space.ambient), endpoint, cert, within, p)
 
 
-def rectifiable_path_length(
-    curve: SampledCurve,
-    space: HomSpace,
-    p,
-    tol: float = 1e-6,
-    multistarts: int = 3,
-    seed: int = 0,
-):
+def rectifiable_path_length(curve: SampledCurve, space: HomSpace, p):
     """Length of an orbit curve as the supremum of partition sums of the
     coset distance.
 
     Evaluates the sums on dyadic coarsenings of the curve grid, refining
-    until the increase drops below ``tol``; each sum is one
-    ``quotient_distances`` call, every pair seeded with ``seed``.  The sums
-    must be nondecreasing under refinement up to certificate error.
+    until the increase drops below 1e-6; each sum is one
+    ``quotient_distances`` call with 3 multistarts, every pair seeded with 0.
+    The sums must be nondecreasing under refinement up to certificate error.
     Returns (length, sums).
     """
     sums, n, stride = [], curve.n_intervals, curve.n_intervals
-    while stride >= 1 and not (len(sums) >= 2 and abs(sums[-1] - sums[-2]) < tol):
+    while stride >= 1 and not (len(sums) >= 2 and abs(sums[-1] - sums[-2]) < 1e-6):
         idx = [*range(0, n, stride), n]
-        pairs = quotient_distances(space, curve.nodes[idx[:-1]], curve.nodes[idx[1:]], p, multistarts,
-                                   [seed] * (len(idx) - 1))
+        pairs = quotient_distances(space, curve.nodes[idx[:-1]], curve.nodes[idx[1:]], p, 3, [0] * (len(idx) - 1))
         sums.append(sum(r.value for r in pairs))
         stride //= 2
     for a, b in zip(sums[:-1], sums[1:]):
@@ -807,8 +778,8 @@ class ConvexityReport:
     mean_second_difference: float
 
 
-def convexity_probe(u, v, w, p, alg: TracialAlgebra, n_nodes: int = 65) -> ConvexityReport:
-    """Profile of f(s) = d_p(u, v e^{s log(v* w)})^p on [0, 1].
+def convexity_probe(u, v, w, p, alg: TracialAlgebra) -> ConvexityReport:
+    """Profile of f(s) = d_p(u, v e^{s log(v* w)})^p on 65 nodes of [0, 1].
 
     Preconditions ||u - v|| < sqrt(2) and ||w - v|| < sqrt(2) - ||u - v||
     keep every d_p evaluation inside the smooth branch of the logarithm.
@@ -832,7 +803,7 @@ def convexity_probe(u, v, w, p, alg: TracialAlgebra, n_nodes: int = 65) -> Conve
     else:
         proj = (core.inner_tau(zu, z, alg) / z2) * z
         collinear = core.p_norm(zu - proj, 2, alg) <= 1e-8 * math.sqrt(zu2)
-    grid = np.linspace(0.0, 1.0, n_nodes)
+    grid = np.linspace(0.0, 1.0, 65)
     vals = core._p_norms(principal_log(u.conj().T @ (v @ Eigenframe(z).exp(grid))), p, alg) ** p
     d2 = vals[2:] - 2 * vals[1:-1] + vals[:-2]
     return ConvexityReport(grid, vals, d2, collinear, float(np.min(d2)), float(np.mean(d2)))
@@ -884,7 +855,7 @@ def minimality_probe(
     be no shorter than ||z||_p - slack.  Competitors whose length ties
     ||z||_p within 1e-7 are reparametrized to constant quotient speed and
     compared node-by-node against the minimal curve (orbit gap at most 1e-4).
-    The competitors are drawn first; then one ``quotient_speeds`` solve over
+    The competitors are drawn first; then one ``quotient_norm`` solve over
     all their nodal velocities gives every length and every reparametrization.
     """
     p = core._check_even_p(p)
@@ -937,7 +908,7 @@ def minimality_probe(
     if competitors:
         _check_unitary_nodes(np.stack([comp.nodes for _, comp, _ in competitors]))
         vel = np.concatenate([comp.left_velocities() for _, comp, _ in competitors])
-        speeds = quotient_speeds(vel, space, p)[1].reshape(len(competitors), n_nodes)
+        speeds = quotient_norm(vel, space.isotropy, p).reshape(len(competitors), n_nodes)
     for (kind, comp, band), row in zip(competitors, speeds):
         length = _simpson(row, comp.grid)
         margin = length - (len_delta - length_slack)

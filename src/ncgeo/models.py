@@ -81,7 +81,7 @@ class ModelSpec:
     def __post_init__(self):
         if not isinstance(self.kind, str) or self.kind not in MODELS:
             raise ValueError(f"unknown model kind {self.kind!r}; expected one of {tuple(MODELS)}")
-        self.blocks = tuple(int(b) for b in self.blocks)
+        self.blocks = tuple(core._check_integer(b, f"blocks[{i}]") for i, b in enumerate(self.blocks))
         if not self.blocks or min(self.blocks) < 1:
             raise ValueError("blocks must be a non-empty list of positive dimensions")
         self.p_list = tuple(core._check_even_p(p) for p in self.p_list)
@@ -119,15 +119,15 @@ def _unit_samples(alg: TracialAlgebra, rng: np.random.Generator, samples: int) -
     return zs[keep] / norms[keep, None, None]
 
 
-def _estimate_c(space_iso: SkewSubspace, alg: TracialAlgebra, samples: int = 2000) -> float:
-    """Empirical lower bound of ||1 - P_G|| on unit vectors, inflated x1.5."""
-    zs = _unit_samples(alg, np.random.default_rng(_CONSTANTS_SEED), samples)
+def _estimate_c(space_iso: SkewSubspace, alg: TracialAlgebra) -> float:
+    """Empirical lower bound of ||1 - P_G|| on 2000 unit vectors, inflated x1.5."""
+    zs = _unit_samples(alg, np.random.default_rng(_CONSTANTS_SEED), 2000)
     return 1.5 * core._max_operator_norm(zs - space_iso.project(zs))
 
 
-def _estimate_k(space_iso: SkewSubspace, alg: TracialAlgebra, p: int, samples: int = 400) -> float:
-    """Empirical lower bound of sup ||Q_p(z)|| / ||z||, inflated x1.5."""
-    zs = _unit_samples(alg, np.random.default_rng(_CONSTANTS_SEED + p), samples)
+def _estimate_k(space_iso: SkewSubspace, alg: TracialAlgebra, p: int) -> float:
+    """Empirical lower bound of sup ||Q_p(z)|| / ||z|| on 400 unit vectors, inflated x1.5."""
+    zs = _unit_samples(alg, np.random.default_rng(_CONSTANTS_SEED + p), 400)
     q = best_approximants(zs, space_iso, p, tol=1e-9).projection
     return 1.5 * max(core._max_operator_norm(q), 1e-6)
 
@@ -280,13 +280,13 @@ def conditional_expectation(x: np.ndarray, space: HomSpace) -> np.ndarray:
     return space.expectation(np.asarray(x, dtype=complex), space)
 
 
-def _structural_checks(space: HomSpace, tol: float = 1e-9):
+def _structural_checks(space: HomSpace):
     if not space.isotropy.lie_closed(tol=1e-8):
         raise ValueError("isotropy subspace is not a Lie algebra")
     # eight unit directions at radius 0.5, drawn and checked as one stack
     c = np.random.default_rng(_CONSTANTS_SEED + 1).standard_normal((8, space.isotropy.dim))
     y = space.isotropy.combine(0.5 * c / np.maximum(np.linalg.norm(c, axis=1), 1e-12)[:, None])
-    if space.isotropy_defect(core.unitary_exp(y)) > tol:
+    if space.isotropy_defect(core.unitary_exp(y)) > 1e-9:
         raise ValueError("isotropy algebra does not fix the basepoint")
 
 

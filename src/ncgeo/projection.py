@@ -49,10 +49,10 @@ entry of F and its mirror are one real combination of entries of E, so F is
 skew-Hermitian to the last bit.
 
 The module also provides the quotient norm inf_y ||z - y|| of one matrix or
-a stack: exact via Q for even p, and for p = inf a certified bracket from one
-p = 64 solve, whose residual is feasible (the upper end) and whose
-(p-1)-th power, made trace-orthogonal to S, bounds the infimum from below by
-Hoelder's inequality.
+a stack, the one routine behind every quotient speed in ``geometry``: exact
+via Q for even p, and for p = inf a certified bracket from one p = 64 solve,
+whose residual is feasible (the upper end) and whose (p-1)-th power, made
+trace-orthogonal to S, bounds the infimum from below by Hoelder's inequality.
 Conditional expectations onto the isotropy subalgebras of the model
 spaces live with the model table (``models.conditional_expectation``).
 """
@@ -226,7 +226,6 @@ class ProjectionResult:
     residual: np.ndarray
     optimality_residual: float
     iterations: int
-    p: int
     coefficients: np.ndarray
 
 
@@ -394,7 +393,7 @@ def best_approximants(
     zs = _checked_stack(zs, alg)
     K, onb = len(zs), S.onb()
     if len(onb) == 0 or K == 0:
-        return ProjectionResult(np.zeros_like(zs), zs.copy(), np.zeros(K), np.zeros(K, dtype=int), p,
+        return ProjectionResult(np.zeros_like(zs), zs.copy(), np.zeros(K), np.zeros(K, dtype=int),
                                 np.zeros((K, len(onb))))
     c, resid, trials = _solve(zs, S, p, tol, max_iter)
     bad = [k for k, r in enumerate(resid.tolist()) if not r <= tol]
@@ -406,7 +405,7 @@ def best_approximants(
             f"after {trials[k]} line-search trials{where}"
         )
     projection = S.combine(c)
-    return ProjectionResult(projection, zs - projection, resid, trials, p, c)
+    return ProjectionResult(projection, zs - projection, resid, trials, c)
 
 
 def best_approximant(
@@ -427,7 +426,7 @@ def best_approximant(
     """
     res = best_approximants(np.asarray(z, dtype=complex)[None], S, p, tol, max_iter)
     return ProjectionResult(res.projection[0], res.residual[0], float(res.optimality_residual[0]),
-                            int(res.iterations[0]), res.p, res.coefficients[0])
+                            int(res.iterations[0]), res.coefficients[0])
 
 
 def hermitian_best_approximant(x: np.ndarray, S: SkewSubspace, p: int, **kw) -> ProjectionResult:

@@ -120,7 +120,9 @@ class SuiteConfig:
     suites: tuple = SUITE_NAMES
 
     def __post_init__(self):
-        self.dims = tuple(int(d) for d in self.dims)
+        self.seed = core._check_integer(self.seed, "seed")
+        self.trials = core._check_integer(self.trials, "trials")
+        self.dims = tuple(core._check_integer(d, f"dims[{i}]") for i, d in enumerate(self.dims))
         self.p_list = tuple(self.p_list)
         self.suites = tuple(self.suites)
         if self.trials < 1:
@@ -751,7 +753,7 @@ def _convexity(cfg, k, rng):
         w = v @ unitary_exp(core.random_skew(alg, rng, 0.2))
         u = unitary_exp(core.random_skew(alg, rng, 0.25))
         if operator_norm(u - v) < math.sqrt(2) and operator_norm(w - v) < math.sqrt(2) - operator_norm(u - v):
-            rep = convexity_probe(u, v, w, p, alg, n_nodes=65)
+            rep = convexity_probe(u, v, w, p, alg)
             if not rep.collinear:
                 return rep.min_second_difference + cfg.tol("convexity")
     return 0.0

@@ -32,14 +32,13 @@ from ncgeo.geometry import (
     quotient_distance,
     quotient_distances,
     quotient_length,
-    quotient_speeds,
     quotient_uniform_length,
     rectifiable_path_length,
     reparametrized_exp_curve,
     unitary_distance,
 )
 from ncgeo.models import ModelSpec, build_model_space
-from ncgeo.projection import SkewSubspace, best_approximant
+from ncgeo.projection import SkewSubspace, best_approximant, quotient_norm
 from ncgeo.suites import default_model_specs
 
 M3 = TracialAlgebra.full(3)
@@ -213,17 +212,33 @@ def test_horizontal_exp_curve_quotient_length(rng):
     assert quotient_length(c, sp, 4) == pytest.approx(p_norm(z, 4, sp.ambient), abs=1e-9)
 
 
+@pytest.mark.parametrize("p", [4.5, math.inf])
+def test_quotient_length_takes_even_p_only(p, rng):
+    # a fractional p is not truncated to the even p below it, and p = inf
+    # (whose quotient norm is a bracket) is no OverflowError
+    sp = SPACES["diag-m2"]
+    with pytest.raises(ValueError, match="even"):
+        quotient_length(exp_curve(_minimal_symbol(sp, rng), 9), sp, p)
+
+
+@pytest.mark.parametrize("p", [4.5, math.inf])
+def test_space_bounds_take_even_p_only(p):
+    sp = SPACES["diag-m2"]
+    for bound in (sp.k_O, sp.epsilon_band, sp.radius):
+        with pytest.raises(ValueError, match="even"):
+            bound(p)
+
+
 def test_quotient_speeds_match_cold_solves(rng):
     sp = SPACES["diag-m2"]
     alg = sp.ambient
     gamma = loop_deformed_exp_curve(core.random_skew(alg, rng, 0.5), core.random_skew(alg, rng, 0.3), 0.5, n_nodes=17)
     vel = gamma.left_velocities()
-    projections, speeds = quotient_speeds(vel, sp, 4, tol=1e-12)
+    speeds, projections = quotient_norm(vel, sp.isotropy, 4, return_witness=True)
     for v, q, s in zip(vel, projections, speeds):
-        cold = best_approximant(v, sp.isotropy, 4, tol=1e-12)
+        cold = best_approximant(v, sp.isotropy, 4)
         assert operator_norm(q - cold.projection) < 1e-9
         assert s == pytest.approx(p_norm(cold.residual, 4, alg), abs=1e-12)
-    speeds = quotient_speeds(vel, sp, 4)[1]
     assert quotient_length(gamma, sp, 4) == float(scipy.integrate.simpson(speeds, x=gamma.grid))
 
 
@@ -1200,7 +1215,7 @@ def _serial_minimality_probe(space, z, p, trials, seed, n_nodes, length_slack=1e
         violations += margin < 0
         if abs(length - len_delta) <= 1e-7:
             uniq_checked += 1
-            speeds = quotient_speeds(comp.left_velocities(), space, p)[1]
+            speeds = quotient_norm(comp.left_velocities(), space.isotropy, p)
             renodes = _geodesic_resample(comp, _constant_speed_params(comp, speeds))
             uniq_violations += orbit_gap(space, renodes, delta_curve.nodes) > 1e-4
         details.append((kind, band, length, margin))

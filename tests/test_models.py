@@ -45,6 +45,9 @@ def test_spec_validation():
         ModelSpec(["diag-m2"])  # not a string, so not a key of MODELS
     with pytest.raises(ValueError):
         ModelSpec("diag-m2", blocks=())
+    with pytest.raises(ValueError, match=r"^blocks\[0\]: expected an integer, got 2.5"):
+        ModelSpec("center-quotient", blocks=(2.5, 2))
+    assert ModelSpec("center-quotient", blocks=(np.int64(2), 2.0)).blocks == (2, 2)
     with pytest.raises(ValueError):
         ModelSpec("diag-m2", p_list=(3,))
     with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import math
 import pickle
 import sys
 
+import numpy as np
 import pytest
 
 from ncgeo import suites
@@ -97,3 +98,22 @@ def test_every_trial_pickles_by_reference():
             assert (back.func, back.args, back.keywords) == (trial.func, trial.args, trial.keywords), label
         else:
             assert back is trial, label
+
+
+@pytest.mark.parametrize("field, value, name", [
+    ("dims", (2.7,), r"dims\[0\]"),
+    ("dims", (2, math.inf), r"dims\[1\]"),
+    ("trials", 1.5, "trials"),
+    ("seed", 2026.5, "seed"),
+])
+def test_config_rejects_non_integral_numbers(field, value, name):
+    # never truncated: dims=(2.7,) is not dims=(2,), and trials=1.5 is no
+    # TypeError deep inside a record
+    with pytest.raises(ValueError, match=f"^{name}: expected an integer"):
+        SuiteConfig(**{field: value})
+
+
+def test_config_takes_integral_numbers_as_ints():
+    cfg = SuiteConfig(seed=np.int64(7), dims=(np.int32(2), 4.0), trials=np.uint8(3))
+    assert (cfg.seed, cfg.dims, cfg.trials) == (7, (2, 4), 3)
+    assert all(type(x) is int for x in (cfg.seed, *cfg.dims, cfg.trials))
