@@ -25,7 +25,8 @@ The module also contains: the lifting ODE du/dt = w(t) u solved by the
 6th-order Magnus method with step halving against a finite-difference
 defect bound (the steps never cross a kink of the polygonal w, so every
 step generator depends on w alone: the generators, their exponentials,
-drift and defect are stacks, and the running product of the steps is
+drift and defect are stacks, each bracket of skew-Hermitian terms is one
+product xy - (xy)*, and the running product of the steps is
 taken in blocks of about sqrt(steps) steps, in lockstep across the blocks;
 the velocities are built on first access); almost-isometric lifts of orbit curves
 built from the polygonal approximation of -Q(Gamma* dGamma); initial-value
@@ -34,7 +35,9 @@ of orbit curves as a supremum of partition sums; and the convexity and
 minimality probes for the local geometry experiments.  Every quotient speed
 is a ``quotient_norm`` of a stack of velocities: the lift solves its nodes
 and chord midpoints in one call, and the minimality probe all the nodes of
-all its competitors in one call.
+all its competitors in one call.  Lengths integrate by Simpson's rule
+(``_simpson``, scipy's rule in numpy, so importing the package loads no
+scipy submodule).
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.integrate
 
 from . import core, projection
 from .core import Eigenframe, TracialAlgebra, principal_log, unitary_exp
@@ -332,8 +334,26 @@ def orbit_gap(space: HomSpace, u: np.ndarray, v: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _simpson(values, grid) -> float:
-    return float(scipy.integrate.simpson(values, x=grid))
+def _simpson(values, grid):
+    """Simpson's rule of values (..., N) along the last axis over a strictly
+    increasing grid (N,), a float for one row: scipy 1.17's
+    ``scipy.integrate.simpson(values, x=grid)`` bit for bit, with its rule for
+    uneven spacing and, for even N, Cartwright's last interval (N = 2: trapezoid)."""
+    y, h = np.asarray(values, dtype=float), np.diff(np.asarray(grid, dtype=float))
+    N = y.shape[-1]
+    if N == 2:
+        out = 0.5 * h[-1] * (y[..., -1] + y[..., -2])
+    else:
+        stop = N - 2 if N % 2 else N - 3  # the pairs of intervals; an even N leaves the last interval
+        h0, h1 = h[0:stop:2], h[1 : stop + 1 : 2]
+        hsum, ratio = h0 + h1, h0 / h1
+        out = np.sum(hsum / 6.0 * (y[..., 0:stop:2] * (2.0 - 1.0 / ratio) + y[..., 1 : stop + 1 : 2]
+                                   * (hsum * (hsum / (h0 * h1))) + y[..., 2 : stop + 2 : 2] * (2.0 - ratio)), axis=-1)
+        if N % 2 == 0:  # the last two spacings as 0-d arrays, as scipy keeps them (scalars round differently)
+            a, b = h[-2:-1].reshape(()), h[-1:].reshape(())
+            out = out + ((2 * b**2 + 3 * a * b) / (6 * (b + a)) * y[..., -1] + (b**2 + 3.0 * a * b) / (6 * a)
+                         * y[..., -2] - b**3 / (6 * a * (a + b)) * y[..., -3])
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def curve_length_p(curve: SampledCurve, p, alg: TracialAlgebra) -> float:
@@ -526,10 +546,14 @@ _GAUSS3 = 0.5 + np.array([-1.0, 0.0, 1.0]) * math.sqrt(15.0) / 10.0
 
 def _magnus6(a1: np.ndarray, a2: np.ndarray, a3: np.ndarray, h: float) -> np.ndarray:
     """Generators of the 6th-order Magnus steps from the field at the three
-    Gauss points of each step (Blanes, Casas, Oteo & Ros 2009, section 5)."""
+    Gauss points of each step (Blanes, Casas, Oteo & Ros 2009, section 5).
+    Every bracket is of skew-Hermitian terms (b1, b2, b3 are real combinations
+    of the field's values, c1, c2 brackets of those), and (xy)* = yx for skew
+    x, y: so [x, y] = xy - (xy)* is one product, skew to the last bit."""
 
     def bracket(x, y):
-        return x @ y - y @ x
+        m = x @ y
+        return m - m.conj().mT
 
     b1 = h * a2
     b2 = (math.sqrt(15.0) * h / 3.0) * (a3 - a1)

@@ -296,9 +296,11 @@ def _newton(state, w, retract, left, onb, p, alg, tol, max_iter=10_000):
         resid = np.abs(t).max(axis=1).tolist()
         going = [r > tol and n < max_iter and not (fl and r >= pr) for r, n, fl, pr in zip(resid, trials, flat, prev)]
         if not all(going):
-            for j in (j for j, g in enumerate(going) if not g):
-                i = ids[j]
-                out_state[i], out_f[i], out_resid[i], out_trials[i] = state[j], f[j], resid[j], trials[j]
+            gone = [j for j, g in enumerate(going) if not g]
+            at = ids[gone]
+            out_state[at] = state[gone]
+            for i, j in zip(at.tolist(), gone):
+                out_f[i], out_resid[i], out_trials[i] = f[j], resid[j], trials[j]
             keep = [j for j, g in enumerate(going) if g]
             if not keep:
                 break
@@ -309,7 +311,7 @@ def _newton(state, w, retract, left, onb, p, alg, tol, max_iter=10_000):
         frame = w if isinstance(w, core.Eigenframe) else core.Eigenframe(w, alg)
         bt = frame.transform(onb)
         hess = frame.h_matrix(left(frame, bt), bt, p)
-        damp = [1e-12 * max(1.0, tr / len(onb)) for tr in hess.trace(0, 1, 2).tolist()]
+        damp = 1e-12 * np.fmax(1.0, hess.trace(0, 1, 2) / len(onb))  # fmax, like max(1.0, x), ignores a NaN
         step, slope = _descent_steps(hess + np.multiply.outer(damp, eye), grad)
         roundoff = [64.0 * _EPS * (abs(fj) + 1.0) for fj in f]
         # the line searches in lockstep: the instances still backtracking

@@ -26,8 +26,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.integrate
-import scipy.linalg
+import scipy
 
 from . import core
 from .core import TracialAlgebra, operator_norm, p_norm, principal_log, unitary_exp
@@ -36,6 +35,7 @@ from .geometry import (
     _check_unitary_nodes,
     _geodesic_through,
     _loop_deformed_nodes,
+    _simpson,
     convexity_probe,
     epsilon_isometric_lift,
     exp_curve,
@@ -375,6 +375,7 @@ def _expdiff(cfg, k, rng):
     # Van Loan: exp([[a, b], [0, a]]) has int_0^1 e^{(1-t)a} b e^{ta} dt as
     # its upper right block, exact to expm's roundoff (a 64-panel Simpson
     # rule errs by 1.4e-8 already at ||a|| = ||b|| = 1.29 in M_2)
+    import scipy.linalg  # the independent oracle, kept off the package's import path
     n = len(a)
     ref = scipy.linalg.expm(np.block([[a, b], [np.zeros_like(a), a]]))[:n, n:]
     margin = cfg.tol("exp_differential_quadrature") - operator_norm(d - ref)
@@ -653,7 +654,7 @@ def _unitary_minimality(cfg, k, rng):
     grid = np.linspace(0.0, 1.0, 65)
     nodes, vel = _loop_deformed_nodes(z, xis, amps, grid)
     _check_unitary_nodes(nodes)
-    lengths = scipy.integrate.simpson(core._p_norms(vel, p, alg), x=grid)
+    lengths = _simpson(core._p_norms(vel, p, alg), grid)
     return min([math.inf, *(lengths - base + cfg.tol("unitary_minimality")).tolist()])
 
 

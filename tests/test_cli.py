@@ -523,3 +523,16 @@ def test_python_dash_m_runs_the_cli():
     )
     assert out.returncode == 0, out.stderr
     assert "verify" in out.stdout
+
+
+def test_import_loads_no_scipy_submodule():
+    # scipy.linalg is the exp-differential record's oracle, loaded by that
+    # trial alone; the Simpson rule is numpy's
+    src = str(Path(ncgeo.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-X", "importtime", "-c", "import ncgeo, ncgeo.cli"],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 0
+    modules = {line.split("|")[-1].strip() for line in out.stderr.splitlines() if line.startswith("import time:")}
+    assert "ncgeo.cli" in modules
+    assert not {"scipy.integrate", "scipy.linalg"} & modules

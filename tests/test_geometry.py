@@ -18,7 +18,9 @@ from ncgeo.geometry import (
     _differentiate_nodes,
     _geodesic_resample,
     _loop_deformed_nodes,
+    _magnus6,
     _prefix_products,
+    _simpson,
     SampledCurve,
     convexity_probe,
     curve_length_p,
@@ -741,6 +743,48 @@ def test_prefix_products_match_the_sequential_loop(count):
     got = _prefix_products(steps)
     assert got.shape == (count + 1, 4, 4)
     assert np.max(np.abs(got - np.array(loop))) <= 1e-14
+
+
+def _two_product_magnus6(a1, a2, a3, h):
+    """The Magnus step with every bracket as xy - yx, the reference of the
+    one-product form."""
+    b1 = h * a2
+    b2 = (math.sqrt(15.0) * h / 3.0) * (a3 - a1)
+    b3 = (10.0 * h / 3.0) * (a3 - 2.0 * a2 + a1)
+    c1 = b1 @ b2 - b2 @ b1
+    x = 2.0 * b3 + c1
+    c2 = -(b1 @ x - x @ b1) / 60.0
+    x, y = -20.0 * b1 - b3 + c1, b2 + c2
+    return b1 + b3 / 12.0 + (x @ y - y @ x) / 240.0
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_magnus6_brackets_take_one_product(n):
+    # on exactly skew-Hermitian field values each bracket xy - (xy)* is
+    # exactly skew-Hermitian, so the generators are too (xy - yx is not
+    # where xy and yx round differently, as at n = 6 here); they stay within
+    # a few ulps of the two-product brackets
+    gen = np.random.default_rng(n)
+    x = gen.standard_normal((3, 256, n, n)) + 1j * gen.standard_normal((3, 256, n, n))
+    a = x - x.conj().mT
+    for h in (1.0 / 256, 0.1, 1.0):
+        omega, ref = _magnus6(*a, h), _two_product_magnus6(*a, h)
+        assert np.array_equal(omega, -omega.conj().mT)
+        assert np.max(np.abs(omega - ref)) <= 8 * np.finfo(float).eps * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5, 6, 16, 17, 64, 65, 128, 129, 256, 257])
+def test_simpson_is_scipys_bit_for_bit(N):
+    # the numpy transcription of scipy.integrate.simpson: odd and even node
+    # counts, uniform and random grids, one row and a stack of rows
+    gen = np.random.default_rng(N)
+    for grid in (np.linspace(0.0, 1.0, N), np.sort(gen.uniform(0.0, 1.0, N)), np.cumsum(gen.uniform(0.01, 1.0, N))):
+        for _ in range(20):
+            y = gen.standard_normal(N) * 10.0 ** gen.integers(-6, 6)
+            ys = gen.standard_normal((20, N))
+            got = _simpson(y, grid)
+            assert type(got) is float and got == float(scipy.integrate.simpson(y, x=grid))
+            assert np.array_equal(_simpson(ys, grid), scipy.integrate.simpson(ys, x=grid))
 
 
 def test_lift_zero_field():

@@ -528,12 +528,29 @@ def _check_against_serial(zs, S, p, tol=1e-10):
     return res, backtracked
 
 
+def _check_against_solo(res, zs, S, p):
+    # each instance of the stacked result ends as its solo solve, bit for bit
+    for k, z in enumerate(zs):
+        one = best_approximant(z, S, p)
+        assert np.array_equal(one.coefficients, res.coefficients[k])
+        assert (one.optimality_residual, one.iterations) == (res.optimality_residual[k], res.iterations[k])
+
+
 @pytest.mark.parametrize("n, dim", [(4, 5), (6, 12)])
 @pytest.mark.parametrize("p", [4, 6])
-def test_best_approximants_match_serial_solves(n, dim, p, rng):
+def test_best_approximants_match_serial_solves(n, dim, p, rng, monkeypatch):
     alg = TracialAlgebra.full(n)
     S = _random_subspace(alg, rng, dim)
-    zs = np.array([core.random_skew(alg, rng, scale) for scale in (0.1, 0.5, 1.0, 2.0, 5.0, 1.0, 0.3)])
+    zs = np.array([core.random_skew(alg, rng, scale) for scale in (0.1, 0.5, 1.0, 2.0, 5.0, 1.0, 0.3)]
+                  + [S.combine(rng.standard_normal(dim))])
+    # _newton takes one _tau_stack per iterate, of its live rows; the member
+    # of S leaves at the first, the other rows later
+    sizes, tau_stack = [], core._tau_stack
+    monkeypatch.setattr(core, "_tau_stack", lambda x, *a: sizes.append(len(x)) or tau_stack(x, *a))
+    res = best_approximants(zs, S, p)
+    monkeypatch.undo()
+    assert sizes[0] == 8 and sizes[1] == 7 and res.iterations[-1] == 0
+    _check_against_solo(res, zs, S, p)
     _check_against_serial(zs, S, p)
     # the one-instance case
     single = best_approximant(zs[2], S, p)
@@ -590,10 +607,19 @@ def test_stacked_solves_are_the_solo_solves_bit_for_bit(monkeypatch):
     monkeypatch.undo()
     assert any(len(s) == 1 for s in searches[1:])  # every live instance took the first trial
     assert any(len(s) > 1 and s[1] < s[0] for s in searches[1:])  # some took it, some backtracked
-    for k, z in enumerate(zs):
-        one = best_approximant(z, S, 8)
-        assert np.array_equal(one.coefficients, res.coefficients[k])
-        assert (one.optimality_residual, one.iterations) == (res.optimality_residual[k], res.iterations[k])
+    _check_against_solo(res, zs, S, 8)
+
+
+def test_conditional_expectation_stack_leaves_at_zero_steps():
+    # Q_p is the conditional expectation onto the diag-m2 isotropy, so each
+    # row of a 129-row stack certifies at its trace-orthogonal projection:
+    # the whole stack leaves at the first certificate test, unmoved
+    S = _space("diag-m2", blocks=(2,)).isotropy
+    gen = np.random.default_rng(129)
+    zs = np.array([core.random_skew(S.ambient, gen) for _ in range(129)])
+    res = best_approximants(zs, S, 4)
+    assert np.array_equal(res.iterations, np.zeros(129, dtype=int))
+    assert np.array_equal(res.coefficients, S.coords(zs))
 
 
 def test_best_approximants_empty_stack_and_empty_subspace(rng):
