@@ -23,11 +23,11 @@ unitary gives the objective, the cut-locus guard and the Newton step.
 
 The module also contains: the lifting ODE du/dt = w(t) u solved by the
 6th-order Magnus method with step halving against a finite-difference
-defect bound (the steps never cross a kink of the polygonal w, so every
-step generator depends on w alone: the generators, their exponentials,
-drift and defect are stacks, each bracket of skew-Hermitian terms is one
-product xy - (xy)*, and the running product of the steps is
-taken in blocks of about sqrt(steps) steps, in lockstep across the blocks;
+defect bound (the steps never cross a kink of the polygonal w: w is affine
+on each step, whose generator needs its midpoint value and slope, b3 = 0;
+generators, exponentials, drift and defect are stacks, a bracket of skew
+terms is one product xy - (xy)*, the differences one stencil-matrix product,
+and the steps multiply up in lockstep blocks of about sqrt(steps) steps;
 the velocities are built on first access); almost-isometric lifts of orbit curves
 built from the polygonal approximation of -Q(Gamma* dGamma); initial-value
 minimal geodesics with certified minimal symbols; the rectifiable length
@@ -165,21 +165,25 @@ _FD_LEFT = np.array(
 ) / 12.0
 
 
+@functools.lru_cache(maxsize=16)
+def _fd_matrix(m: int) -> np.ndarray:
+    """The (m, m) matrix of the 4th-order stencils, read-only: central rows
+    inside, one-sided rows at the two nodes of each end.  It has m^2 entries,
+    sized for segments and sampled curves of up to a few hundred nodes."""
+    if m < 5:
+        raise ValueError("finite differences need at least 5 nodes")
+    d = sum(c * np.eye(m, k=j - 2) for j, c in enumerate(_FD_INTERIOR))
+    d[:2, :5] = _FD_LEFT
+    d[m - 2 :, m - 5 :] = -_FD_LEFT[::-1, ::-1]
+    d.flags.writeable = False
+    return d
+
+
 def _differentiate_nodes(nodes: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """4th-order finite differences of matrix-valued nodes on a uniform grid,
     shape (m, n, n), or of a stack of such curves on the same grid,
-    shape (K, m, n, n)."""
-    m = len(grid)
-    if m < 5:
-        raise ValueError("finite differences need at least 5 nodes")
-    h = grid[1] - grid[0]
-    x = np.moveaxis(nodes, -3, 0)
-    du = np.empty_like(x)
-    du[2 : m - 2] = sum(c * x[j : m - 4 + j] for j, c in enumerate(_FD_INTERIOR)) / h
-    du[0] = np.tensordot(_FD_LEFT[0], x[:5], axes=1) / h
-    du[1] = np.tensordot(_FD_LEFT[1], x[:5], axes=1) / h
-    du[m - 1] = -np.tensordot(_FD_LEFT[0], x[m - 5 :][::-1], axes=1) / h
-    du[m - 2] = -np.tensordot(_FD_LEFT[1], x[m - 5 :][::-1], axes=1) / h
+    shape (K, m, n, n): one product of the stencil matrix with the nodes."""
+    du = np.tensordot(_fd_matrix(len(grid)), nodes, axes=(1, -3)) / (grid[1] - grid[0])
     return np.moveaxis(du, 0, -3)
 
 
@@ -540,27 +544,22 @@ class LiftResult:
         return SampledCurve(self.u.grid, principal_log(self.u_nodes), target="algebra")
 
 
-#: Gauss-Legendre points of the 6th-order Magnus step on [0, 1]
-_GAUSS3 = 0.5 + np.array([-1.0, 0.0, 1.0]) * math.sqrt(15.0) / 10.0
-
-
-def _magnus6(a1: np.ndarray, a2: np.ndarray, a3: np.ndarray, h: float) -> np.ndarray:
-    """Generators of the 6th-order Magnus steps from the field at the three
-    Gauss points of each step (Blanes, Casas, Oteo & Ros 2009, section 5).
-    Every bracket is of skew-Hermitian terms (b1, b2, b3 are real combinations
-    of the field's values, c1, c2 brackets of those), and (xy)* = yx for skew
-    x, y: so [x, y] = xy - (xy)* is one product, skew to the last bit."""
+def _magnus_affine(mid: np.ndarray, slope: np.ndarray, h: float) -> np.ndarray:
+    """Generators of the 6th-order Magnus steps (Blanes, Casas, Oteo & Ros
+    2009, section 5) of a field that is affine on every step, from its value
+    at each step's midpoint and its slope there (the two broadcast).  On an
+    affine field the Gauss-point combinations are b1 = h mid, b2 = h^2 slope
+    and b3 = 0 exactly.  Every bracket is of skew-Hermitian terms, and
+    (xy)* = yx for skew x, y: so [x, y] = xy - (xy)* is one product, skew to
+    the last bit."""
 
     def bracket(x, y):
         m = x @ y
         return m - m.conj().mT
 
-    b1 = h * a2
-    b2 = (math.sqrt(15.0) * h / 3.0) * (a3 - a1)
-    b3 = (10.0 * h / 3.0) * (a3 - 2.0 * a2 + a1)
+    b1, b2 = h * mid, (h * h) * slope
     c1 = bracket(b1, b2)
-    c2 = -bracket(b1, 2.0 * b3 + c1) / 60.0
-    return b1 + b3 / 12.0 + bracket(-20.0 * b1 - b3 + c1, b2 + c2) / 240.0
+    return b1 + bracket(c1 - 20.0 * b1, b2 - bracket(b1, c1) / 60.0) / 240.0
 
 
 def _prefix_products(steps: np.ndarray) -> np.ndarray:
@@ -596,22 +595,21 @@ def lift_ode_solve(
 ) -> LiftResult:
     """Integrate du/dt = w(t) u, u(0) = 1, by the 6th-order Magnus method.
 
-    Steps subdivide the segments of the polygonal w, so every step
-    generator Omega_i depends on w alone: all of them are one stacked
-    computation, projected onto the isotropy algebra (the largest
-    displacement must stay below 1e-9), exponentiated through one
-    batched eigendecomposition and multiplied up, u_{i+1} = e^{Omega_i} u_i,
-    in blocks (``_prefix_products``).
+    Steps subdivide the segments of the polygonal w, so w is affine on each
+    step and its generator Omega_i needs the midpoint value and slope alone
+    (``_magnus_affine``, b3 = 0): all of them are one stacked computation,
+    projected onto the isotropy algebra (the largest displacement must stay
+    below 1e-9), exponentiated through one batched eigendecomposition and
+    multiplied up, u_{i+1} = e^{Omega_i} u_i, in blocks (``_prefix_products``).
     The step count doubles, at most 6 times, until the defect ||du u* - w||,
-    measured by 4th-order differences within each segment of w, is below
-    ``defect_tol`` uniformly.
+    measured by 4th-order differences within each segment of w (one stencil
+    product), is below ``defect_tol`` uniformly.
     """
     if w_curve.target != "algebra":
         raise ValueError("the ODE right-hand side must be an algebra-valued curve")
-    G = space.isotropy
-    alg = space.ambient
-    off = core._p_norms(w_curve.nodes - G.project(w_curve.nodes), 2, alg)
-    outside = np.flatnonzero(off > 1e-8 * np.maximum(1.0, core._p_norms(w_curve.nodes, 2, alg)))
+    G, alg, a = space.isotropy, space.ambient, w_curve.nodes
+    off = core._p_norms(a - G.project(a), 2, alg)
+    outside = np.flatnonzero(off > 1e-8 * np.maximum(1.0, core._p_norms(a, 2, alg)))
     if outside.size:
         raise ValueError(f"field node {outside[0]} is not in the isotropy algebra")
 
@@ -625,11 +623,12 @@ def lift_ode_solve(
     for refinement in range(7):
         n_steps = n_base * seg
         h = 1.0 / n_steps
-        grid = np.linspace(0.0, 1.0, n_steps + 1)
-        # the field at the nodes, then at each Gauss point of every step (a contiguous stack per point)
-        w_all = w_curve.values(np.concatenate([grid, (grid[:-1] + h * _GAUSS3[:, None]).ravel()]))
-        w_nodes = w_all[: n_steps + 1]
-        omega = _magnus6(*w_all[n_steps + 1 :].reshape(3, n_steps, n, n), h)
+        # the step nodes and midpoints sit at the fractions j/(2 seg) of each
+        # segment a_k -> a_{k+1} of w, whose slope is (a_{k+1} - a_k) n_base
+        s = (np.arange(2 * seg) / (2 * seg))[:, None, None]
+        w_seg = (1.0 - s) * a[:-1, None] + s * a[1:, None]
+        w_nodes = np.concatenate([w_seg[:, ::2].reshape(n_steps, n, n), a[-1:]])
+        omega = _magnus_affine(w_seg[:, 1::2], (a[1:] - a[:-1])[:, None] * n_base, h).reshape(n_steps, n, n)
         tangent = G.project(omega)
         drift = core._max_operator_norm(omega - tangent)
         u_nodes = _prefix_products(Eigenframe(tangent).exp())
@@ -639,7 +638,7 @@ def lift_ode_solve(
         # stencils must not straddle them (a kink node takes the derivative
         # of the segment it starts)
         segments = np.arange(0, n_steps, seg)[:, None] + np.arange(seg + 1)
-        blocks = _differentiate_nodes(u_nodes[segments], grid[: seg + 1])
+        blocks = _differentiate_nodes(u_nodes[segments], h * np.arange(seg + 1))
         du = np.concatenate([blocks[:, :-1].reshape(n_steps, n, n), blocks[-1:, -1]])
         defect = core._max_operator_norm(du @ u_nodes.conj().mT - w_nodes)
         last = LiftResult(u_nodes, w_nodes, defect, drift, refinement)
@@ -690,25 +689,25 @@ def epsilon_isometric_lift(curve: SampledCurve, space: HomSpace, p, epsilon: flo
     vel = curve.left_velocities()
     # certify sup_t ||w_eps(t) + Q(Gamma* dGamma)(t)||_p < epsilon: the
     # polygonal matches -Q exactly at the nodes, so the band is measured at
-    # the midpoints (chord-log velocity, second-order accurate); the
-    # adjacent-jump modulus < epsilon/3 is kept as the continuity fallback;
-    # the nodal and the midpoint projections are one stacked solve
+    # the midpoints, w_eps there the node average (chord-log velocity, second-
+    # order accurate; a chord may be twice as far from unitary as its validated
+    # nodes, so its log is the frame's, unchecked); the adjacent-jump modulus
+    # < epsilon/3 is the continuity fallback; one stacked projection solve
     h = curve.grid[1] - curve.grid[0]
-    v_half = principal_log(curve.nodes[:-1].conj().mT @ curve.nodes[1:]) / h  # an exactly skew log
+    chords = Eigenframe.from_unitary(curve.nodes[:-1].conj().mT @ curve.nodes[1:])
+    z = (chords.frame * (1j * chords.lam)[..., None, :]) @ chords.frame.conj().mT
+    v_half = (z - z.conj().mT) / 2.0 / h
     speeds, q = quotient_norm(np.concatenate([vel, v_half]), space.isotropy, p, return_witness=True)
     m = len(vel)
     alpha, q_half = -q[:m], q[m:]
-    w_curve = SampledCurve(curve.grid, alpha, target="algebra")
-    w_mid = w_curve.values((curve.grid[:-1] + curve.grid[1:]) / 2.0)
-    band = float(np.max(core._p_norms(w_mid + q_half, p, alg), initial=0.0))
-    jumps = float(np.max(core._p_norms(alpha[1:] - alpha[:-1], p, alg)))
-    if band > 0.8 * epsilon and jumps >= epsilon / 3.0:
+    band = float(np.max(core._p_norms((alpha[:-1] + alpha[1:]) / 2.0 + q_half, p, alg), initial=0.0))
+    if band > 0.8 * epsilon and float(np.max(core._p_norms(alpha[1:] - alpha[:-1], p, alg))) >= epsilon / 3.0:
         raise ValueError(
             "curve grid too coarse for the requested epsilon: the vertical "
             f"field band is {band:.3e} against epsilon {epsilon:.1e}"
         )
 
-    lift = lift_ode_solve(w_curve, space)
+    lift = lift_ode_solve(SampledCurve(curve.grid, alpha, target="algebra"), space)
     u_at_nodes = lift.u_nodes[:: (len(lift.u_nodes) - 1) // curve.n_intervals]
 
     beta_nodes = np.einsum("kij,kjl->kil", curve.nodes, u_at_nodes)

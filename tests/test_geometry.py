@@ -11,14 +11,17 @@ import scipy.optimize
 from ncgeo import core, projection
 from ncgeo.core import TracialAlgebra, operator_norm, p_norm, principal_log, unitary_exp
 from ncgeo.geometry import (
+    _FD_INTERIOR,
+    _FD_LEFT,
     HomSpace,
     ProbeReport,
     _check_unitary_nodes,
     _constant_speed_params,
     _differentiate_nodes,
     _geodesic_resample,
+    _fd_matrix,
     _loop_deformed_nodes,
-    _magnus6,
+    _magnus_affine,
     _prefix_products,
     _simpson,
     SampledCurve,
@@ -745,9 +748,13 @@ def test_prefix_products_match_the_sequential_loop(count):
     assert np.max(np.abs(got - np.array(loop))) <= 1e-14
 
 
+#: Gauss-Legendre points of the 6th-order Magnus step on [0, 1]
+_GAUSS3 = 0.5 + np.array([-1.0, 0.0, 1.0]) * math.sqrt(15.0) / 10.0
+
+
 def _two_product_magnus6(a1, a2, a3, h):
-    """The Magnus step with every bracket as xy - yx, the reference of the
-    one-product form."""
+    """The general Magnus step from the field at its three Gauss points, with
+    every bracket as xy - yx: the reference of the affine-step generator."""
     b1 = h * a2
     b2 = (math.sqrt(15.0) * h / 3.0) * (a3 - a1)
     b3 = (10.0 * h / 3.0) * (a3 - 2.0 * a2 + a1)
@@ -759,18 +766,60 @@ def _two_product_magnus6(a1, a2, a3, h):
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])
-def test_magnus6_brackets_take_one_product(n):
-    # on exactly skew-Hermitian field values each bracket xy - (xy)* is
-    # exactly skew-Hermitian, so the generators are too (xy - yx is not
-    # where xy and yx round differently, as at n = 6 here); they stay within
-    # a few ulps of the two-product brackets
+def test_affine_magnus_step_matches_the_gauss_point_step(n):
+    # on random affine skew fields mid + (t - 1/2) h slope over each step the
+    # general step, fed the field at its Gauss points, has b3 = 0 up to
+    # roundoff; the midpoint-and-slope generator stays within a few ulps of
+    # it and is exactly skew-Hermitian, each bracket xy - (xy)* being so
+    # (xy - yx is not where xy and yx round differently)
     gen = np.random.default_rng(n)
-    x = gen.standard_normal((3, 256, n, n)) + 1j * gen.standard_normal((3, 256, n, n))
-    a = x - x.conj().mT
+    x = gen.standard_normal((2, 256, n, n)) + 1j * gen.standard_normal((2, 256, n, n))
+    mid, slope = x - x.conj().mT
     for h in (1.0 / 256, 0.1, 1.0):
-        omega, ref = _magnus6(*a, h), _two_product_magnus6(*a, h)
+        omega = _magnus_affine(mid, slope, h)
+        ref = _two_product_magnus6(*(mid + ((g - 0.5) * h) * slope for g in _GAUSS3), h)
         assert np.array_equal(omega, -omega.conj().mT)
         assert np.max(np.abs(omega - ref)) <= 8 * np.finfo(float).eps * np.max(np.abs(ref))
+
+
+def _stencil_loop(nodes, grid):
+    """The finite differences the stencil matrix replaced: five shifted
+    slices inside, the one-sided stencils at both ends."""
+    m, h = len(grid), grid[1] - grid[0]
+    x = np.moveaxis(nodes, -3, 0)
+    du = np.empty_like(x)
+    du[2 : m - 2] = sum(c * x[j : m - 4 + j] for j, c in enumerate(_FD_INTERIOR)) / h
+    for row, c in enumerate(_FD_LEFT):
+        du[row] = np.tensordot(c, x[:5], axes=1) / h
+        du[m - 1 - row] = -np.tensordot(c, x[m - 5 :][::-1], axes=1) / h
+    return np.moveaxis(du, 0, -3)
+
+
+@pytest.mark.parametrize("m", [5, 6, 9, 65])
+def test_stencil_matrix_matches_the_stencil_loop(m):
+    # one curve and a (K, m, n, n) stack, on the unit grid and a short one,
+    # within 4 ulps of the largest stencil term, 48/12 max|x| / h
+    gen = np.random.default_rng(m)
+    for grid in (np.linspace(0.0, 1.0, m), np.linspace(0.2, 0.3, m)):
+        for shape in ((m, 3, 3), (4, m, 3, 3)):
+            x = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+            got, ref = _differentiate_nodes(x, grid), _stencil_loop(x, grid)
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 16 * np.finfo(float).eps * np.max(np.abs(x)) / (grid[1] - grid[0])
+    assert _fd_matrix(m) is _fd_matrix(m) and not _fd_matrix(m).flags.writeable
+
+
+@pytest.mark.parametrize("m", [5, 6, 9, 65])
+def test_stencil_matrix_is_exact_on_quartics(m):
+    # matrix polynomials of degree <= 4 are differentiated to roundoff
+    gen = np.random.default_rng(m)
+    grid = np.linspace(0.0, 1.0, m)
+    for degree in range(5):
+        c = gen.standard_normal((degree + 1, 3, 3)) + 1j * gen.standard_normal((degree + 1, 3, 3))
+        nodes = sum(ck * grid[:, None, None] ** k for k, ck in enumerate(c))
+        exact = sum(k * ck * grid[:, None, None] ** (k - 1) for k, ck in enumerate(c) if k)
+        err = np.max(np.abs(_differentiate_nodes(nodes, grid) - exact), initial=0.0)
+        assert err <= 16 * np.finfo(float).eps * np.max(np.abs(nodes)) * (m - 1)
 
 
 @pytest.mark.parametrize("N", [2, 3, 4, 5, 6, 16, 17, 64, 65, 128, 129, 256, 257])

@@ -1,6 +1,7 @@
 """Known-hard inputs, each replayed with its expected outcome."""
 
 import numpy as np
+import pytest
 
 from ncgeo import core, geometry, projection, suites
 from ncgeo.models import ModelSpec, build_model_space
@@ -61,3 +62,19 @@ def test_coset_guard_query_where_two_starts_crawl(monkeypatch):
     ((_, _, certificates, trials),) = runs
     assert trials.tolist() == _GUARD_TRIALS
     assert [k for k, r in enumerate(certificates) if not r <= 1e-9] == [4, 7]
+
+
+def test_lift_of_nodes_whose_chords_fail_the_unitarity_check():
+    # nodes scaled by 1 + 0.45e-9 n have a unitarity defect of 9.0e-10 n and
+    # pass validate_unitary (1e-9 n), but their chords Gamma_k* Gamma_{k+1}
+    # have 1.8e-9 n, and principal_log refused them when it took the chord logs
+    sp = build_model_space(ModelSpec("diag-m2", blocks=(2,)))
+    n, rng = sp.ambient.dim, np.random.default_rng(3)
+    z, xi = core.random_skew(sp.ambient, rng, 0.35), core.random_skew(sp.ambient, rng, 0.3)
+    gamma = geometry.loop_deformed_exp_curve(z, xi, 0.35, n_nodes=65)
+    gamma.nodes = gamma.nodes * (1.0 + 0.45e-9 * n)
+    gamma.validate_unitary()
+    with pytest.raises(ValueError, match="requires a unitary argument"):
+        core.principal_log(gamma.nodes[:-1].conj().mT @ gamma.nodes[1:])
+    res = geometry.epsilon_isometric_lift(gamma, sp, 4, 1e-2)
+    assert res.excess < res.epsilon
