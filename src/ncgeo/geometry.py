@@ -254,8 +254,8 @@ class HomSpace:
     "partial-isometry" (points u pt).  ``isotropy`` must be a Lie algebra
     (lie_closed).
     ``c_O`` bounds the uniform norm of the horizontal projection against
-    the quotient norm; ``k_O_p`` maps each even p to a uniform bound on the
-    best-approximant projection, exact where the model provides one and an
+    the quotient norm; ``k_O_p(p)`` is a uniform bound on the best-approximant
+    projection at each even p, exact where the model provides one and an
     inflated empirical estimate otherwise (``models.MODELS`` says which).
     ``expectation(x, space)``, when given, is the conditional expectation
     onto the isotropy subalgebra; coset membership is then g = E(g).
@@ -266,7 +266,7 @@ class HomSpace:
     basepoint: np.ndarray
     isotropy: SkewSubspace
     c_O: float
-    k_O_p: dict
+    k_O_p: Callable
     model_kind: str = ""
     expectation: Callable | None = None
 
@@ -284,10 +284,7 @@ class HomSpace:
         return self.act(u, self.basepoint)
 
     def k_O(self, p) -> float:
-        p = core._check_even_p(p)
-        if p not in self.k_O_p:
-            raise ValueError(f"no projection bound recorded for p = {p}")
-        return self.k_O_p[p]
+        return self.k_O_p(core._check_even_p(p))
 
     def epsilon_band(self, p) -> float:
         """(sqrt(2) - 1) / (C (1 + K_p)): the uniform-length band inside

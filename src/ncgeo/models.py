@@ -24,6 +24,7 @@ per-sample values bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -67,8 +68,8 @@ class ModelSpec:
 
     ``blocks``: block dimensions of M (center-quotient) or the single inner
     dimension of M for the M(x)M2 presentations.  ``e`` / ``v0`` override
-    the default projection or partial isometry.  ``p_list`` fixes the even
-    exponents for which projection bounds are certified at build time.
+    the default projection or partial isometry.  A field the kind does not
+    read (``ModelKind.reads``) is a ValueError naming it.
     """
 
     kind: str
@@ -76,7 +77,6 @@ class ModelSpec:
     weights: tuple | None = None
     e: np.ndarray | None = None
     v0: np.ndarray | None = None
-    p_list: tuple = (2, 4)
 
     def __post_init__(self):
         if not isinstance(self.kind, str) or self.kind not in MODELS:
@@ -84,7 +84,10 @@ class ModelSpec:
         self.blocks = tuple(core._check_integer(b, f"blocks[{i}]") for i, b in enumerate(self.blocks))
         if not self.blocks or min(self.blocks) < 1:
             raise ValueError("blocks must be a non-empty list of positive dimensions")
-        self.p_list = tuple(core._check_even_p(p) for p in self.p_list)
+        for name, given in (("blocks", len(self.blocks) > 1), ("weights", self.weights is not None),
+                            ("e", self.e is not None), ("v0", self.v0 is not None)):
+            if given and name not in MODELS[self.kind].reads:
+                raise ValueError(f"{name}: expected {'one block' if name == 'blocks' else 'none'} for kind {self.kind}")
         if self.e is not None:
             self.e = np.asarray(self.e, dtype=complex)
             if core.operator_norm(self.e @ self.e - self.e) > 1e-10 or not core.is_hermitian(self.e):
@@ -180,9 +183,7 @@ def _partial_isometry_orbit(spec):
         n = spec.blocks[0]
         if n < 2:
             raise ValueError("partial-isometry-orbit needs ambient dimension >= 2")
-        v0 = np.zeros((n, n), dtype=complex)
-        for j in range(n - 1):
-            v0[j + 1, j] = 1.0
+        v0 = np.eye(n, k=-1, dtype=complex)  # the shift e_j -> e_{j+1}
     alg = TracialAlgebra.full(n)
     lam, vecs = np.linalg.eigh(v0 @ v0.conj().T)
     kernel = vecs[:, lam <= 0.5]
@@ -232,13 +233,15 @@ class ModelKind:
     the basepoint and an isotropy basis; ``action`` is the HomSpace action
     kind; ``expectation(x, space)`` is the conditional expectation onto the
     isotropy subalgebra (None: no *-subalgebra); ``c_exact`` / ``k_exact``
-    are the closed-form c_O and K_p (None: sampled maxima x1.5)."""
+    are the closed-form c_O and K_p (None: sampled maxima x1.5); ``reads``
+    names the optional spec fields ``build`` reads ("blocks": a second one)."""
 
     build: Callable
     action: str
     expectation: Callable | None
     c_exact: float | None
     k_exact: float | None
+    reads: tuple
 
     @property
     def constants(self) -> str:
@@ -248,11 +251,11 @@ class ModelKind:
 
 #: every model kind; the one place that maps a kind to its data
 MODELS = {
-    "center-quotient": ModelKind(_center_quotient, "coset", _block_scalars, 2.0, 3.0),
-    "diag-m2": ModelKind(lambda s: _tensor_diagonal(s, ((0,), (1,))), "coset", _block_diagonal, 2.0, 1.0),
-    "special-diag-m2": ModelKind(lambda s: _tensor_diagonal(s, ((0, 1),)), "coset", _constant_diagonal, 2.0, None),
-    "partial-isometry-orbit": ModelKind(_partial_isometry_orbit, "partial-isometry", None, None, None),
-    "projection-orbit": ModelKind(_projection_orbit, "conjugation", _commutant, 2.0, 1.0),
+    "center-quotient": ModelKind(_center_quotient, "coset", _block_scalars, 2.0, 3.0, ("blocks", "weights")),
+    "diag-m2": ModelKind(lambda s: _tensor_diagonal(s, ((0,), (1,))), "coset", _block_diagonal, 2.0, 1.0, ()),
+    "special-diag-m2": ModelKind(lambda s: _tensor_diagonal(s, ((0, 1),)), "coset", _constant_diagonal, 2.0, None, ()),
+    "partial-isometry-orbit": ModelKind(_partial_isometry_orbit, "partial-isometry", None, None, None, ("v0",)),
+    "projection-orbit": ModelKind(_projection_orbit, "conjugation", _commutant, 2.0, 1.0, ("e",)),
 }
 
 
@@ -260,13 +263,13 @@ def build_model_space(spec: ModelSpec) -> HomSpace:
     """Wire a HomSpace for the requested model kind from its MODELS entry.
 
     Every shipped isotropy group is exponential (a unitary group of a
-    subalgebra or of a corner).
+    subalgebra or of a corner).  An estimated K_p is sampled on first use and kept.
     """
     model = MODELS[spec.kind]
     alg, basepoint, basis = model.build(spec)
     iso = orthonormal_basis(SkewSubspace(alg, basis))
     c = model.c_exact if model.c_exact is not None else _estimate_c(iso, alg)
-    k = {p: model.k_exact if model.k_exact is not None else _estimate_k(iso, alg, p) for p in spec.p_list}
+    k = functools.cache(functools.partial(_estimate_k, iso, alg)) if model.k_exact is None else lambda p: model.k_exact
     space = HomSpace(alg, model.action, basepoint, iso, c, k, spec.kind, model.expectation)
     _structural_checks(space)
     return space
@@ -299,9 +302,9 @@ def validate_space(space: HomSpace, trials: int = 50, seed: int = 0) -> dict:
     horizontal projection and the sampled quotient ratio
     ||P_F(z)|| / inf_y ||z - y|| over the first 10 samples, and returns the
     norm-equivalence constants c_p ||z|| <= ||z||_p <= ||z|| on the isotropy
-    algebra.  The infimum is bracketed (``quotient_norm`` at p = inf) and
-    the ratio divides by the lower end, the conservative side of the c_O
-    check; ``c_width`` is the largest relative bracket width
+    algebra at p = 2 and 4.  The infimum is bracketed (``quotient_norm`` at
+    p = inf) and the ratio divides by the lower end, the conservative side
+    of the c_O check; ``c_width`` is the largest relative bracket width
     (upper - lower) / upper.  The samples are drawn as one stack and
     measured by stacked norms and one lockstep quotient norm.
     """
@@ -318,7 +321,7 @@ def validate_space(space: HomSpace, trials: int = 50, seed: int = 0) -> dict:
     ys = space.isotropy.project(zs)
     ny = core._operator_norms(ys)
     ys, ny = ys[ny > 1e-12], ny[ny > 1e-12]
-    c_p = {p: _worst(core._p_norms(ys, p, alg) / ny, 1.0) for p in space.k_O_p}
+    c_p = {p: _worst(core._p_norms(ys, p, alg) / ny, 1.0) for p in (2, 4)}
     if worst_c_ratio > space.c_O + 1e-9:
         raise ValueError("sampled horizontal projection exceeds the recorded c_O")
     if any(v <= 0 for v in c_p.values()):

@@ -8,7 +8,7 @@ Formats (documented in docs/schemas/):
   curve     {"grid_n": int, "target": "unitary"|"orbit"|"algebra",
              "nodes": [<matrix>, ...], "velocities": [<matrix>, ...]?}
   modelspec {"kind": str, "blocks": [int, ...], "weights": [float, ...]?,
-             "e": <matrix>?, "v0": <matrix>?, "p_list": [int, ...]}
+             "e": <matrix>?, "v0": <matrix>?}
   config    see SuiteConfig in ncgeo.suites
 
 Schema violations, wrong JSON types included, raise SchemaError naming
@@ -164,7 +164,7 @@ def curve_from_json(obj, where: str = "curve") -> SampledCurve:
 
 
 def modelspec_to_json(spec: ModelSpec) -> dict:
-    out = {"kind": spec.kind, "blocks": list(spec.blocks), "p_list": list(spec.p_list)}
+    out = {"kind": spec.kind, "blocks": list(spec.blocks)}
     if spec.weights is not None:
         out["weights"] = list(spec.weights)
     if spec.e is not None:
@@ -176,7 +176,7 @@ def modelspec_to_json(spec: ModelSpec) -> dict:
 
 def modelspec_from_json(obj, where: str = "modelspec") -> ModelSpec:
     kw = {"kind": _json_value(_need(obj, "kind", where), f"{where}.kind", str)}
-    for key, kind in (("blocks", int), ("weights", float), ("p_list", int)):
+    for key, kind in (("blocks", int), ("weights", float)):
         if key in obj:
             kw[key] = _json_array(obj[key], f"{where}.{key}", kind)
     for key in ("e", "v0"):

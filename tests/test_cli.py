@@ -146,6 +146,20 @@ def test_geodesic_labels_estimated_constants(kind, n, files, capsys, rng):
     assert out["minimality_certificate"] < 1e-8
 
 
+def test_geodesic_at_p_six_estimates_its_bound_on_first_use(files, capsys, rng):
+    # a modelspec names no exponents: K_6 is sampled when the radius asks for it
+    spec = {"kind": "special-diag-m2", "blocks": [2]}
+    space = _write(files / "s.json", spec)
+    z = core.random_skew(TracialAlgebra.full(4), rng, 0.05)
+    target = _write(files / "t.json", matrix_to_json(core.unitary_exp(z)))
+    assert main(["geodesic", "--space", space, "--target", target, "--p", "6"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    built = build_model_space(modelspec_from_json(spec))
+    assert (out["radius"], out["epsilon_band"]) == (built.radius(6), built.epsilon_band(6))
+    assert out["constants"] == "estimated"
+    assert out["minimality_certificate"] < 1e-8
+
+
 def test_lift_command(files, capsys, rng):
     space = _write(files / "s.json", {"kind": "diag-m2", "blocks": [2], "p_list": [2, 4]})
     alg = TracialAlgebra.tensor_square(2)
@@ -353,7 +367,7 @@ def test_document_rejections(files, capsys):
         ({"n": "2", "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]}, ["fold", "--z", "{}"], ".n"),
         ({"kind": "diag-m2", "blocks": 3}, geodesic, ".blocks"),
         ({"kind": "diag-m2", "blocks": "ab"}, geodesic, ".blocks"),
-        ({"kind": "diag-m2", "blocks": [2], "p_list": "24"}, geodesic, ".p_list"),
+        ({"kind": "diag-m2", "blocks": [2, 3]}, geodesic, ": blocks"),
         ({"kind": ["diag-m2"], "blocks": [2]}, geodesic, ".kind"),
         ({"kind": "diag-m2", "blocks": [2], "e": {"n": 1, "re": [[1]], "im": [[None]]}}, geodesic, ".e.im[0][0]"),
     ]
@@ -395,6 +409,20 @@ def test_verify_at_p_one_writes_its_report(files, capsys):
     assert rep["passed"] is True
     (rec,) = [r for r in rep["records"] if r["anchor"] == "clarkson-inequalities"]
     assert rec["trials"] == 2 * len(suites.SuiteConfig().dims)
+
+
+def test_verify_reaches_a_report_at_p_six_and_eight(files, capsys):
+    # the default spaces estimate K_p at whatever even p the config asks
+    # for; a violation at p = 8 is a finding (exit 1), not a crash
+    cfg6 = _write(files / "cfg6.json", {"p_list": [6], "trials": 1})
+    r1, r2, r8 = files / "r1.json", files / "r2.json", files / "r8.json"
+    assert main(["verify", "--config", cfg6, "--report", str(r1)]) == 0
+    assert main(["verify", "--config", cfg6, "--report", str(r2)]) == 0
+    assert r1.read_bytes() == r2.read_bytes()
+    cfg8 = _write(files / "cfg8.json", {"p_list": [8], "trials": 1})
+    assert main(["verify", "--config", cfg8, "--report", str(r8)]) in (0, 1)
+    assert json.loads(r8.read_text())["records"]
+    assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("threads", ["abc", "0"])

@@ -58,7 +58,7 @@ SPACES = {
 
 def _trivial_isotropy_space(alg):
     iso = SkewSubspace(alg, [])
-    return HomSpace(alg, "coset", alg.identity(), iso, 1.0, {2: 1e-9, 4: 1e-9})
+    return HomSpace(alg, "coset", alg.identity(), iso, 1.0, lambda p: 1e-9)
 
 
 def _minimal_symbol(space, rng, p=4, scale=0.3):

@@ -23,6 +23,7 @@ from ncgeo.models import (
     validate_space,
 )
 from ncgeo.projection import SkewSubspace, best_approximant, hermitian_best_approximant, quotient_norm
+from ncgeo.suites import default_model_specs
 
 SPACES = {
     "center-quotient": build_model_space(ModelSpec("center-quotient", blocks=(2, 3), weights=(0.4, 0.6))),
@@ -49,11 +50,29 @@ def test_spec_validation():
         ModelSpec("center-quotient", blocks=(2.5, 2))
     assert ModelSpec("center-quotient", blocks=(np.int64(2), 2.0)).blocks == (2, 2)
     with pytest.raises(ValueError):
-        ModelSpec("diag-m2", p_list=(3,))
-    with pytest.raises(ValueError):
         ModelSpec("projection-orbit", e=np.array([[0.5, 0.0], [0.0, 0.0]], dtype=complex))
     with pytest.raises(ValueError):
         ModelSpec("partial-isometry-orbit", v0=np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex))
+    # a field the kind does not read is refused by name, not dropped
+    e, v0 = np.diag([1.0, 0.0, 1.0, 0.0]).astype(complex), np.eye(3, k=-1, dtype=complex)
+    unread = [
+        ("diag-m2", {"blocks": (2, 3)}, "blocks"),
+        ("partial-isometry-orbit", {"blocks": (3, 3)}, "blocks"),
+        ("projection-orbit", {"blocks": (2, 2)}, "blocks"),
+        ("special-diag-m2", {"weights": (1.0,)}, "weights"),
+        ("projection-orbit", {"weights": (1.0,)}, "weights"),
+        ("diag-m2", {"e": e}, "e"),
+        ("center-quotient", {"e": e}, "e"),
+        ("projection-orbit", {"v0": v0}, "v0"),
+        ("special-diag-m2", {"v0": v0}, "v0"),
+    ]
+    for kind, kw, name in unread:
+        with pytest.raises(ValueError, match=rf"^{name}: expected (one block|none) for kind {kind}$"):
+            ModelSpec(kind, **kw)
+    # each kind still takes the fields it reads
+    assert ModelSpec("center-quotient", blocks=(2, 3), weights=(0.4, 0.6)).weights == (0.4, 0.6)
+    assert ModelSpec("projection-orbit", e=e).e is not None
+    assert ModelSpec("partial-isometry-orbit", v0=v0).v0 is not None
 
 
 def test_every_kind_builds_and_validates():
@@ -124,6 +143,44 @@ def test_exact_constants():
     assert SPACES["special-diag-m2"].k_O(4) >= 1.0
 
 
+# ---------------------------------------------------------------------------
+# projection bounds, computed on first use
+# ---------------------------------------------------------------------------
+
+def test_building_a_space_estimates_no_projection_bound(newton_stack_sizes):
+    for spec in default_model_specs():
+        build_model_space(spec)
+    assert newton_stack_sizes == []
+
+
+def test_first_projection_bound_is_one_stack_and_then_kept(newton_stack_sizes):
+    sp = build_model_space(ModelSpec("special-diag-m2", blocks=(2,)))
+    first = sp.k_O(4)
+    assert newton_stack_sizes == [400]
+    newton_stack_sizes.clear()
+    assert sp.k_O(4.0) == first
+    assert newton_stack_sizes == []
+
+
+@pytest.mark.parametrize(
+    "spec", [s for s in default_model_specs() if MODELS[s.kind].k_exact is None], ids=lambda s: s.kind
+)
+def test_estimated_projection_bounds_match_the_eager_estimate(spec):
+    # asked for in any order, K_p is the value a build-time estimate gave
+    sp = build_model_space(spec)
+    for p in (6, 2, 4):
+        assert sp.k_O(p) == models._estimate_k(sp.isotropy, sp.ambient, p)
+
+
+@pytest.mark.parametrize("name", sorted(name for name, model in MODELS.items() if model.k_exact is not None))
+def test_exact_projection_bounds_hold_at_every_even_p(name):
+    sp = SPACES[name]
+    assert sp.k_O(6) == sp.k_O(64) == MODELS[name].k_exact
+    for p in (3, 66):
+        with pytest.raises(ValueError):
+            sp.k_O(p)
+
+
 def test_exponential_isotropy_flag_checks_out(rng):
     # every shipped isotropy group element is the exponential of an algebra element
     for sp in SPACES.values():
@@ -140,7 +197,8 @@ def test_isotropy_defect_of_a_stack_is_its_largest(rng):
     # branch (expectation, generic-basis coset, orbit action) gives the
     # largest one-matrix defect, bit for bit, and a float for one matrix
     alg = TracialAlgebra.full(3)
-    generic = HomSpace(alg, "coset", alg.identity(), SkewSubspace(alg, [core.random_skew(alg, rng)]), 1.0, {2: 1.0})
+    iso = SkewSubspace(alg, [core.random_skew(alg, rng)])
+    generic = HomSpace(alg, "coset", alg.identity(), iso, 1.0, lambda p: 1.0)
     for sp in [*SPACES.values(), generic]:
         ys = sp.isotropy.combine(rng.standard_normal((3, sp.isotropy.dim)))
         gs = np.concatenate([unitary_exp(ys), core._random_unitaries(sp.ambient, rng, 2)])
@@ -389,7 +447,7 @@ def _loop_validate_space(space, trials, seed):
     alg = space.ambient
     rng = np.random.default_rng(seed)
     worst_c_ratio = c_width = 0.0
-    c_p = {p: 1.0 for p in space.k_O_p}
+    c_p = {p: 1.0 for p in (2, 4)}
     for k in range(trials):
         z = core.random_skew(alg, rng)
         nz = operator_norm(z)
@@ -558,7 +616,7 @@ def test_validate_space_matches_per_sample_loop(name):
     sp = SPACES[name]
     for seed, trials in ((3, 4), (4, 25)):
         assert validate_space(sp, trials=trials, seed=seed) == _loop_validate_space(sp, trials, seed)
-    assert validate_space(sp, trials=0) == {"c_ratio": 0.0, "c_p": {p: 1.0 for p in sp.k_O_p}, "c_width": 0.0}
+    assert validate_space(sp, trials=0) == {"c_ratio": 0.0, "c_p": {2: 1.0, 4: 1.0}, "c_width": 0.0}
 
 
 @pytest.mark.parametrize("name", sorted(SPACES))

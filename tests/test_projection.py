@@ -255,7 +255,7 @@ def test_expectation_commutant_of_projection(rng):
 def test_expectation_rejects_unknown_kind(rng):
     # a space over a generic span carries no expectation
     S = SkewSubspace(M3, [core.random_skew(M3, rng)])
-    sp = HomSpace(M3, "coset", M3.identity(), S, 1.0, {2: 1.0})
+    sp = HomSpace(M3, "coset", M3.identity(), S, 1.0, lambda p: 1.0)
     with pytest.raises(ValueError):
         conditional_expectation(core.random_hermitian(M3, rng), sp)
 
@@ -800,7 +800,7 @@ def test_trace_polynomial_matches_matrix_powers(p):
 def test_diag_m2_truncation_against_expectation(rng):
     # closed-form stationarity: E(z) satisfies the optimality criterion,
     # so strict convexity makes it the unique best approximant
-    sp = build_model_space(ModelSpec("diag-m2", blocks=(2,), p_list=(4, 6)))
+    sp = build_model_space(ModelSpec("diag-m2", blocks=(2,)))
     for p in (4, 6):
         for _ in range(10):
             z = core.random_skew(T2, rng)

@@ -77,7 +77,7 @@ def test_curve_round_trip(rng, m3):
 
 
 def test_modelspec_round_trip():
-    spec = ModelSpec("center-quotient", blocks=(2, 3), weights=(0.4, 0.6), p_list=(2, 4))
+    spec = ModelSpec("center-quotient", blocks=(2, 3), weights=(0.4, 0.6))
     back = modelspec_from_json(modelspec_to_json(spec))
     assert back.kind == spec.kind and back.blocks == spec.blocks and back.weights == spec.weights
     with pytest.raises(SchemaError):
