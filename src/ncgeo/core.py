@@ -87,16 +87,11 @@ class TracialAlgebra:
     """Block structure of M with a normalized trace.
 
     ``block_dims`` are the sizes of the diagonal blocks, ``trace_weights``
-    the per-block weights w_b (positive, summing to one).  ``tensor_m2``
-    marks a presentation of M(+)M as 2x2 block matrices over an inner
-    algebra of dimension ``dim // 2``; the trace of that presentation is
-    tau_hat(x) = (tau(x_11) + tau(x_22)) / 2, which coincides with the
-    normalized trace of the full matrix algebra, so no extra data is needed.
+    the per-block weights w_b (positive, summing to one).
     """
 
     block_dims: tuple[int, ...]
     trace_weights: tuple[float, ...]
-    tensor_m2: bool = False
 
     def __post_init__(self):
         if len(self.block_dims) != len(self.trace_weights):
@@ -107,9 +102,6 @@ class TracialAlgebra:
             raise ValueError("trace weights must be positive")
         if abs(sum(self.trace_weights) - 1.0) > 1e-12:
             raise ValueError("trace weights must sum to one (tau(1) = 1)")
-        if self.tensor_m2:
-            if len(self.block_dims) != 1 or self.block_dims[0] % 2:
-                raise ValueError("tensor_m2 requires a single even-dimensional block")
 
     @classmethod
     @functools.cache
@@ -125,20 +117,9 @@ class TracialAlgebra:
             weights = tuple(1.0 / len(dims) for _ in dims)
         return cls(dims, tuple(float(w) for w in weights))
 
-    @classmethod
-    def tensor_square(cls, inner_n: int) -> "TracialAlgebra":
-        """M_{inner_n} (x) M_2 presented as 2x2 blocks over the inner algebra."""
-        return cls((2 * inner_n,), (1.0,), tensor_m2=True)
-
     @property
     def dim(self) -> int:
         return sum(self.block_dims)
-
-    @property
-    def inner_dim(self) -> int:
-        if not self.tensor_m2:
-            raise ValueError("inner_dim is only defined for tensor_m2 algebras")
-        return self.dim // 2
 
     def block_slices(self) -> tuple[slice, ...]:
         """The row/column slice of each diagonal block (computed once per shape)."""

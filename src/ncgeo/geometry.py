@@ -132,16 +132,6 @@ class SampledCurve:
         v = self.nodes.conj().mT @ _differentiate_nodes(self.nodes, self.grid)
         return (v - v.conj().mT) / 2.0
 
-    def values(self, ts) -> np.ndarray:
-        """Linear interpolation of an algebra-valued curve at every parameter of ts."""
-        if self.target != "algebra":
-            raise ValueError("values() interpolates algebra-valued curves only")
-        t = np.clip(np.asarray(ts, dtype=float), 0.0, 1.0)
-        h = self.grid[1] - self.grid[0]
-        k = np.minimum((t / h).astype(int), self.n_intervals - 1)
-        s = ((t - self.grid[k]) / h)[:, None, None]
-        return (1.0 - s) * self.nodes[k] + s * self.nodes[k + 1]
-
 
 def _check_unitary_nodes(nodes: np.ndarray):
     """The checks of SampledCurve.validate_unitary on the nodes (m, n, n) of

@@ -66,14 +66,15 @@ _CONSTANTS_SEED = 20260810
 class ModelSpec:
     """Parameters of a model space.
 
-    ``blocks``: block dimensions of M (center-quotient) or the single inner
-    dimension of M for the M(x)M2 presentations.  ``e`` / ``v0`` override
-    the default projection or partial isometry.  A field the kind does not
-    read (``ModelKind.reads``) is a ValueError naming it.
+    ``blocks``: block dimensions of M (center-quotient), the inner dimension m
+    of M(x)M2 = M_2m, or the dimension n of the partial-isometry orbit; unset,
+    (2,) unless a given ``e`` (2m x 2m) or ``v0`` (n x n) sizes the space.  A
+    ``blocks`` that disagrees with them, or a field the kind does not read
+    (``ModelKind.reads``), is a ValueError naming it.
     """
 
     kind: str
-    blocks: tuple = (2,)
+    blocks: tuple | None = None
     weights: tuple | None = None
     e: np.ndarray | None = None
     v0: np.ndarray | None = None
@@ -81,10 +82,12 @@ class ModelSpec:
     def __post_init__(self):
         if not isinstance(self.kind, str) or self.kind not in MODELS:
             raise ValueError(f"unknown model kind {self.kind!r}; expected one of {tuple(MODELS)}")
-        self.blocks = tuple(core._check_integer(b, f"blocks[{i}]") for i, b in enumerate(self.blocks))
-        if not self.blocks or min(self.blocks) < 1:
-            raise ValueError("blocks must be a non-empty list of positive dimensions")
-        for name, given in (("blocks", len(self.blocks) > 1), ("weights", self.weights is not None),
+        if self.blocks is not None or (self.e is None and self.v0 is None):
+            self.blocks = tuple(core._check_integer(b, f"blocks[{i}]")
+                                for i, b in enumerate((2,) if self.blocks is None else self.blocks))
+            if not self.blocks or min(self.blocks) < 1:
+                raise ValueError("blocks must be a non-empty list of positive dimensions")
+        for name, given in (("blocks", len(self.blocks or ()) > 1), ("weights", self.weights is not None),
                             ("e", self.e is not None), ("v0", self.v0 is not None)):
             if given and name not in MODELS[self.kind].reads:
                 raise ValueError(f"{name}: expected {'one block' if name == 'blocks' else 'none'} for kind {self.kind}")
@@ -97,6 +100,9 @@ class ModelSpec:
             p0 = self.v0.conj().T @ self.v0
             if core.operator_norm(p0 @ p0 - p0) > 1e-10:
                 raise ValueError("v0 must be a partial isometry (v0* v0 a projection)")
+        for name, x, per_block in (("e", self.e, 2), ("v0", self.v0, 1)):
+            if x is not None and self.blocks is not None and len(x) != per_block * self.blocks[0]:
+                raise ValueError(f"blocks: expected none or a size agreeing with the {len(x)}x{len(x)} {name}")
 
 
 def _corner_skew_basis(alg: TracialAlgebra, frame: np.ndarray) -> list:
@@ -151,7 +157,7 @@ def _tensor_diagonal(spec, placements):
     the diagonal corners named by each placement ((0,), (1,): diag-m2;
     (0, 1): diag(b, b), special-diag-m2)."""
     m = spec.blocks[0]
-    alg = TracialAlgebra.tensor_square(m)
+    alg = TracialAlgebra.full(2 * m)
     basis = []
     for b in standard_skew_basis(TracialAlgebra.full(m)):
         for corners in placements:
@@ -163,15 +169,12 @@ def _tensor_diagonal(spec, placements):
 
 
 def _projection_orbit(spec):
-    if spec.e is not None:
-        n = spec.e.shape[0]
-        alg = TracialAlgebra.full(n) if not (n % 2 == 0) else TracialAlgebra.tensor_square(n // 2)
-        e = spec.e
-    else:
+    e = spec.e
+    if e is None:
         m = spec.blocks[0]
-        alg = TracialAlgebra.tensor_square(m)
         e = np.zeros((2 * m, 2 * m), dtype=complex)
         e[:m, :m] = np.eye(m)
+    alg = TracialAlgebra.full(len(e))
     lam, vecs = np.linalg.eigh(e)
     return alg, e, _corner_skew_basis(alg, vecs[:, lam > 0.5]) + _corner_skew_basis(alg, vecs[:, lam <= 0.5])
 
@@ -206,7 +209,7 @@ def _block_scalars(x, space):
 
 def _block_diagonal(x, space):
     """E onto the diagonal algebra of M(x)M2: the off-diagonal corners dropped."""
-    m = space.ambient.inner_dim
+    m = space.ambient.dim // 2
     out = np.zeros_like(x)
     out[..., :m, :m], out[..., m:, m:] = x[..., :m, :m], x[..., m:, m:]
     return out
@@ -214,7 +217,7 @@ def _block_diagonal(x, space):
 
 def _constant_diagonal(x, space):
     """E onto {diag(x, x)}: both diagonal corners replaced by their mean."""
-    m = space.ambient.inner_dim
+    m = space.ambient.dim // 2
     out = np.zeros_like(x)
     out[..., :m, :m] = out[..., m:, m:] = (x[..., :m, :m] + x[..., m:, m:]) / 2.0
     return out
@@ -456,7 +459,7 @@ def special_diag_checks(space: HomSpace, p: int, trials: int = 200, seed: int = 
         raise ValueError("special_diag_checks applies to special-diag-m2 spaces")
     p = core._check_even_p(p)
     alg = space.ambient
-    m = alg.inner_dim
+    m = alg.dim // 2
     inner = TracialAlgebra.full(m)
     rng = np.random.default_rng(seed)
     rep = ModelReport(space.model_kind, p)

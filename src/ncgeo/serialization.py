@@ -3,18 +3,19 @@
 Formats (documented in docs/schemas/):
 
   matrix    {"n": int, "re": [[...]], "im": [[...]]}, row-major
-  algebra   {"blocks": [int, ...], "weights": [float, ...], "tensor_m2": bool}
+  algebra   {"blocks": [int, ...], "weights": [float, ...]}
   subspace  {"ambient": <algebra>, "basis": [<matrix>, ...]}
   curve     {"grid_n": int, "target": "unitary"|"orbit"|"algebra",
              "nodes": [<matrix>, ...], "velocities": [<matrix>, ...]?}
-  modelspec {"kind": str, "blocks": [int, ...], "weights": [float, ...]?,
+  modelspec {"kind": str, "blocks": [int, ...]?, "weights": [float, ...]?,
              "e": <matrix>?, "v0": <matrix>?}
   config    see SuiteConfig in ncgeo.suites
 
 Schema violations, wrong JSON types included, raise SchemaError naming
-the offending path (``s.json.blocks[0]``).  Canonical
-dumps sort keys and use a fixed separator so equal objects serialize to
-identical bytes.
+the offending path (``s.json.blocks[0]``).  Every format but config
+ignores keys it does not name, such as the M(x)M2 flag of older algebra
+documents.  Canonical dumps sort keys and use a fixed separator so equal
+objects serialize to identical bytes.
 """
 
 from __future__ import annotations
@@ -58,13 +59,13 @@ def _need(obj: dict, key: str, where: str):
     return obj[key]
 
 
-_JSON_TYPE_NAMES = {int: "an integer", float: "a finite number", str: "a string", bool: "a boolean", list: "an array"}
+_JSON_TYPE_NAMES = {int: "an integer", float: "a finite number", str: "a string", list: "an array"}
 
 
 def _json_value(x, where: str, kind: type):
-    """x as a JSON integer (int), finite number (float), string (str),
-    boolean (bool) or array (list), else SchemaError naming ``where``.
-    Booleans are not numbers here, and 2.0 is not an integer."""
+    """x as a JSON integer (int), finite number (float), string (str) or
+    array (list), else SchemaError naming ``where``.  Booleans are not
+    numbers here, and 2.0 is not an integer."""
     if kind in (int, float):
         ok = isinstance(x, int if kind is int else (int, float)) and not isinstance(x, bool)
         ok = ok and (isinstance(x, int) or math.isfinite(x))
@@ -109,18 +110,13 @@ def matrix_from_json(obj, where: str = "matrix") -> np.ndarray:
 
 
 def algebra_to_json(alg: TracialAlgebra) -> dict:
-    return {
-        "blocks": list(alg.block_dims),
-        "weights": list(alg.trace_weights),
-        "tensor_m2": bool(alg.tensor_m2),
-    }
+    return {"blocks": list(alg.block_dims), "weights": list(alg.trace_weights)}
 
 
 def algebra_from_json(obj, where: str = "algebra") -> TracialAlgebra:
     blocks = _json_array(_need(obj, "blocks", where), f"{where}.blocks", int)
     weights = _json_array(_need(obj, "weights", where), f"{where}.weights", float)
-    tensor_m2 = _json_value(obj.get("tensor_m2", False), f"{where}.tensor_m2", bool)
-    return _construct(where, TracialAlgebra, blocks, tuple(float(w) for w in weights), tensor_m2)
+    return _construct(where, TracialAlgebra, blocks, tuple(float(w) for w in weights))
 
 
 def subspace_to_json(S: SkewSubspace) -> dict:
@@ -164,7 +160,9 @@ def curve_from_json(obj, where: str = "curve") -> SampledCurve:
 
 
 def modelspec_to_json(spec: ModelSpec) -> dict:
-    out = {"kind": spec.kind, "blocks": list(spec.blocks)}
+    out = {"kind": spec.kind}
+    if spec.blocks is not None:
+        out["blocks"] = list(spec.blocks)
     if spec.weights is not None:
         out["weights"] = list(spec.weights)
     if spec.e is not None:

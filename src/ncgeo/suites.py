@@ -109,7 +109,9 @@ class SuiteConfig:
 
     ``trials`` is the base per-record count; expensive records derive
     smaller counts from it.  ``tolerances`` overrides entries of
-    DEFAULT_TOLERANCES by name.
+    DEFAULT_TOLERANCES by name.  Records that need an even p run at the
+    even integers of ``p_list`` (``even_ps``), or at 2 and 4 when it has
+    none, while the report echoes ``p_list`` as given.
     """
 
     seed: int = 2026

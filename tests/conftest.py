@@ -32,7 +32,7 @@ def m2_plus_m3():
 
 @pytest.fixture
 def m2_tensor():
-    return TracialAlgebra.tensor_square(2)
+    return TracialAlgebra.full(4)
 
 
 @pytest.fixture

@@ -95,7 +95,7 @@ def test_project_rejects_a_non_skew_or_off_block_z_at_every_p(files, capsys, rng
     off_block = core.random_skew(alg, rng)
     off_block[0, 3], off_block[3, 0] = 0.5, -0.5
     cases = [
-        (diag, core.random_hermitian(TracialAlgebra.tensor_square(2), rng), "a skew-Hermitian input"),
+        (diag, core.random_hermitian(TracialAlgebra.full(4), rng), "a skew-Hermitian input"),
         (center, off_block, "an element of the algebra (no off-block entries)"),
     ]
     for space, z, what in cases:
@@ -118,7 +118,7 @@ def test_fold_command(files, capsys):
 
 def test_qdistance_and_geodesic_commands(files, capsys, rng):
     space = _write(files / "s.json", {"kind": "diag-m2", "blocks": [2], "p_list": [2, 4]})
-    alg = TracialAlgebra.tensor_square(2)
+    alg = TracialAlgebra.full(4)
     u = _write(files / "u.json", matrix_to_json(np.eye(4)))
     z = core.random_skew(alg, rng, 0.3)
     z[:2, :2] = 0
@@ -162,7 +162,7 @@ def test_geodesic_at_p_six_estimates_its_bound_on_first_use(files, capsys, rng):
 
 def test_lift_command(files, capsys, rng):
     space = _write(files / "s.json", {"kind": "diag-m2", "blocks": [2], "p_list": [2, 4]})
-    alg = TracialAlgebra.tensor_square(2)
+    alg = TracialAlgebra.full(4)
     z = core.random_skew(alg, rng, 0.3)
     curve = _write(files / "c.json", curve_to_json(exp_curve(z, 33)))
     assert main(["lift", "--space", space, "--curve", curve, "--p", "4", "--epsilon", "1e-2"]) == 0
@@ -177,7 +177,7 @@ def test_lift_non_convergence_exits_three(files, capsys, rng, monkeypatch):
 
     monkeypatch.setattr("ncgeo.cli.epsilon_isometric_lift", no_convergence)
     space = _write(files / "s.json", {"kind": "diag-m2", "blocks": [2], "p_list": [2, 4]})
-    z = core.random_skew(TracialAlgebra.tensor_square(2), rng, 0.3)
+    z = core.random_skew(TracialAlgebra.full(4), rng, 0.3)
     curve = _write(files / "c.json", curve_to_json(exp_curve(z, 33)))
     assert main(["lift", "--space", space, "--curve", curve, "--p", "4", "--epsilon", "1e-2"]) == 3
     captured = capsys.readouterr()
@@ -203,10 +203,25 @@ def test_overflowing_projection_exits_three(files, rng, m3):
                                        "1.0e-10 after 0 line-search trials"]
 
 
+def test_project_ignores_the_m2_flag_of_older_subspaces(files, capsys, rng):
+    # a subspace document prints the same bytes with the old tensor_m2 key
+    # as without it, also on an odd block, where the key was refused
+    for n, flag in ((4, True), (4, False), (3, True)):
+        alg = TracialAlgebra.full(n)
+        z = _write(files / "z.json", matrix_to_json(core.random_skew(alg, rng)))
+        doc = {"ambient": {"blocks": [n], "weights": [1.0]}, "basis": [matrix_to_json(core.random_skew(alg, rng))]}
+        printed = []
+        for ambient in (doc["ambient"], {**doc["ambient"], "tensor_m2": flag}):
+            sub = _write(files / "g.json", {**doc, "ambient": ambient})
+            assert main(["project", "--z", z, "--subspace", sub, "--p", "4"]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+
+
 def _diag_m2_inputs(files, rng):
     """A diag-m2 (2,) space, the identity, a target and a curve on it."""
     space = _write(files / "s.json", {"kind": "diag-m2", "blocks": [2], "p_list": [2, 4]})
-    z = core.random_skew(TracialAlgebra.tensor_square(2), rng, 0.3)
+    z = core.random_skew(TracialAlgebra.full(4), rng, 0.3)
     eye = _write(files / "u.json", matrix_to_json(np.eye(4)))
     target = _write(files / "t.json", matrix_to_json(core.unitary_exp(z)))
     curve = _write(files / "c.json", curve_to_json(exp_curve(z, 33)))
@@ -238,7 +253,7 @@ def test_bad_numeric_arguments_are_named(files, capsys, rng):
     # were silently accepted, and a NaN p gave a nan distance that only the
     # JSON encoder refused, naming no input
     argv = _diag_m2_inputs(files, rng)
-    z = _write(files / "z.json", matrix_to_json(core.random_skew(TracialAlgebra.tensor_square(2), rng)))
+    z = _write(files / "z.json", matrix_to_json(core.random_skew(TracialAlgebra.full(4), rng)))
     project = ["project", "--z", z, "--space", argv["qdistance"][2], "--p", "4", "--tol"]
     cases = [(project + [tol], "tol") for tol in ("nan", "inf", "0")]
     cases += [(project[:-2] + ["inf", "--tol", "-1"], "argument --tol: expected a positive finite number")]
@@ -355,19 +370,19 @@ def test_document_rejections(files, capsys):
     m3 = {"blocks": [3], "weights": [1.0], "tensor_m2": False}
     distance = ["distance", "--u", eye2, "--v", eye2, "--p", "2", "--algebra", "{}"]
     geodesic = ["geodesic", "--space", "{}", "--target", eye4, "--p", "4"]
+    e4, v3 = matrix_to_json(np.diag([1.0, 0, 1, 0])), matrix_to_json(np.eye(3, k=-1))
     cases = [
         ({"blocks": 3, "weights": [1.0]}, distance, ".blocks"),
         ({"blocks": "ab", "weights": [1.0]}, distance, ".blocks"),
-        ({"blocks": [2], "weights": [1.0], "tensor_m2": "no"}, ["fold", "--z", eye2, "--algebra", "{}"], ".tensor_m2"),
         ({"ambient": m3, "basis": 5}, ["project", "--z", z3, "--subspace", "{}", "--p", "4"], ".basis"),
-        ({"ambient": {**m3, "tensor_m2": 1}, "basis": []}, ["project", "--z", z3, "--subspace", "{}", "--p", "4"],
-         ".ambient.tensor_m2"),
         ({"n": 2, "re": "ab", "im": [[0, 0], [0, 0]]}, ["distance", "--u", "{}", "--v", eye2, "--p", "2"], ".re"),
         ({"n": 2, "re": [[1, 0], [0, "ab"]], "im": [[0, 0], [0, 0]]}, ["fold", "--z", "{}"], ".re[1][1]"),
         ({"n": "2", "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]}, ["fold", "--z", "{}"], ".n"),
         ({"kind": "diag-m2", "blocks": 3}, geodesic, ".blocks"),
         ({"kind": "diag-m2", "blocks": "ab"}, geodesic, ".blocks"),
         ({"kind": "diag-m2", "blocks": [2, 3]}, geodesic, ": blocks"),
+        ({"kind": "projection-orbit", "blocks": [3], "e": e4}, geodesic, ": blocks"),
+        ({"kind": "partial-isometry-orbit", "blocks": [5], "v0": v3}, geodesic, ": blocks"),
         ({"kind": ["diag-m2"], "blocks": [2]}, geodesic, ".kind"),
         ({"kind": "diag-m2", "blocks": [2], "e": {"n": 1, "re": [[1]], "im": [[None]]}}, geodesic, ".e.im[0][0]"),
     ]

@@ -879,6 +879,13 @@ def test_lift_rejects_field_outside_isotropy(rng):
         lift_ode_solve(w, sp)
 
 
+def _interpolate(w_curve, t):
+    """The polygonal field through the nodes of w_curve at parameter t."""
+    k = min(int(t * w_curve.n_intervals), w_curve.n_intervals - 1)
+    s = t * w_curve.n_intervals - k
+    return (1.0 - s) * w_curve.nodes[k] + s * w_curve.nodes[k + 1]
+
+
 def _rk4_nodes(w_curve, G, n_steps):
     """Per-step RK4 for dz/dt = G(ad z)^{-1} w(t), u = e^z: an Eigenframe field
     per stage, an SVD restart test at 0.45 pi and a unitary_exp per node.
@@ -888,7 +895,7 @@ def _rk4_nodes(w_curve, G, n_steps):
     grid = np.linspace(0.0, 1.0, n_steps + 1)
 
     def field(t, zz):
-        return core.Eigenframe(zz).apply(lambda x: 1.0 / core._sym_F(-x), w_curve.values([t])[0])
+        return core.Eigenframe(zz).apply(lambda x: 1.0 / core._sym_F(-x), _interpolate(w_curve, t))
 
     z = np.zeros((n, n), dtype=complex)
     u_base = np.eye(n, dtype=complex)
@@ -926,7 +933,7 @@ def _defect_and_velocities(w_curve, u_nodes):
     for s in range(w_curve.n_intervals):
         lo, hi = s * seg, (s + 1) * seg
         du[lo : hi + 1] = _differentiate_nodes(u_nodes[lo : hi + 1], grid[lo : hi + 1])
-    w = w_curve.values(grid)
+    w = [_interpolate(w_curve, t) for t in grid]
     defect = max(operator_norm(du[i] @ u_nodes[i].conj().T - w[i]) for i in range(n_steps + 1))
     vel = np.array([u_nodes[i].conj().T @ w[i] @ u_nodes[i] for i in range(n_steps + 1)])
     return defect, (vel - np.conj(np.swapaxes(vel, 1, 2))) / 2.0
@@ -1034,16 +1041,6 @@ def test_exp_curves_match_per_node_exponentials(rng):
         assert np.max(np.abs(curve.nodes - np.array(expected[name]))) <= 1e-14, name
     vel = [unitary_exp(-f * xi) @ z @ unitary_exp(f * xi) + 0.3 * (1 - 2 * t) * xi for t, f in zip(grid, loop)]
     assert np.max(np.abs(curves["loop"].velocities - np.array(vel))) <= 1e-14
-
-
-def test_sampled_curve_values_match_value(rng):
-    sp = SPACES["diag-m2"]
-    w = _random_field(sp, rng)
-    ts = np.concatenate([w.grid, rng.uniform(0, 1, 20), [-0.5, 1.5]])
-    vals = w.values(ts)
-    for t, v in zip(ts, vals):
-        assert np.array_equal(v, w.values([t])[0])
-    assert np.array_equal(vals[: len(w.grid)], w.nodes)
 
 
 # ---------------------------------------------------------------------------

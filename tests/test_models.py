@@ -73,6 +73,22 @@ def test_spec_validation():
     assert ModelSpec("center-quotient", blocks=(2, 3), weights=(0.4, 0.6)).weights == (0.4, 0.6)
     assert ModelSpec("projection-orbit", e=e).e is not None
     assert ModelSpec("partial-isometry-orbit", v0=v0).v0 is not None
+    # one size source: unset blocks read (2,) unless e or v0 sizes the space,
+    # and a given blocks must agree with them
+    assert ModelSpec("diag-m2").blocks == ModelSpec("projection-orbit").blocks == (2,)
+    assert ModelSpec("projection-orbit", e=e).blocks is None
+    disagreeing = [
+        ("projection-orbit", {"blocks": (3,), "e": e}),
+        ("partial-isometry-orbit", {"blocks": (5,), "v0": v0}),
+        ("projection-orbit", {"blocks": (1,), "e": np.diag([1.0, 0.0, 0.0])}),
+    ]
+    for kind, kw in disagreeing:
+        with pytest.raises(ValueError, match=r"^blocks: expected none or a size agreeing with the \dx\d (e|v0)$"):
+            ModelSpec(kind, **kw)
+    agreeing = build_model_space(ModelSpec("projection-orbit", blocks=(2,), e=e))
+    alone = build_model_space(ModelSpec("projection-orbit", e=e))
+    assert agreeing.ambient == alone.ambient and np.array_equal(agreeing.isotropy.onb(), alone.isotropy.onb())
+    assert build_model_space(ModelSpec("partial-isometry-orbit", blocks=(3,), v0=v0)).ambient.dim == 3
 
 
 def test_every_kind_builds_and_validates():
@@ -358,7 +374,7 @@ def test_special_diag_checks_clean(p):
 def test_special_diag_optimal_shift_scalar_oracle():
     # scalar blocks: the minimizing constant-diagonal shift is -(a+c)/2,
     # found here by a dense one-dimensional grid
-    alg = TracialAlgebra.tensor_square(1)
+    alg = TracialAlgebra.full(2)
     p = 4
     gen = np.random.default_rng(17)
     for _ in range(5):
@@ -540,7 +556,7 @@ def _loop_diag_m2_checks(space, p, trials, seed, tol=1e-8):
 
 def _loop_special_diag_checks(space, p, trials, seed, tol=1e-10):
     alg = space.ambient
-    m = alg.inner_dim
+    m = alg.dim // 2
     inner = TracialAlgebra.full(m)
     embed = models._embed_blocks
     rng = np.random.default_rng(seed)

@@ -23,7 +23,7 @@ from ncgeo.suites import _lattice_search, _trace_polynomial
 
 M3 = TracialAlgebra.full(3)
 M4 = TracialAlgebra.full(4)
-T2 = TracialAlgebra.tensor_square(2)
+T2 = TracialAlgebra.full(4)
 
 
 def _random_subspace(alg, rng, dim):

@@ -44,10 +44,12 @@ def test_matrix_schema_errors():
 def test_algebra_round_trip():
     alg = TracialAlgebra.direct_sum((2, 3), (0.4, 0.6))
     assert algebra_from_json(algebra_to_json(alg)) == alg
-    t = TracialAlgebra.tensor_square(3)
+    t = TracialAlgebra.full(6)
     assert algebra_from_json(algebra_to_json(t)) == t
     with pytest.raises(SchemaError):
         algebra_from_json({"blocks": [2], "weights": [0.5]})
+    # the M(x)M2 flag of older documents is ignored, even on an odd block
+    assert algebra_from_json({"blocks": [3], "weights": [1.0], "tensor_m2": True}) == TracialAlgebra.full(3)
 
 
 def test_subspace_round_trip(rng, m3):
@@ -80,6 +82,12 @@ def test_modelspec_round_trip():
     spec = ModelSpec("center-quotient", blocks=(2, 3), weights=(0.4, 0.6))
     back = modelspec_from_json(modelspec_to_json(spec))
     assert back.kind == spec.kind and back.blocks == spec.blocks and back.weights == spec.weights
+    # a space sized by its projection alone writes no blocks and reads back so
+    sized = ModelSpec("projection-orbit", e=np.diag([1.0, 0.0, 0.0]))
+    doc = modelspec_to_json(sized)
+    assert "blocks" not in doc
+    back = modelspec_from_json(doc)
+    assert back.blocks is None and np.array_equal(back.e, sized.e)
     with pytest.raises(SchemaError):
         modelspec_from_json({"kind": "nope"})
 
@@ -118,7 +126,7 @@ def _mutated(doc):
 
 _EYE2 = matrix_to_json(np.eye(2))
 _E4 = matrix_to_json(np.diag([1.0, 0.0, 1.0, 0.0]))
-_ALG = {"blocks": [2, 3], "weights": [0.4, 0.6], "tensor_m2": False}
+_ALG = {"blocks": [2, 3], "weights": [0.4, 0.6]}
 _SKEW = {"n": 5, "re": np.zeros((5, 5)).tolist(), "im": np.diag([1.0, 1, 0, 0, 0]).tolist()}
 _VALID = [
     (matrix_from_json, {"n": 2, "re": [[0.0, 1.0], [-1.0, 0.0]], "im": [[3.0, 0.0], [0.0, 0.0]]}),
