@@ -55,9 +55,7 @@ from .models import (
     MODELS,
     build_model_space,
     conditional_expectation,
-    center_q_checks,
-    diag_m2_checks,
-    special_diag_checks,
+    model_facts,
 )
 from .suites import SuiteConfig, VerificationReport, run_verification_suite
 

@@ -5,21 +5,23 @@ special-case verifiers.
 
 ``MODELS`` maps each model kind to everything the kind decides: its
 builder (ambient algebra, basepoint, exact isotropy basis), its action,
-its trace-preserving conditional expectation onto the isotropy subalgebra
-(none for the partial-isometry orbit), and its exact constants: K = 3 for
-central subalgebras, K = 1 where the best approximant coincides with the
-conditional expectation (diagonal algebra, projection orbits), and C = 2
-whenever the isotropy is the unitary group of a subalgebra (the horizontal
-projection is 1 - E).  A constant the table leaves open is an inflated
-empirical estimate (its samples are drawn as one stack and projected in
-one stacked solve).  ``build_model_space`` is one lookup in the table, and
+its trace-preserving conditional expectation onto the isotropy
+subalgebra and its fact verifier (neither for the partial-isometry
+orbit), and its exact constants: K = 3 for central subalgebras, K = 1
+where the best approximant coincides with the conditional expectation
+(diagonal algebra, projection orbits), and C = 2 whenever the isotropy
+is the unitary group of a subalgebra (the horizontal projection is
+1 - E).  A constant the table leaves open is an inflated empirical
+estimate (its samples are drawn as one stack and projected in one
+stacked solve).  ``build_model_space`` is one lookup in the table, and
 the built HomSpace carries its expectation.
 
-The ``*_checks`` functions exercise the kind-specific inequalities and
-projection facts on random inputs and report violation counts and worst
-margins without raising.  They and ``validate_space`` draw their samples
-in the order of a per-sample loop and evaluate them as stacks, with the
-per-sample values bit for bit.
+``model_facts`` runs a kind's ``facts`` verifier from the table: the
+kind-specific inequalities and projection facts on random inputs, with
+violation counts and worst margins reported without raising.  The
+verifiers and ``validate_space`` draw their samples in the order of a
+per-sample loop and evaluate them as stacks, with the per-sample values
+bit for bit.
 """
 
 from __future__ import annotations
@@ -53,9 +55,7 @@ __all__ = [
     "build_model_space",
     "conditional_expectation",
     "validate_space",
-    "center_q_checks",
-    "diag_m2_checks",
-    "special_diag_checks",
+    "model_facts",
 ]
 
 #: fixed stream for the empirical constant estimates (deterministic builds)
@@ -105,7 +105,7 @@ class ModelSpec:
                 raise ValueError(f"blocks: expected none or a size agreeing with the {len(x)}x{len(x)} {name}")
 
 
-def _corner_skew_basis(alg: TracialAlgebra, frame: np.ndarray) -> list:
+def _corner_skew_basis(frame: np.ndarray) -> list:
     """Skew basis of the corner algebra spanned by the given orthonormal columns."""
     r = frame.shape[1]
     out = []
@@ -176,7 +176,7 @@ def _projection_orbit(spec):
         e[:m, :m] = np.eye(m)
     alg = TracialAlgebra.full(len(e))
     lam, vecs = np.linalg.eigh(e)
-    return alg, e, _corner_skew_basis(alg, vecs[:, lam > 0.5]) + _corner_skew_basis(alg, vecs[:, lam <= 0.5])
+    return alg, e, _corner_skew_basis(vecs[:, lam > 0.5]) + _corner_skew_basis(vecs[:, lam <= 0.5])
 
 
 def _partial_isometry_orbit(spec):
@@ -192,7 +192,7 @@ def _partial_isometry_orbit(spec):
     kernel = vecs[:, lam <= 0.5]
     if kernel.shape[1] == 0:
         raise ValueError("v0 must have co-rank >= 1 so the isotropy is nontrivial")
-    return alg, v0, _corner_skew_basis(alg, kernel)
+    return alg, v0, _corner_skew_basis(kernel)
 
 
 # the conditional expectations take one matrix or a stack (K, n, n)
@@ -228,38 +228,6 @@ def _commutant(x, space):
     e = space.basepoint
     rest = np.eye(space.ambient.dim) - e
     return e @ x @ e + rest @ x @ rest
-
-
-@dataclass(frozen=True)
-class ModelKind:
-    """What a model kind decides: ``build(spec)`` gives the ambient algebra,
-    the basepoint and an isotropy basis; ``action`` is the HomSpace action
-    kind; ``expectation(x, space)`` is the conditional expectation onto the
-    isotropy subalgebra (None: no *-subalgebra); ``c_exact`` / ``k_exact``
-    are the closed-form c_O and K_p (None: sampled maxima x1.5); ``reads``
-    names the optional spec fields ``build`` reads ("blocks": a second one)."""
-
-    build: Callable
-    action: str
-    expectation: Callable | None
-    c_exact: float | None
-    k_exact: float | None
-    reads: tuple
-
-    @property
-    def constants(self) -> str:
-        """"exact" when c_O and every K_p are closed-form, else "estimated"."""
-        return "exact" if self.c_exact is not None and self.k_exact is not None else "estimated"
-
-
-#: every model kind; the one place that maps a kind to its data
-MODELS = {
-    "center-quotient": ModelKind(_center_quotient, "coset", _block_scalars, 2.0, 3.0, ("blocks", "weights")),
-    "diag-m2": ModelKind(lambda s: _tensor_diagonal(s, ((0,), (1,))), "coset", _block_diagonal, 2.0, 1.0, ()),
-    "special-diag-m2": ModelKind(lambda s: _tensor_diagonal(s, ((0, 1),)), "coset", _constant_diagonal, 2.0, None, ()),
-    "partial-isometry-orbit": ModelKind(_partial_isometry_orbit, "partial-isometry", None, None, None, ("v0",)),
-    "projection-orbit": ModelKind(_projection_orbit, "conjugation", _commutant, 2.0, 1.0, ("e",)),
-}
 
 
 def build_model_space(spec: ModelSpec) -> HomSpace:
@@ -333,7 +301,7 @@ def validate_space(space: HomSpace, trials: int = 50, seed: int = 0) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# kind-specific reports
+# kind-specific facts: facts(space, p, rng, trials, tol) -> (checks, ratios)
 # ---------------------------------------------------------------------------
 
 
@@ -356,9 +324,6 @@ class ModelReport:
     def violations(self) -> int:
         return sum(c.violations for c in self.checks)
 
-    def add(self, name, trials, violations, worst):
-        self.checks.append(CheckResult(name, trials, violations, worst))
-
 
 def _field_stack(draws, i, *shape) -> np.ndarray:
     """Field i of every draw (a tuple per trial) as one stack, (trials, *shape)."""
@@ -371,17 +336,17 @@ def _worst(margins, start=math.inf) -> float:
     return min([start, *np.asarray(margins).tolist()])
 
 
-def center_q_checks(space: HomSpace, p: int, trials: int = 200, seed: int = 0, tol: float = 1e-8) -> ModelReport:
+def _check(name, margins) -> CheckResult:
+    """One check over a stack of per-trial margins; a negative margin is a violation."""
+    return CheckResult(name, len(margins), int(np.count_nonzero(margins < 0)), _worst(margins))
+
+
+def _center_facts(space, p, rng, trials, tol):
     """Central-subalgebra facts: Q preserves positivity, 0 <= Q(x) <= ||x||
     for x >= 0, ||Q(z)|| <= 3 ||z||, and the commuting Jordan inequality
     ||x - y+||_p <= ||x - y||_p."""
-    if space.model_kind != "center-quotient":
-        raise ValueError("center_q_checks applies to center-quotient spaces")
-    p = core._check_even_p(p)
     alg = space.ambient
     n = alg.dim
-    rng = np.random.default_rng(seed)
-    rep = ModelReport(space.model_kind, p)
     draws = [(core.random_hermitian(alg, rng), core.random_skew(alg, rng), core.random_unitary(alg, rng),
               np.abs(rng.standard_normal(n)), rng.standard_normal(n)) for _ in range(trials)]
     hs, zs, us = (_field_stack(draws, i, n, n) for i in range(3))
@@ -392,7 +357,6 @@ def center_q_checks(space: HomSpace, p: int, trials: int = 200, seed: int = 0, t
     q = best_approximants(np.concatenate([1j * x, zs]), space.isotropy, p, tol=1e-11).projection
     qx, qz = -1j * q[: len(x)], q[len(x):]
     eigs = core._block_eigvalsh((qx + qx.conj().mT) / 2, alg)
-    m = eigs.min(axis=-1)
     gap = core._operator_norms(x) + tol - eigs.max(axis=-1)
     margin3 = 3.0 * core._operator_norms(zs) + tol - core._operator_norms(qz)
 
@@ -401,24 +365,16 @@ def center_q_checks(space: HomSpace, p: int, trials: int = 200, seed: int = 0, t
     one = alg.identity()
     q_one = hermitian_best_approximant(one, space.isotropy, p).projection
     unit_ok = core.operator_norm(q_one - one) <= 1e-8
-    rep.add("positivity-preserved", trials, int(np.count_nonzero(m < -tol)), _worst(m + tol))
-    rep.add("squeeze-0-to-norm", trials, int(np.count_nonzero(gap < 0)), _worst(gap))
-    rep.add("uniform-bound-3", trials, int(np.count_nonzero(margin3 < 0)), _worst(margin3))
-    rep.add("jordan-inequality", trials, int(np.count_nonzero(margin_j < 0)), _worst(margin_j))
-    rep.add("unit-fixed", 1, 0 if unit_ok else 1, 0.0)
-    return rep
+    return [_check("positivity-preserved", eigs.min(axis=-1) + tol), _check("squeeze-0-to-norm", gap),
+            _check("uniform-bound-3", margin3), _check("jordan-inequality", margin_j),
+            CheckResult("unit-fixed", 1, 0 if unit_ok else 1, 0.0)], {}
 
 
-def diag_m2_checks(space: HomSpace, p: int, trials: int = 200, seed: int = 0, tol: float = 1e-8) -> ModelReport:
+def _diag_facts(space, p, rng, trials, tol):
     """Diagonal-algebra facts: the best approximant is the diagonal block
     truncation, and removing the off-diagonal corner never increases the
     p-norm."""
-    if space.model_kind not in ("diag-m2", "projection-orbit"):
-        raise ValueError("diag_m2_checks applies to diag-m2 or projection-orbit spaces")
-    p = core._check_even_p(p)
     alg = space.ambient
-    rng = np.random.default_rng(seed)
-    rep = ModelReport(space.model_kind, p)
     # each trial draws a skew z, then a Hermitian h
     draws = core._random_hermitians(alg, rng, 2 * max(trials, 0))
     zs, hs = 1j * draws[0::2], draws[1::2]
@@ -427,17 +383,13 @@ def diag_m2_checks(space: HomSpace, p: int, trials: int = 200, seed: int = 0, to
     off = hs - conditional_expectation(hs, space)
     m_o = core._p_norms(hs, p, alg) + 1e-10 - core._p_norms(off, p, alg)
     z_diag = conditional_expectation(core.random_skew(alg, rng), space)
-    r1 = best_approximant(z_diag, space.isotropy, p)
-    fixed_ok = core.p_norm(r1.residual, p, alg) <= 1e-8
+    fixed_ok = core.p_norm(best_approximant(z_diag, space.isotropy, p).residual, p, alg) <= 1e-8
     z_off = core.random_skew(alg, rng)
     z_off = z_off - conditional_expectation(z_off, space)
-    r2 = best_approximant(z_off, space.isotropy, p)
-    killed_ok = core.p_norm(r2.projection, p, alg) <= 1e-8
-    rep.add("projection-is-truncation", trials, int(np.count_nonzero(m_t < 0)), _worst(m_t))
-    rep.add("offdiagonal-contraction", trials, int(np.count_nonzero(m_o < 0)), _worst(m_o))
-    rep.add("diagonal-fixed", 1, 0 if fixed_ok else 1, 0.0)
-    rep.add("offdiagonal-annihilated", 1, 0 if killed_ok else 1, 0.0)
-    return rep
+    killed_ok = core.p_norm(best_approximant(z_off, space.isotropy, p).projection, p, alg) <= 1e-8
+    return [_check("projection-is-truncation", m_t), _check("offdiagonal-contraction", m_o),
+            CheckResult("diagonal-fixed", 1, 0 if fixed_ok else 1, 0.0),
+            CheckResult("offdiagonal-annihilated", 1, 0 if killed_ok else 1, 0.0)], {}
 
 
 def _embed_blocks(a, b, c, m):
@@ -450,19 +402,16 @@ def _embed_blocks(a, b, c, m):
     return out
 
 
-def special_diag_checks(space: HomSpace, p: int, trials: int = 200, seed: int = 0, tol: float = 1e-10) -> ModelReport:
+def _special_diag_facts(space, p, rng, trials, tol):
     """Constant-diagonal algebra facts: the centered-difference inequality
     under constant-diagonal shifts, contractivity of E on the symmetric and
     off-diagonal patterns, agreement of Q with E there, and recorded
-    (not asserted) uniform ratios outside those patterns."""
-    if space.model_kind != "special-diag-m2":
-        raise ValueError("special_diag_checks applies to special-diag-m2 spaces")
-    p = core._check_even_p(p)
+    (not asserted) uniform ratios outside those patterns.  The slack is
+    min(tol, 1e-10): a larger tol never loosens it."""
+    tol = min(tol, 1e-10)
     alg = space.ambient
     m = alg.dim // 2
     inner = TracialAlgebra.full(m)
-    rng = np.random.default_rng(seed)
-    rep = ModelReport(space.model_kind, p)
 
     def gauss():
         return rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
@@ -494,11 +443,58 @@ def special_diag_checks(space: HomSpace, p: int, trials: int = 200, seed: int = 
     zs, nz = zs[nz > 1e-12], nz[nz > 1e-12]
     qz = best_approximants(zs, space.isotropy, p, tol=1e-10).projection
     ratios = (core._operator_norms(qz) / nz).tolist()
-    rep.add("shifted-difference-inequality", trials, int(np.count_nonzero(margin < 0)), _worst(margin))
-    rep.add("expectation-contractive-on-patterns", trials, int(np.count_nonzero(m_c < 0)), _worst(m_c))
-    rep.add("projection-matches-expectation-on-patterns", trials, int(np.count_nonzero(m_a < 0)), _worst(m_a))
-    rep.ratios = {
+    return [_check("shifted-difference-inequality", margin), _check("expectation-contractive-on-patterns", m_c),
+            _check("projection-matches-expectation-on-patterns", m_a)], {
         "uniform_ratio_max": float(np.max(ratios)) if ratios else 0.0,
         "uniform_ratio_mean": float(np.mean(ratios)) if ratios else 0.0,
     }
-    return rep
+
+
+@dataclass(frozen=True)
+class ModelKind:
+    """What a model kind decides: ``build(spec)`` gives the ambient algebra,
+    the basepoint and an isotropy basis; ``action`` is the HomSpace action
+    kind; ``expectation(x, space)`` is the conditional expectation onto the
+    isotropy subalgebra (None: no *-subalgebra); ``facts(space, p, rng,
+    trials, tol)`` gives the kind's fact checks and recorded ratios for
+    ``model_facts`` (None: none); ``c_exact`` / ``k_exact`` are the
+    closed-form c_O and K_p (None: sampled maxima x1.5); ``reads`` names
+    the optional spec fields ``build`` reads ("blocks": a second one)."""
+
+    build: Callable
+    action: str
+    expectation: Callable | None
+    facts: Callable | None
+    c_exact: float | None
+    k_exact: float | None
+    reads: tuple
+
+    @property
+    def constants(self) -> str:
+        """"exact" when c_O and every K_p are closed-form, else "estimated"."""
+        return "exact" if self.c_exact is not None and self.k_exact is not None else "estimated"
+
+
+#: every model kind; the one place that maps a kind to its data
+MODELS = {
+    "center-quotient": ModelKind(_center_quotient, "coset", _block_scalars, _center_facts, 2.0, 3.0,
+                                 ("blocks", "weights")),
+    "diag-m2": ModelKind(lambda s: _tensor_diagonal(s, ((0,), (1,))), "coset", _block_diagonal, _diag_facts,
+                         2.0, 1.0, ()),
+    "special-diag-m2": ModelKind(lambda s: _tensor_diagonal(s, ((0, 1),)), "coset", _constant_diagonal,
+                                 _special_diag_facts, 2.0, None, ()),
+    "partial-isometry-orbit": ModelKind(_partial_isometry_orbit, "partial-isometry", None, None, None, None, ("v0",)),
+    "projection-orbit": ModelKind(_projection_orbit, "conjugation", _commutant, _diag_facts, 2.0, 1.0, ("e",)),
+}
+
+
+def model_facts(space: HomSpace, p: int, trials: int = 200, seed: int = 0, tol: float = 1e-8) -> ModelReport:
+    """The kind-specific facts of a model space (its ``ModelKind.facts``) on
+    ``trials`` random inputs drawn from ``seed``: violation counts and worst
+    margins, without raising; ValueError for a kind without fact checks."""
+    facts = getattr(MODELS.get(space.model_kind), "facts", None)
+    if facts is None:
+        raise ValueError(f"model kind {space.model_kind!r} has no fact checks")
+    p = core._check_even_p(p)
+    checks, ratios = facts(space, p, np.random.default_rng(seed), trials, tol)
+    return ModelReport(space.model_kind, p, checks, ratios)

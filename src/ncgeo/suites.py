@@ -48,14 +48,7 @@ from .geometry import (
     quotient_length,
     unitary_distance,
 )
-from .models import (
-    ModelSpec,
-    build_model_space,
-    center_q_checks,
-    diag_m2_checks,
-    special_diag_checks,
-    validate_space,
-)
+from .models import MODELS, ModelSpec, build_model_space, model_facts, validate_space
 from .projection import ConvergenceError, SkewSubspace, best_approximant, orthonormal_basis
 from .rng import trial_stream
 from .serialization import SchemaError, _construct, _json_array, _json_value
@@ -795,17 +788,10 @@ def _structure(name, cfg, k, rng):
 
 def _facts(name, cfg, k, rng):
     sp = _spaces()[name]
-    p = _even_p(cfg, k)
     n = max(10, cfg.trials // 4)
-    if name == "center-quotient":
-        rep = center_q_checks(sp, p, trials=n, seed=cfg.seed + 7 * k, tol=cfg.tol("model_facts"))
-    elif name in ("diag-m2", "projection-orbit"):
-        rep = diag_m2_checks(sp, p, trials=n, seed=cfg.seed + 7 * k, tol=cfg.tol("model_facts"))
-    elif name == "special-diag-m2":
-        rep = special_diag_checks(sp, p, trials=n, seed=cfg.seed + 7 * k)
-    else:
-        info = validate_space(sp, trials=n, seed=cfg.seed + 7 * k)
-        return min(info["c_p"].values())
+    if MODELS[name].facts is None:
+        return min(validate_space(sp, trials=n, seed=cfg.seed + 7 * k)["c_p"].values())
+    rep = model_facts(sp, _even_p(cfg, k), trials=n, seed=cfg.seed + 7 * k, tol=cfg.tol("model_facts"))
     worst = min((c.worst_margin for c in rep.checks), default=math.inf)
     return -1.0 if rep.violations else max(worst, 0.0)
 

@@ -26,12 +26,7 @@ from ncgeo.geometry import (
     quotient_length,
     unitary_distance,
 )
-from ncgeo.models import (
-    build_model_space,
-    center_q_checks,
-    diag_m2_checks,
-    special_diag_checks,
-)
+from ncgeo.models import build_model_space, model_facts
 from ncgeo.projection import SkewSubspace, best_approximant, orthonormal_basis
 from ncgeo.rng import trial_stream
 from ncgeo.serialization import canonical_dumps
@@ -330,14 +325,9 @@ def test_criterion_10_minimality_band(spaces):
 def test_criterion_11_model_space_facts(spaces):
     bad = {}
     for p in (2, 4):
-        rep = center_q_checks(spaces["center-quotient"], p, trials=500, seed=SEED, tol=1e-8)
-        bad[f"center-p{p}"] = rep.violations
-        rep = diag_m2_checks(spaces["diag-m2"], p, trials=500, seed=SEED, tol=1e-8)
-        bad[f"diag-p{p}"] = rep.violations
-        rep = diag_m2_checks(spaces["projection-orbit"], p, trials=500, seed=SEED, tol=1e-8)
-        bad[f"projection-p{p}"] = rep.violations
-        rep = special_diag_checks(spaces["special-diag-m2"], p, trials=500, seed=SEED)
-        bad[f"special-p{p}"] = rep.violations
+        for label, name in (("center", "center-quotient"), ("diag", "diag-m2"), ("projection", "projection-orbit"),
+                            ("special", "special-diag-m2")):
+            bad[f"{label}-p{p}"] = model_facts(spaces[name], p, trials=500, seed=SEED, tol=1e-8).violations
     total = sum(bad.values())
     _report(11, "model-space-facts", total == 0, f"violations by kind: {bad}")
 

@@ -14,12 +14,11 @@ from ncgeo.core import TracialAlgebra, operator_norm, p_norm, unitary_exp
 from ncgeo.geometry import HomSpace, minimal_geodesic, minimality_probe
 from ncgeo.models import (
     MODELS,
+    CheckResult,
     ModelSpec,
     build_model_space,
-    center_q_checks,
     conditional_expectation,
-    diag_m2_checks,
-    special_diag_checks,
+    model_facts,
     validate_space,
 )
 from ncgeo.projection import SkewSubspace, best_approximant, hermitian_best_approximant, quotient_norm
@@ -264,7 +263,7 @@ def test_constants_provenance():
 
 @pytest.mark.parametrize("p", [2, 4])
 def test_center_checks_clean(p):
-    rep = center_q_checks(SPACES["center-quotient"], p, trials=120, seed=5)
+    rep = model_facts(SPACES["center-quotient"], p, trials=120, seed=5)
     assert rep.violations == 0, [c for c in rep.checks if c.violations]
 
 
@@ -304,7 +303,7 @@ def test_center_quotient_unequal_weights_trace():
 @pytest.mark.parametrize("name", ["diag-m2", "projection-orbit"])
 @pytest.mark.parametrize("p", [2, 4])
 def test_diag_checks_clean(name, p):
-    rep = diag_m2_checks(SPACES[name], p, trials=120, seed=6)
+    rep = model_facts(SPACES[name], p, trials=120, seed=6)
     assert rep.violations == 0, [c for c in rep.checks if c.violations]
 
 
@@ -365,8 +364,8 @@ def test_estimate_k_is_one_stacked_solve(newton_stack_sizes):
 
 
 @pytest.mark.parametrize("p", [2, 4])
-def test_special_diag_checks_clean(p):
-    rep = special_diag_checks(SPACES["special-diag-m2"], p, trials=120, seed=7)
+def test_special_diag_facts_clean(p):
+    rep = model_facts(SPACES["special-diag-m2"], p, trials=120, seed=7)
     assert rep.violations == 0, [c for c in rep.checks if c.violations]
     assert rep.ratios["uniform_ratio_max"] > 0.0
 
@@ -399,18 +398,32 @@ def test_special_diag_optimal_shift_scalar_oracle():
 
 
 def test_special_diag_ratios_reported_not_asserted():
-    rep = special_diag_checks(SPACES["special-diag-m2"], 4, trials=60, seed=9)
+    rep = model_facts(SPACES["special-diag-m2"], 4, trials=60, seed=9)
     assert 0.0 < rep.ratios["uniform_ratio_mean"] <= rep.ratios["uniform_ratio_max"]
     assert rep.ratios["uniform_ratio_max"] <= SPACES["special-diag-m2"].k_O(4) + 1e-9
 
 
-def test_checks_reject_wrong_kind():
-    with pytest.raises(ValueError):
-        center_q_checks(SPACES["diag-m2"], 4, trials=2)
-    with pytest.raises(ValueError):
-        diag_m2_checks(SPACES["center-quotient"], 4, trials=2)
-    with pytest.raises(ValueError):
-        special_diag_checks(SPACES["diag-m2"], 4, trials=2)
+def test_model_facts_rejects_a_kind_without_fact_checks():
+    sp = SPACES["partial-isometry-orbit"]
+    with pytest.raises(ValueError, match="'partial-isometry-orbit' has no fact checks"):
+        model_facts(sp, 4, trials=2)
+    bare = HomSpace(sp.ambient, "coset", sp.ambient.identity(), sp.isotropy, 1.0, lambda p: 1.0)
+    with pytest.raises(ValueError, match="model kind '' has no fact checks"):
+        model_facts(bare, 4, trials=2)
+
+
+def test_special_diag_facts_tolerance_only_tightens():
+    # the special-diag-m2 slack is min(tol, 1e-10): a looser tol gives the
+    # 1e-10 report bit for bit, a tighter one lowers the two margins that
+    # carry it and leaves the Q = E agreement margin alone
+    sp = SPACES["special-diag-m2"]
+    at = {tol: model_facts(sp, 4, trials=30, seed=3, tol=tol) for tol in (1e-6, 1e-10, 1e-12)}
+    assert at[1e-6] == at[1e-10]
+    loose, tight = at[1e-10].checks, at[1e-12].checks
+    assert [c.name for c in tight] == ["shifted-difference-inequality", "expectation-contractive-on-patterns",
+                                       "projection-matches-expectation-on-patterns"]
+    assert tight[0].worst_margin < loose[0].worst_margin and tight[1].worst_margin < loose[1].worst_margin
+    assert tight[2] == loose[2] and at[1e-12].ratios == at[1e-10].ratios
 
 
 # ---------------------------------------------------------------------------
@@ -485,10 +498,9 @@ def _loop_validate_space(space, trials, seed):
     return {"c_ratio": worst_c_ratio, "c_p": c_p, "c_width": c_width}
 
 
-def _loop_center_q_checks(space, p, trials, seed, tol=1e-8):
+def _loop_center_facts(space, p, trials, seed, tol=1e-8):
     alg = space.ambient
     rng = np.random.default_rng(seed)
-    rep = models.ModelReport(space.model_kind, p)
     pos_bad = bound_bad = three_bad = jordan_bad = 0
     w_pos, w_bound, w_three, w_jordan = math.inf, math.inf, math.inf, math.inf
     for _ in range(trials):
@@ -518,18 +530,18 @@ def _loop_center_q_checks(space, p, trials, seed, tol=1e-8):
         jordan_bad += margin_j < 0
     one = alg.identity()
     unit_ok = operator_norm(hermitian_best_approximant(one, space.isotropy, p).projection - one) <= 1e-8
-    rep.add("positivity-preserved", trials, pos_bad, w_pos)
-    rep.add("squeeze-0-to-norm", trials, bound_bad, w_bound)
-    rep.add("uniform-bound-3", trials, three_bad, w_three)
-    rep.add("jordan-inequality", trials, jordan_bad, w_jordan)
-    rep.add("unit-fixed", 1, 0 if unit_ok else 1, 0.0)
-    return rep
+    return models.ModelReport(space.model_kind, p, [
+        CheckResult("positivity-preserved", trials, pos_bad, w_pos),
+        CheckResult("squeeze-0-to-norm", trials, bound_bad, w_bound),
+        CheckResult("uniform-bound-3", trials, three_bad, w_three),
+        CheckResult("jordan-inequality", trials, jordan_bad, w_jordan),
+        CheckResult("unit-fixed", 1, 0 if unit_ok else 1, 0.0),
+    ])
 
 
-def _loop_diag_m2_checks(space, p, trials, seed, tol=1e-8):
+def _loop_diag_facts(space, p, trials, seed, tol=1e-8):
     alg = space.ambient
     rng = np.random.default_rng(seed)
-    rep = models.ModelReport(space.model_kind, p)
     trunc_bad = off_bad = 0
     w_trunc, w_off = math.inf, math.inf
     for _ in range(trials):
@@ -547,20 +559,20 @@ def _loop_diag_m2_checks(space, p, trials, seed, tol=1e-8):
     z_off = core.random_skew(alg, rng)
     z_off = z_off - conditional_expectation(z_off, space)
     killed_ok = p_norm(best_approximant(z_off, space.isotropy, p).projection, p, alg) <= 1e-8
-    rep.add("projection-is-truncation", trials, trunc_bad, w_trunc)
-    rep.add("offdiagonal-contraction", trials, off_bad, w_off)
-    rep.add("diagonal-fixed", 1, 0 if fixed_ok else 1, 0.0)
-    rep.add("offdiagonal-annihilated", 1, 0 if killed_ok else 1, 0.0)
-    return rep
+    return models.ModelReport(space.model_kind, p, [
+        CheckResult("projection-is-truncation", trials, trunc_bad, w_trunc),
+        CheckResult("offdiagonal-contraction", trials, off_bad, w_off),
+        CheckResult("diagonal-fixed", 1, 0 if fixed_ok else 1, 0.0),
+        CheckResult("offdiagonal-annihilated", 1, 0 if killed_ok else 1, 0.0),
+    ])
 
 
-def _loop_special_diag_checks(space, p, trials, seed, tol=1e-10):
+def _loop_special_diag_facts(space, p, trials, seed, tol=1e-10):
     alg = space.ambient
     m = alg.dim // 2
     inner = TracialAlgebra.full(m)
     embed = models._embed_blocks
     rng = np.random.default_rng(seed)
-    rep = models.ModelReport(space.model_kind, p)
     ineq_bad = contract_bad = agree_bad = 0
     w_ineq, w_contract, w_agree = math.inf, math.inf, math.inf
     ratios = []
@@ -595,14 +607,14 @@ def _loop_special_diag_checks(space, p, trials, seed, tol=1e-10):
         nz = operator_norm(z)
         if nz > 1e-12:
             ratios.append(operator_norm(best_approximant(z, space.isotropy, p, tol=1e-10).projection) / nz)
-    rep.add("shifted-difference-inequality", trials, ineq_bad, w_ineq)
-    rep.add("expectation-contractive-on-patterns", trials, contract_bad, w_contract)
-    rep.add("projection-matches-expectation-on-patterns", trials, agree_bad, w_agree)
-    rep.ratios = {
+    return models.ModelReport(space.model_kind, p, [
+        CheckResult("shifted-difference-inequality", trials, ineq_bad, w_ineq),
+        CheckResult("expectation-contractive-on-patterns", trials, contract_bad, w_contract),
+        CheckResult("projection-matches-expectation-on-patterns", trials, agree_bad, w_agree),
+    ], {
         "uniform_ratio_max": float(np.max(ratios)) if ratios else 0.0,
         "uniform_ratio_mean": float(np.mean(ratios)) if ratios else 0.0,
-    }
-    return rep
+    })
 
 
 def _same_report(rep, ref):
@@ -613,18 +625,18 @@ def _same_report(rep, ref):
 
 
 _FAMILIES = [
-    (center_q_checks, _loop_center_q_checks, "center-quotient"),
-    (diag_m2_checks, _loop_diag_m2_checks, "diag-m2"),
-    (diag_m2_checks, _loop_diag_m2_checks, "projection-orbit"),
-    (special_diag_checks, _loop_special_diag_checks, "special-diag-m2"),
+    (_loop_center_facts, "center-quotient"),
+    (_loop_diag_facts, "diag-m2"),
+    (_loop_diag_facts, "projection-orbit"),
+    (_loop_special_diag_facts, "special-diag-m2"),
 ]
 
 
-@pytest.mark.parametrize("family, reference, name", _FAMILIES, ids=[f[2] for f in _FAMILIES])
+@pytest.mark.parametrize("reference, name", _FAMILIES, ids=[f[1] for f in _FAMILIES])
 @pytest.mark.parametrize("p", [2, 4, 6])
-def test_check_families_match_per_sample_loops(family, reference, name, p):
+def test_check_families_match_per_sample_loops(reference, name, p):
     for seed, trials in ((0, 0), (1, 1), (2, 13)):
-        _same_report(family(SPACES[name], p, trials=trials, seed=seed), reference(SPACES[name], p, trials, seed))
+        _same_report(model_facts(SPACES[name], p, trials=trials, seed=seed), reference(SPACES[name], p, trials, seed))
 
 
 @pytest.mark.parametrize("name", sorted(SPACES))
@@ -654,11 +666,11 @@ def test_validate_space_makes_one_newton_solve_and_no_norm_per_poll(name, newton
 
 def test_checks_solve_no_sample_in_a_loop():
     # the stacked checks must not slide back into per-sample solves: no for
-    # or while body (nor comprehension) of validate_space or a *_checks
-    # function calls a best-approximant, quotient-norm or single-matrix norm
+    # or while body (nor comprehension) of validate_space or of a kind's
+    # facts verifier calls a best-approximant, quotient-norm or single-matrix norm
     banned = {"best_approximant", "hermitian_best_approximant", "quotient_norm", "p_norm", "operator_norm"}
     tree = ast.parse(inspect.getsource(models))
-    names = {"validate_space", "center_q_checks", "diag_m2_checks", "special_diag_checks"}
+    names = {"validate_space"} | {kind.facts.__name__ for kind in MODELS.values() if kind.facts is not None}
     functions = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name in names]
     assert {f.name for f in functions} == names
     comprehensions = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
