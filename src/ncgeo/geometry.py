@@ -411,23 +411,29 @@ def quotient_distance(space: HomSpace, u: np.ndarray, v: np.ndarray, p, multista
 
 def quotient_distances(space: HomSpace, us: np.ndarray, vs: np.ndarray, p, multistarts: int, seeds) -> list:
     """Coset distances min_{g in G_x} d_p(u, v g) of the pairs (us[i], vs[i])
-    with stationarity certificates (certified at 1e-9), the starts of the
-    i-th seeded by seeds[i].
+    with stationarity certificates, the starts of the i-th seeded by seeds[i].
 
     By bi-invariance of d_p the two-sided infimum over the isotropy group
-    collapses to a right translation of v.  One lockstep run of the
-    damped-Newton loop (``projection._newton``) minimizes f = ||w||_p^p,
-    w = log(u* v g), from every start of every pair: a step moves g to
-    g e^{B(d)}, along which f has first variation (-1)^(p/2) p tau(w^{p-1} b_k)
-    and, at the optimum, Hessian H_w(F(ad w)^{-1} b_j, b_k).  F(ad w)^{-1}
-    exists at every iterate, since the angle gaps of a principal logarithm
-    stay below 2 pi.  Each trial ug is diagonalized once, block by block
+    collapses to a right translation of v.  The damped-Newton loop
+    (``projection._newton``) minimizes f = ||w||_p^p, w = log(u* v g), from
+    every start of every pair in lockstep: a step moves g to g e^{B(d)},
+    along which f has first variation (-1)^(p/2) p tau(w^{p-1} b_k) and, at
+    the optimum, Hessian H_w(F(ad w)^{-1} b_j, b_k).  F(ad w)^{-1} exists at
+    every iterate, since the angle gaps of a principal logarithm stay below
+    2 pi.  Each trial ug is diagonalized once, block by block
     (``Eigenframe.from_unitary``): its angles theta give f = sum_a d_a
     |theta_a|^p, w^{p-1} and the guard ||1 - ug|| = 2 sin(max|theta|/2),
     and its frame is the Hessian's.  A trial within 1e-6 of the cut locus,
-    where the log is not smooth, is halved; a start on it is kept.  Each
-    instance iterates on its own, but its f is one row of a stacked product
-    (``projection._objective``): it may differ from the pair's own run in the last bit.
+    where the log is not smooth, is halved; a start on it is kept.
+
+    For p > 2 every start first runs at p = 2 (one stack, certified at
+    1e-9), and one stack at p starts from those optima (an L^2 warm start).
+    With c = min(||w||_p, 1) there, an instance certifies at
+    1e-9 c^(p-2) max(c, 1e-2), never above 1e-9 and above roundoff (which
+    scales as c^(p-2)), and ``_newton`` gets its Hessian divided by a power
+    of two near c^(p-2), its steps multiplied back: the same Newton step with
+    a damping relative to the Hessian, so small separations converge
+    undamped.  No number of an instance depends on the rows beside it.
 
     Newton stays in the cut-locus cell of its start, so the starts spread
     out: the identity, the isotropy part of log(u* v) undone, and three
@@ -435,9 +441,9 @@ def quotient_distances(space: HomSpace, us: np.ndarray, vs: np.ndarray, p, multi
     point of the coefficient box [-pi, pi]^m and an isotropy direction of
     uniform norm in [0.2 pi, 0.8 pi] (3 multistarts - 4 instances for
     multistarts >= 2), drawn in each pair's rng order and then projected,
-    normed and scaled as one stack.  A pair's answer is its certified
-    instance of lowest f or, when none certifies, its instance of lowest f
-    with its certificate.
+    normed and scaled as one stack.  A pair's answer is its instance of
+    lowest f certified at its own bound or, when none certifies, its
+    instance of lowest f with its certificate.
     """
     p = core._check_even_p(p)
     if not multistarts >= 1:
@@ -472,25 +478,30 @@ def quotient_distances(space: HomSpace, us: np.ndarray, vs: np.ndarray, p, multi
         factor = np.where(nrm > 1e-12, np.array(scales) * math.pi / np.maximum(nrm, 1e-12), 1.0)
         starts[:, 3::2] = G.coords(ys * factor[:, None, None]).reshape(len(bases), -1, m)
     owner = np.repeat(np.arange(len(bases)), per)
+    tol, scale = 1e-9, np.ones(len(owner))  # the p stage sets both per instance
 
     def retract(ids, g, d):
         # one frame per trial; within 1e-6 of the cut locus, ||1 - ug|| = 2 sin(max|theta|/2), its angles are NaN
-        g = g @ Eigenframe(G.combine(d)).exp()  # skew by construction: no argument check
+        g = g @ Eigenframe(G.combine(d / scale[ids, None])).exp()  # skew by construction: no argument check
         frame = Eigenframe.from_unitary(bases[owner[ids]] @ g, alg)
         frame.lam[~(2.0 * np.sin(np.abs(frame.lam).max(axis=-1) / 2.0) < 2.0 - 1e-6)] = np.nan
         return g, frame
 
-    def left(frame, bt):
-        return bt / frame.ad_symbol(core._sym_F)[:, None]
+    def left(ids, frame, bt):
+        return bt / (scale[ids, None, None] * frame.ad_symbol(core._sym_F))[:, None]
 
     g = Eigenframe(G.combine(starts.reshape(-1, m))).exp()
     w = Eigenframe.from_unitary(bases[owner] @ g, alg)
-    g, f, resid, _ = projection._newton(g, w, retract, left, G.onb(), p, alg, 1e-9)
-    out = []
-    for lo in range(0, len(owner), per):
-        k = lo + np.lexsort((f[lo : lo + per], ~(resid[lo : lo + per] <= 1e-9)))[0]
-        out.append(QuotientDistanceResult(max(f[k], 0.0) ** (1.0 / p), g[k], float(resid[k]), per))
-    return out
+    if p > 2:  # from the p = 2 optima, each instance at its own scale c^(p-2)
+        g = projection._newton(g, w, retract, left, G.onb(), 2, alg, tol)[0]
+        w = Eigenframe.from_unitary(bases[owner] @ g, alg)
+        c = np.minimum(np.array(projection._objective(w, p, alg)[0]) ** (1.0 / p), 1.0)
+        tol = 1e-9 * c ** (p - 2) * np.maximum(c, 1e-2)
+        scale = np.exp2(np.rint(np.log2(np.maximum(c ** (p - 2), 1e-300))))  # a power of two: exact
+    g, f, resid, _ = projection._newton(g, w, retract, left, G.onb(), p, alg, tol)
+    bad = ~(resid <= tol)
+    ks = [lo + np.lexsort((f[lo : lo + per], bad[lo : lo + per]))[0] for lo in range(0, len(owner), per)]
+    return [QuotientDistanceResult(max(f[k], 0.0) ** (1.0 / p), g[k], float(resid[k]), per) for k in ks]
 
 
 # ---------------------------------------------------------------------------

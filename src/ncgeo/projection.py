@@ -36,9 +36,9 @@ all instances still iterating.  Each instance keeps its own certificate,
 damping, steepest-descent fallback, Armijo backtracking and trial budget,
 and leaves at one exit, the certificate test (a failed line search moves
 nothing, so it stagnates).  A best approximant's numbers are those of a
-solve on its own; a coset instance's f is one row of a matrix-vector product
-over the stack (``_objective``), so it may differ in the last bit.
-``best_approximant`` is K = 1; the coset distance runs one instance per start.
+solve on its own, and so are a coset instance's: its f is a row-wise sum
+(``_objective``).  ``best_approximant`` is K = 1; the coset distance runs one
+instance per start.
 
 A subspace holds its basis as one array (dim, n, n), orthonormalized by one
 thin QR (``_gram_schmidt``).  Its trace-orthogonal complement F, which
@@ -234,7 +234,8 @@ def _objective(w, p: int, alg: TracialAlgebra):
     stack (K, n, n), as a list, and the stack of w^{p-1}, with no w^p formed; for
     a stacked Eigenframe, f = sum_a d_a lam_a^p and w^{p-1} = V (i lam)^{p-1} V*."""
     if isinstance(w, core.Eigenframe):
-        return (w.lam**p @ w.weights).tolist(), (w.frame * ((1j * w.lam) ** (p - 1))[..., None, :]) @ w.frame.conj().mT
+        f = (w.weights @ (w.lam**p)[..., None])[..., 0]  # row by row, so a row's f does not depend on the stack
+        return f.tolist(), (w.frame * ((1j * w.lam) ** (p - 1))[..., None, :]) @ w.frame.conj().mT
     wp1 = np.linalg.matrix_power(w, p - 1)
     f = (core._diag_weights(alg) @ (wp1 * w.mT).sum(-1)[..., None]).real[..., 0]
     return ((-1) ** (p // 2) * f).tolist(), wp1
@@ -264,7 +265,8 @@ def _descent_steps(hess, grad):
 
 def _newton(state, w, retract, left, onb, p, alg, tol, max_iter=10_000):
     """Damped Newton with Armijo backtracking on f = ||w||_p^p for K
-    instances in lockstep, stacked along the leading axis of ``state`` and ``w``.
+    instances in lockstep, stacked along the leading axis of ``state`` and ``w``;
+    ``tol`` is one certificate bound for all of them or one per instance.
 
     ``retract(ids, state, s)`` returns the ``(state, w)`` of the instances
     ``ids`` (indices into the stack) moved by the steps s, along which f has
@@ -272,7 +274,7 @@ def _newton(state, w, retract, left, onb, p, alg, tol, max_iter=10_000):
     evaluated returns a NaN w, which fails the Armijo test and is halved
     like a rejected one.  w is a stack of residuals or their stacked
     Eigenframe (then also the Hessian's frame).  The Hessian is H_w(l_j, b_k)
-    with l~ = ``left(frame, b~)`` in the stacked eigenframe of w; an unusable
+    with l~ = ``left(ids, frame, b~)`` in the stacked eigenframe of w; an unusable
     Newton direction falls back to steepest descent.  Trials within roundoff
     of the Armijo bound are accepted, so termination rests on the
     certificate.  Each instance keeps its own certificate, damping, line
@@ -288,13 +290,15 @@ def _newton(state, w, retract, left, onb, p, alg, tol, max_iter=10_000):
     K = len(state)
     out_state, out_f, out_resid, out_trials = np.empty_like(state), [0.0] * K, [0.0] * K, [0] * K
     ids, state, w = np.arange(K), state.copy(), w[np.arange(K)]
+    tol = np.broadcast_to(tol, (K,)).tolist()
     (f, wp1), trials = _objective(w, p, alg), [0] * K
     # whether the last line search lowered f by roundoff at most; the certificate before it
     flat, prev = [False] * K, [math.inf] * K
     while len(ids):
         t = core._tau_stack(wp1, onb, alg).real
         resid = np.abs(t).max(axis=1).tolist()
-        going = [r > tol and n < max_iter and not (fl and r >= pr) for r, n, fl, pr in zip(resid, trials, flat, prev)]
+        going = [r > tl and n < max_iter and not (fl and r >= pr)
+                 for r, tl, n, fl, pr in zip(resid, tol, trials, flat, prev)]
         if not all(going):
             gone = [j for j, g in enumerate(going) if not g]
             at = ids[gone]
@@ -305,12 +309,12 @@ def _newton(state, w, retract, left, onb, p, alg, tol, max_iter=10_000):
             if not keep:
                 break
             ids, state, w, wp1, t = ids[keep], state[keep], w[keep], wp1[keep], t[keep]
-            f, trials, resid = [f[j] for j in keep], [trials[j] for j in keep], [resid[j] for j in keep]
+            f, trials, resid, tol = ([x[j] for j in keep] for x in (f, trials, resid, tol))
         prev, flat = resid, [True] * len(ids)
         grad = sign * p * t
         frame = w if isinstance(w, core.Eigenframe) else core.Eigenframe(w, alg)
         bt = frame.transform(onb)
-        hess = frame.h_matrix(left(frame, bt), bt, p)
+        hess = frame.h_matrix(left(ids, frame, bt), bt, p)
         damp = 1e-12 * np.fmax(1.0, hess.trace(0, 1, 2) / len(onb))  # fmax, like max(1.0, x), ignores a NaN
         step, slope = _descent_steps(hess + np.multiply.outer(damp, eye), grad)
         roundoff = [64.0 * _EPS * (abs(fj) + 1.0) for fj in f]
@@ -367,7 +371,7 @@ def _solve(zs: np.ndarray, S: SkewSubspace, p: int, tol: float, max_iter: int = 
         return c, zs[ids] - S.combine(c)
 
     c = S.coords(zs)
-    c, _, resid, trials = _newton(c, zs - S.combine(c), retract, lambda frame, bt: bt, S.onb(), p, S.ambient, tol,
+    c, _, resid, trials = _newton(c, zs - S.combine(c), retract, lambda ids, frame, bt: bt, S.onb(), p, S.ambient, tol,
                                   max_iter)
     return c, resid, trials
 

@@ -569,8 +569,7 @@ def test_python_dash_m_runs_the_cli():
 
 
 def test_import_loads_no_scipy_submodule():
-    # scipy.linalg is the exp-differential record's oracle, loaded by that
-    # trial alone; the Simpson rule is numpy's
+    # the Simpson rule and the exp-differential record's oracle are numpy's
     src = str(Path(ncgeo.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-X", "importtime", "-c", "import ncgeo, ncgeo.cli"],
@@ -579,3 +578,17 @@ def test_import_loads_no_scipy_submodule():
     modules = {line.split("|")[-1].strip() for line in out.stderr.splitlines() if line.startswith("import time:")}
     assert "ncgeo.cli" in modules
     assert not {"scipy.integrate", "scipy.linalg"} & modules
+
+
+def test_core_suite_loads_no_scipy_linalg():
+    # the exp-differential record's expm oracle is a numpy Taylor series, so a
+    # verification run of the core suite never loads scipy.linalg
+    src = str(Path(ncgeo.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys; from ncgeo import suites; "
+            "rep = suites.run_verification_suite(suites.SuiteConfig(trials=1, suites=('core',))); "
+            "print(len(rep.records), 'scipy.linalg' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300)
+    assert out.returncode == 0, out.stderr
+    n, loaded = out.stdout.split()
+    assert int(n) > 0 and loaded == "False"

@@ -400,7 +400,7 @@ def lbfgs_quotient_distance(space, u, v, p, multistarts=6, seed=0, tol=1e-9):
             return g, np.full_like(g, np.nan)
         return g_try[None], principal_log(base @ g_try)[None]
 
-    def left(frame, bt):
+    def left(ids, frame, bt):
         return bt / frame.ad_symbol(core._sym_F)[:, None]
 
     _, f, resid, _ = projection._newton(g[None], principal_log(base @ g)[None], retract, left, G.onb(), p, alg, tol)
@@ -424,22 +424,23 @@ def test_quotient_distance_matches_the_lbfgs_oracle():
 
 
 def test_quotient_distance_is_one_newton_stack(rng, newton_stack_sizes):
-    # every start is one instance of one lockstep Newton solve: the identity,
-    # the undone isotropy part of log(u* v), and three seeded points for each
-    # further start
+    # every start is one instance of one lockstep Newton solve per stage (at
+    # p = 2, then for p > 2 at p from there): the identity, the undone
+    # isotropy part of log(u* v), and three seeded points for each further start
     sp = SPACES["diag-m2"]
     u, v = core.random_unitary(sp.ambient, rng), core.random_unitary(sp.ambient, rng)
     for multistarts, size in ((1, 2), (2, 2), (4, 8), (6, 14)):
-        newton_stack_sizes.clear()
-        qd = quotient_distance(sp, u, v, 4, multistarts=multistarts)
-        assert newton_stack_sizes == [size] and qd.starts == size
+        for p, stages in ((2, 1), (4, 2)):
+            newton_stack_sizes.clear()
+            qd = quotient_distance(sp, u, v, p, multistarts=multistarts)
+            assert newton_stack_sizes == [size] * stages and qd.starts == size
 
 
 @pytest.mark.parametrize("kind", ["center-quotient", "diag-m2", "partial-isometry-orbit", "trivial"])
 def test_quotient_distances_match_per_query_calls(kind, rng, newton_stack_sizes):
-    # the starts of all queries run in one lockstep Newton stack, and each
-    # query gets the value, minimizer, certificate and start count of its own
-    # call, bit for bit
+    # the starts of all queries run in one lockstep Newton stack per stage,
+    # and each query gets the value, minimizer, certificate and start count
+    # of its own call, bit for bit
     sp = _trivial_isotropy_space(M3) if kind == "trivial" else SPACES[kind]
     alg = sp.ambient
     us = np.array([unitary_exp(core.random_skew(alg, rng, s)) for s in (0.3, 0.8, 1.5, 0.8)])
@@ -448,7 +449,7 @@ def test_quotient_distances_match_per_query_calls(kind, rng, newton_stack_sizes)
     for p, multistarts in ((4, 6), (6, 3)):
         newton_stack_sizes.clear()
         batch = quotient_distances(sp, us, vs, p, multistarts=multistarts, seeds=[5, 6, 7, 8])
-        assert newton_stack_sizes == ([] if kind == "trivial" else [4 * (3 * multistarts - 4)])
+        assert newton_stack_sizes == ([] if kind == "trivial" else [4 * (3 * multistarts - 4)] * 2)
         for u, v, seed, res in zip(us, vs, (5, 6, 7, 8), batch):
             ref = quotient_distance(sp, u, v, p, multistarts=multistarts, seed=seed)
             assert res.value == ref.value and np.array_equal(res.g_opt, ref.g_opt)
@@ -457,32 +458,105 @@ def test_quotient_distances_match_per_query_calls(kind, rng, newton_stack_sizes)
         quotient_distances(sp, us, vs, 4, 6, seeds=[1, 2])
 
 
-def _principal_log_route(space, us, vs, p, g0, tol=1e-9):
+@pytest.mark.parametrize("spec", default_model_specs(), ids=lambda spec: spec.kind)
+def test_coset_pairs_are_independent_of_their_stack(spec):
+    # a pair in a stack of pairs at mixed separations (one with u = v) gets
+    # the value and minimizer of its own call, bit for bit: no number of an
+    # instance depends on the other rows of its Newton stack
+    sp = build_model_space(spec)
+    alg, gen = sp.ambient, np.random.default_rng(31)
+    for p in (2, 4, 6):
+        us = np.array([core.random_unitary(alg, gen) for _ in range(6)])
+        vs = np.array([u @ unitary_exp(core.random_skew(alg, gen, s)) for u, s in zip(us, (0, 1e-3, 0.05, 0.3, 0.8, 1.5))])
+        for multistarts in (1, 2, 4, 6):
+            seeds = [10 * p + multistarts + j for j in range(6)]
+            batch = quotient_distances(sp, us, vs, p, multistarts, seeds)
+            for u, v, seed, res in zip(us, vs, seeds, batch):
+                ref = quotient_distance(sp, u, v, p, multistarts=multistarts, seed=seed)
+                assert res.value == ref.value and np.array_equal(res.g_opt, ref.g_opt)
+
+
+@pytest.mark.parametrize("spec", default_model_specs(), ids=lambda spec: spec.kind)
+@pytest.mark.parametrize("p", [4, 6])
+def test_coset_distance_is_exact_at_small_separations(spec, p):
+    # v = e^z g with z a minimal horizontal symbol and g in the isotropy
+    # group: the coset distance of 1 and v is ||z||_p, to 1e-9 relative at
+    # every scale, though ||z||_p^p lies far below the absolute 1e-9
+    sp = build_model_space(spec)
+    alg, iso = sp.ambient, sp.isotropy
+    for size in (1e-3, 1e-2, 1e-1):
+        gen = np.random.default_rng([p, round(-math.log10(size))])
+        z = _minimal_symbol(sp, gen, p)
+        z = z * (size / p_norm(z, p, alg))
+        y = iso.combine(gen.standard_normal(iso.dim))
+        v = unitary_exp(z) @ unitary_exp(y * (0.4 / operator_norm(y)))
+        res = quotient_distance(sp, np.eye(alg.dim), v, p)
+        assert abs(res.value - size) <= 1e-9 * size and res.stationarity_residual <= 1e-9
+
+
+@pytest.mark.parametrize("spec", default_model_specs(), ids=lambda spec: spec.kind)
+def test_coset_trial_budget_at_small_separations(spec, monkeypatch):
+    # from u = v up to a separation of 1e-2, every instance certifies in at
+    # most 6 trials per stage, whatever the scale: the p stage's tol sits
+    # above roundoff, and its Newton steps are undamped at every scale (an
+    # absolute damping made them crawl for up to 10,000 trials at p = 8)
+    sp = build_model_space(spec)
+    alg, iso = sp.ambient, sp.isotropy
+    runs, newton = [], projection._newton
+
+    def spy(state, w, retract, left, onb, p, alg, tol, **kw):
+        runs.append((np.broadcast_to(tol, len(state)), newton(state, w, retract, left, onb, p, alg, tol, **kw)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(projection, "_newton", spy)
+    gen = np.random.default_rng(47)
+    for p in (4, 6, 8):
+        for size in (0.0, 1e-8, 1e-6, 1e-4, 4e-4, 1e-3, 2e-3, 1e-2):
+            u = core.random_unitary(alg, gen)
+            z = sp.horizontal_project(core.random_skew(alg, gen))
+            y = iso.combine(gen.standard_normal(iso.dim))
+            v = u @ unitary_exp(z * (size / p_norm(z, p, alg))) @ unitary_exp(y * (0.4 / operator_norm(y)))
+            runs.clear()
+            res = quotient_distance(sp, u, v, p, multistarts=2)
+            assert len(runs) == 2
+            for tol, (_, _, certificates, trials) in runs:
+                assert np.all(certificates <= tol) and trials.max() <= 6
+            assert res.value <= size * (1 + 1e-12) + 1e-15
+
+
+def _principal_log_route(space, us, vs, p, g0):
     """Coset values by the route of the principal logarithm, as a reference
-    for the eigenframe retract: from the starts g0 (consecutive per pair),
-    each trial's w = principal_log(u* v g) with the cut-locus guard from the
-    operator norm of 1 - u* v g, and the Newton loop's own frame of w and
-    matrix powers for f and w^{p-1}."""
+    for the eigenframe retract: from the starts g0 (consecutive per pair), a
+    p = 2 stage and then a p stage with the per-instance certificate tol and
+    Hessian scale of ``quotient_distances``; each trial's
+    w = principal_log(u* v g) with the cut-locus guard from the operator norm
+    of 1 - u* v g, and the Newton loop's own frame of w and matrix powers for
+    f and w^{p-1}."""
     alg, G = space.ambient, space.isotropy
     bases = us.conj().mT @ vs
     per = len(g0) // len(bases)
     owner = np.repeat(np.arange(len(bases)), per)
+    scale = np.ones(len(owner))
 
     def retract(ids, g, d):
-        g = g @ unitary_exp(G.combine(d))
+        g = g @ unitary_exp(G.combine(d / scale[ids, None]))
         ug = bases[owner[ids]] @ g
         w = principal_log(ug)
         w[~(core._operator_norms(np.eye(alg.dim) - ug) < 2.0 - 1e-6)] = np.nan
         return g, w
 
-    def left(frame, bt):
-        return bt / frame.ad_symbol(core._sym_F)[:, None]
+    def left(ids, frame, bt):
+        return bt / (scale[ids, None, None] * frame.ad_symbol(core._sym_F))[:, None]
 
-    w0 = principal_log(bases[owner] @ g0)
-    _, f, resid, _ = projection._newton(g0, w0, retract, left, G.onb(), p, alg, tol)
+    g = projection._newton(g0, principal_log(bases[owner] @ g0), retract, left, G.onb(), 2, alg, 1e-9)[0]
+    w = principal_log(bases[owner] @ g)
+    c = np.minimum(core._p_norms(w, p, alg), 1.0)
+    tol = 1e-9 * c ** (p - 2) * np.maximum(c, 1e-2)
+    scale = 2.0 ** np.rint(np.log2(np.maximum(c ** (p - 2), 1e-300)))
+    _, f, resid, _ = projection._newton(g, w, retract, left, G.onb(), p, alg, tol)
     values = []
     for lo in range(0, len(owner), per):
-        k = lo + np.lexsort((f[lo : lo + per], ~(resid[lo : lo + per] <= tol)))[0]
+        k = lo + np.lexsort((f[lo : lo + per], ~(resid[lo : lo + per] <= tol[lo : lo + per])))[0]
         values.append(max(f[k], 0.0) ** (1.0 / p))
     return values
 
@@ -567,7 +641,8 @@ def test_one_frame_per_coset_trial(rng, monkeypatch):
     # each trial unitary is diagonalized once (one eigvals and one blockwise
     # frame beside the eigh of its step's exponential), the Newton loop builds
     # no frame of its own, and the only eigvalsh is the one stacked norm of
-    # the seeded start directions
+    # the seeded start directions; at p = 4 the p = 2 stage's last iterates
+    # are diagonalized once more, to start the p stage
     sp = SPACES["center-quotient"]
     alg = sp.ambient
     calls = {"eigvalsh": 0, "eigvals": 0, "eigh": 0, "frames": [], "logs": [], "exps": 0}
@@ -600,12 +675,15 @@ def test_one_frame_per_coset_trial(rng, monkeypatch):
     assert all(r.stationarity_residual <= 1e-9 for r in results)
     assert calls["eigvalsh"] == 1
     # principal_log(u* v) for the starts, then one blockwise log per trial
-    # (the starts' and each line-search trial's), each after one exponential
+    # (the starts', each line-search trial's and the p stage's start), each
+    # after one exponential but the p stage's start
     trials = calls["logs"].count(alg)
-    assert calls["logs"] == [None] + [alg] * trials and calls["exps"] == trials > 1
-    assert calls["frames"] == [None] + [None, alg] * trials
+    assert calls["logs"] == [None] + [alg] * trials and calls["exps"] == trials - 1 > 1
+    frames = calls["frames"]
+    (restart,) = [k for k in range(2, len(frames)) if frames[k - 1] == frames[k] == alg]
+    assert frames[:restart] + frames[restart + 1 :] == [None] + [None, alg] * (trials - 1)
     assert calls["eigvals"] == 1 + trials
-    assert calls["eigh"] == 1 + trials * (1 + len(alg.block_dims))
+    assert calls["eigh"] == trials * (1 + len(alg.block_dims))
 
 
 @pytest.mark.parametrize("kind", ["center-quotient", "diag-m2", "partial-isometry-orbit"])

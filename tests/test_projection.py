@@ -705,7 +705,7 @@ def test_failed_line_search_leaves_through_the_stagnation_test():
             w[ids[live] == 0] = np.nan
             return c, w
 
-        return projection._newton(c0[ids], w0[ids], retract, lambda frame, bt: bt, onb, 4, M3, 1e-10)
+        return projection._newton(c0[ids], w0[ids], retract, lambda ids, frame, bt: bt, onb, 4, M3, 1e-10)
 
     c, f, resid, trials = solve(np.arange(3))
     assert trials.tolist() == [47, 4, 4]
@@ -716,6 +716,45 @@ def test_failed_line_search_leaves_through_the_stagnation_test():
         alone = solve(np.array([k]))
         assert np.array_equal(alone[0][0], c[k]) and alone[1][0] == f[k]
         assert alone[2][0] == resid[k] <= 1e-10 and alone[3][0] == trials[k]
+
+
+def test_newton_takes_one_tol_per_instance():
+    # a scalar tol and an array of it run alike, bit for bit, and an instance
+    # of a stack with one tol per instance runs as it does alone at its tol
+    gen = np.random.default_rng(23)
+    S = _random_subspace(M3, gen, 4)
+    zs = np.array([core.random_skew(M3, gen) for _ in range(3)])
+    onb, c0 = S.onb(), S.coords(zs)
+    w0 = zs - S.combine(c0)
+
+    def solve(ids, tol):
+        def retract(live, c, s):
+            c = c - s
+            return c, zs[ids][live] - S.combine(c)
+
+        return projection._newton(c0[ids], w0[ids], retract, lambda ids, frame, bt: bt, onb, 4, M3, tol)
+
+    for a, b in zip(solve(np.arange(3), 1e-10), solve(np.arange(3), np.full(3, 1e-10))):
+        assert np.array_equal(a, b)
+    tols = np.array([1e-4, 1e-13, 1e-8])
+    stacked = solve(np.arange(3), tols)
+    assert np.all(stacked[2] <= tols)
+    for k in range(3):
+        alone = solve(np.array([k]), float(tols[k]))
+        assert all(np.array_equal(x[k], y[0]) for x, y in zip(stacked, alone))
+
+
+def test_eigenframe_objective_is_row_wise():
+    # f of each frame of a stack is that of the frame alone, bit for bit,
+    # whatever the stack size, so a coset instance's f does not depend on
+    # the rows beside it
+    gen = np.random.default_rng(24)
+    for alg in (M3, TracialAlgebra((2, 2), (0.3, 0.7))):
+        w = np.array([core.random_skew(alg, gen) for _ in range(13)])
+        frame = core.Eigenframe(w, alg)
+        for p in (2, 4, 6):
+            f = projection._objective(frame, p, alg)[0]
+            assert f == [projection._objective(frame[k : k + 1], p, alg)[0][0] for k in range(len(w))]
 
 
 # ---------------------------------------------------------------------------

@@ -34,16 +34,17 @@ def test_horizontal_bijection_trial_with_a_small_complement_residual():
     assert suites.RECORDS[label][1](cfg, 15, trial_stream(cfg.seed, label, 15)) >= 0.0
 
 
-# ROADMAP item 9's guard query; item 9 updates the trial counts when it stops at the guard
+# ROADMAP item 9's guard query: from the p = 2 optima every start certifies,
+# where two starts of a p = 4 run from the starts themselves crawled along the
+# cut-locus guard for 651 and 643 trials
 _GUARD_VALUE = 0.43705553617655984
-_GUARD_CERTIFICATE = 7.172040739078511e-14
-_GUARD_TRIALS = [6, 3, 8, 8, 651, 8, 7, 643, 9, 8, 7, 7, 6, 9]
+_GUARD_CERTIFICATE = 9.367506770274758e-16
+_GUARD_TRIALS = ([1, 0, 1, 1, 2, 1, 1, 2, 2, 1, 1, 1, 2, 2], [3] * 14)
 
 
-def test_coset_guard_query_where_two_starts_crawl(monkeypatch):
-    # center-quotient (3,3) at p = 4: starts 4 and 7 crawl along the cut-locus
-    # guard for about 650 trials each and leave uncertified through the
-    # stagnation test; the other 12 certify in 3-9 trials
+def test_coset_guard_query_certifies_every_start(monkeypatch):
+    # center-quotient (3,3) at p = 4: the p = 2 stage takes 0-2 trials per
+    # start and the p stage 3, and all 14 starts certify at their own tol
     sp = build_model_space(ModelSpec("center-quotient", blocks=(3, 3)))
     alg, iso = sp.ambient, sp.isotropy
     rng = np.random.default_rng(14004)
@@ -52,16 +53,17 @@ def test_coset_guard_query_where_two_starts_crawl(monkeypatch):
     v = core.unitary_exp(z) @ core.unitary_exp(iso.combine(rng.standard_normal(iso.dim)))
     runs, newton = [], projection._newton
 
-    def spy(*args, **kw):
-        runs.append(newton(*args, **kw))
-        return runs[-1]
+    def spy(state, w, retract, left, onb, p, alg, tol, **kw):
+        runs.append((p, np.broadcast_to(tol, len(state)), newton(state, w, retract, left, onb, p, alg, tol, **kw)))
+        return runs[-1][2]
 
     monkeypatch.setattr(projection, "_newton", spy)
     res = geometry.quotient_distance(sp, np.eye(alg.dim), v, 4, multistarts=6, seed=14)
     assert (res.value, res.stationarity_residual, res.starts) == (_GUARD_VALUE, _GUARD_CERTIFICATE, 14)
-    ((_, _, certificates, trials),) = runs
-    assert trials.tolist() == _GUARD_TRIALS
-    assert [k for k, r in enumerate(certificates) if not r <= 1e-9] == [4, 7]
+    assert [p for p, _, _ in runs] == [2, 4]
+    assert tuple(out[3].tolist() for _, _, out in runs) == _GUARD_TRIALS
+    for _, tol, (_, _, certificates, _) in runs:
+        assert np.all(tol <= 1e-9) and np.all(certificates <= tol)
 
 
 def test_lift_of_nodes_whose_chords_fail_the_unitarity_check():

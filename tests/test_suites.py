@@ -1,4 +1,5 @@
-"""The record table of the verification suites: order, replay and pickling."""
+"""The record table of the verification suites: order, replay, pickling
+and the coset Newton work of a report."""
 
 import functools
 import math
@@ -8,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from ncgeo import suites
+from ncgeo import core, projection, suites
 from ncgeo.rng import trial_stream
 from ncgeo.suites import RECORDS, SuiteConfig, run_verification_suite
 
@@ -117,3 +118,38 @@ def test_config_takes_integral_numbers_as_ints():
     cfg = SuiteConfig(seed=np.int64(7), dims=(np.int32(2), 4.0), trials=np.uint8(3))
     assert (cfg.seed, cfg.dims, cfg.trials) == (7, (2, 4), 3)
     assert all(type(x) is int for x in (cfg.seed, *cfg.dims, cfg.trials))
+
+
+def test_taylor_expm_oracle_matches_scipy():
+    # the exp-differential record's oracle on its Van Loan blocks, at the
+    # record's radii and beyond (several squarings), and at zero
+    import scipy.linalg
+
+    gen = np.random.default_rng(20)
+    assert np.array_equal(suites._taylor_expm(np.zeros((4, 4), complex)), np.eye(4))
+    for k in range(60):
+        alg = core.TracialAlgebra.full((2, 4)[k % 2])
+        a, b = (core.random_skew(alg, gen, gen.uniform(0.0, 1.5 + 6 * (k >= 50))) for _ in range(2))
+        x = np.block([[a, b], [np.zeros_like(a), a]])
+        assert core.operator_norm(suites._taylor_expm(x) - scipy.linalg.expm(x)) < 1e-13
+
+
+#: coset Newton trials, summed over the instances, of the one-trial seed-1000
+#: report: 5,511 when every start ran at p from the start itself, 2,451 with
+#: the p = 2 stage first
+_COSET_TRIALS_SEED_1000 = 2451
+
+
+def test_coset_newton_work_of_a_report(monkeypatch):
+    # a count, not a time: the ratchet fails when the coset work grows by 10%
+    counts, newton = [], projection._newton
+
+    def spy(state, w, *args, **kw):
+        out = newton(state, w, *args, **kw)
+        if isinstance(w, core.Eigenframe):  # a coset stack; best approximants iterate on residuals
+            counts.append(int(out[3].sum()))
+        return out
+
+    monkeypatch.setattr(projection, "_newton", spy)
+    assert run_verification_suite(SuiteConfig(seed=1000, trials=1)).passed
+    assert len(counts) > 0 and sum(counts) <= 1.1 * _COSET_TRIALS_SEED_1000
