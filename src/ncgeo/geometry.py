@@ -36,8 +36,7 @@ minimality probes for the local geometry experiments.  Every quotient speed
 is a ``quotient_norm`` of a stack of velocities: the lift solves its nodes
 and chord midpoints in one call, and the minimality probe all the nodes of
 all its competitors in one call.  Lengths integrate by Simpson's rule
-(``_simpson``, scipy's rule in numpy, so importing the package loads no
-scipy submodule).
+(``_simpson``, scipy's rule in numpy; the package imports no scipy).
 """
 
 from __future__ import annotations

@@ -21,24 +21,24 @@ w is the minimal residual if and only if tau(w^{p-1} b_k) = 0 for all k.
 The coset distance in ``geometry`` minimizes ||w||_p^p under the same
 certificate and runs on the same damped Newton + Armijo loop (``_newton``).
 
-Each iterate costs one blockwise eigendecomposition w = V diag(i lam) V*
-(core.Eigenframe); the gradient is one contraction of the stacked basis
-against w^{p-1}, and with b~_j = V* b_j V (one batched transform) and d_a
-the trace weight of eigenvector a the Hessian is one more contraction,
+The gradient is one contraction of the stacked basis against w^{p-1}.  At
+p = 4 a best approximant's Hessian needs no spectrum (``_quartic_hessian``).
+Every other iterate costs one blockwise eigendecomposition w = V diag(i lam)
+V* (core.Eigenframe), and with b~_j = V* b_j V (one batched transform) and
+d_a the trace weight of eigenvector a the Hessian is one more contraction,
 
     hess_jk f = p Re sum_ab d_a gamma_ab b~_j[a, b] conj(b~_k[a, b]),
     gamma_ab = sum_{i=0}^{p-2} lam_a^{p-2-i} lam_b^i.
 
-The loop has a leading stack axis: ``best_approximants`` takes K
-independent inputs (K, n, n) and iterates them in lockstep, with one
-stacked eigendecomposition, Hessian, Newton solve and line-search trial for
-all instances still iterating.  Each instance keeps its own certificate,
-damping, steepest-descent fallback, Armijo backtracking and trial budget,
-and leaves at one exit, the certificate test (a failed line search moves
-nothing, so it stagnates).  A best approximant's numbers are those of a
-solve on its own, and so are a coset instance's: its f is a row-wise sum
-(``_objective``).  ``best_approximant`` is K = 1; the coset distance runs one
-instance per start.
+The loop has a leading stack axis: ``best_approximants`` takes K independent
+inputs (K, n, n) and iterates them in lockstep, with one stacked Hessian,
+Newton solve and line-search trial for all instances still iterating.  Each
+instance keeps its own certificate, damping, steepest-descent fallback, Armijo
+backtracking and trial budget, and leaves at one exit, the certificate test (a
+failed line search moves nothing, so it stagnates).  A best approximant's
+numbers are those of a solve on its own, and so are a coset instance's: its f
+is a row-wise sum (``_objective``).  ``best_approximant`` is K = 1; the coset
+distance runs one instance per start.
 
 A subspace holds its basis as one array (dim, n, n), orthonormalized by one
 thin QR (``_gram_schmidt``).  Its trace-orthogonal complement F, which
@@ -241,6 +241,17 @@ def _objective(w, p: int, alg: TracialAlgebra):
     return ((-1) ** (p // 2) * f).tolist(), wp1
 
 
+def _quartic_hessian(w, onb, alg: TracialAlgebra):
+    """The p = 4 Hessian H_w(b_j, b_k) of each w of a stack (K, n, n), with no
+    spectrum: 4 Re tau(A_j* A_k + A_j A_k + A_j A_k*), A_j = w b_j, as b w = (w b)*
+    for skew b and w (Higham, Functions of Matrices, 2008, section 3.2).  tau is
+    cyclic, so Re tau(A_j* A_k) = Re tau(A_j A_k*): one contraction per instance."""
+    a = w[:, None] @ onb
+    lead, size = a.shape[:2], w.shape[-1] ** 2
+    x = (a * core._diag_weights(alg)[:, None]).reshape(*lead, size)
+    return 4.0 * (x @ (a.mT + 2.0 * a.conj()).reshape(*lead, size).mT).real
+
+
 def _descent_steps(hess, grad):
     """Damped Newton steps -hess^{-1} grad of a stack, each replaced by the
     unit steepest-descent step where it is unusable; returns the steps and
@@ -274,17 +285,18 @@ def _newton(state, w, retract, left, onb, p, alg, tol, max_iter=10_000):
     evaluated returns a NaN w, which fails the Armijo test and is halved
     like a rejected one.  w is a stack of residuals or their stacked
     Eigenframe (then also the Hessian's frame).  The Hessian is H_w(l_j, b_k)
-    with l~ = ``left(ids, frame, b~)`` in the stacked eigenframe of w; an unusable
-    Newton direction falls back to steepest descent.  Trials within roundoff
-    of the Armijo bound are accepted, so termination rests on the
-    certificate.  Each instance keeps its own certificate, damping, line
-    search and budget of ``max_iter`` trials.  It leaves at the one exit, the
-    certificate test, once certified, out of budget or stagnated: its last
-    line search lowered f by roundoff at most or failed (moving nothing), and
-    the certificate did not fall.  The matrix work of the live instances is
-    batched, their scalar bookkeeping per instance.  Returns the stacked
-    ``(state, f, certificate, trials)``; a certificate above tol means the
-    budget ran out or the instance stagnated.
+    with l~ = ``left(ids, frame, b~)`` in the stacked eigenframe of w; a left
+    of None is H_w itself, at p = 4 on residuals ``_quartic_hessian`` with no
+    frame.  An unusable Newton direction falls back to steepest descent.
+    Trials within roundoff of the Armijo bound are accepted, so termination
+    rests on the certificate.  Each instance keeps its own certificate,
+    damping, line search and budget of ``max_iter`` trials.  It leaves at the
+    one exit, the certificate test, once certified, out of budget or
+    stagnated: its last line search lowered f by roundoff at most or failed
+    (moving nothing), and the certificate did not fall.  The matrix work of
+    the live instances is batched, their scalar bookkeeping per instance.
+    Returns the stacked ``(state, f, certificate, trials)``; a certificate
+    above tol means the budget ran out or the instance stagnated.
     """
     sign, eye = (-1) ** (p // 2), np.eye(len(onb))
     K = len(state)
@@ -312,9 +324,12 @@ def _newton(state, w, retract, left, onb, p, alg, tol, max_iter=10_000):
             f, trials, resid, tol = ([x[j] for j in keep] for x in (f, trials, resid, tol))
         prev, flat = resid, [True] * len(ids)
         grad = sign * p * t
-        frame = w if isinstance(w, core.Eigenframe) else core.Eigenframe(w, alg)
-        bt = frame.transform(onb)
-        hess = frame.h_matrix(left(ids, frame, bt), bt, p)
+        if left is None and p == 4 and not isinstance(w, core.Eigenframe):
+            hess = _quartic_hessian(w, onb, alg)
+        else:
+            frame = w if isinstance(w, core.Eigenframe) else core.Eigenframe(w, alg)
+            bt = frame.transform(onb)
+            hess = frame.h_matrix(bt if left is None else left(ids, frame, bt), bt, p)
         damp = 1e-12 * np.fmax(1.0, hess.trace(0, 1, 2) / len(onb))  # fmax, like max(1.0, x), ignores a NaN
         step, slope = _descent_steps(hess + np.multiply.outer(damp, eye), grad)
         roundoff = [64.0 * _EPS * (abs(fj) + 1.0) for fj in f]
@@ -345,17 +360,17 @@ def _newton(state, w, retract, left, onb, p, alg, tol, max_iter=10_000):
     return out_state, np.array(out_f), np.array(out_resid), np.array(out_trials, dtype=int)
 
 
-def _checked_stack(zs, alg: TracialAlgebra) -> np.ndarray:
+def _checked_stack(zs, alg: TracialAlgebra, caller: str = "best_approximant") -> np.ndarray:
     """zs as a complex stack (K, n, n) of skew-Hermitian elements of the
-    algebra; any other input is a ValueError."""
+    algebra; any other input is a ValueError naming the caller."""
     zs = np.asarray(zs, dtype=complex)
     n = alg.dim
     if zs.ndim != 3 or zs.shape[1:] != (n, n):
         raise ValueError(f"best_approximants takes a stack of shape (K, {n}, {n}), got {zs.shape}")
     if not core.is_skew_hermitian(zs, tol=1e-9 * n):
-        raise ValueError("best_approximant requires a skew-Hermitian input")
+        raise ValueError(f"{caller} requires a skew-Hermitian input")
     if not core.in_algebra(zs, alg):
-        raise ValueError("best_approximant requires an element of the algebra (no off-block entries)")
+        raise ValueError(f"{caller} requires an element of the algebra (no off-block entries)")
     return zs
 
 
@@ -371,8 +386,7 @@ def _solve(zs: np.ndarray, S: SkewSubspace, p: int, tol: float, max_iter: int = 
         return c, zs[ids] - S.combine(c)
 
     c = S.coords(zs)
-    c, _, resid, trials = _newton(c, zs - S.combine(c), retract, lambda ids, frame, bt: bt, S.onb(), p, S.ambient, tol,
-                                  max_iter)
+    c, _, resid, trials = _newton(c, zs - S.combine(c), retract, None, S.onb(), p, S.ambient, tol, max_iter)
     return c, resid, trials
 
 
@@ -449,13 +463,18 @@ def hermitian_best_approximant(x: np.ndarray, S: SkewSubspace, p: int, **kw) -> 
 def lifting_certificate(z: np.ndarray, S: SkewSubspace, p: int) -> float:
     """First-order minimality certificate max_k |tau(z^{p-1} b_k)| at z itself.
 
-    Zero exactly when z is its own best residual, i.e. Q(z) = 0.
+    Zero exactly when z is its own best residual, i.e. Q(z) = 0.  z must be
+    one skew-Hermitian element of the algebra; any other input is a ValueError.
     """
     p = core._check_even_p(p)
+    z, n = np.asarray(z, dtype=complex), S.ambient.dim
+    if z.shape != (n, n):
+        raise ValueError(f"lifting_certificate takes one ({n}, {n}) matrix, got shape {z.shape}")
+    z = _checked_stack(z[None], S.ambient, "lifting_certificate")[0]
     onb = S.onb()
     if len(onb) == 0:
         return 0.0
-    wp1 = np.linalg.matrix_power(np.asarray(z, dtype=complex), p - 1)
+    wp1 = np.linalg.matrix_power(z, p - 1)
     return float(np.max(np.abs(core._tau_stack(wp1, onb, S.ambient).real)))
 
 

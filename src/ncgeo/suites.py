@@ -26,7 +26,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy
 
 from . import core
 from .core import TracialAlgebra, operator_norm, p_norm, principal_log, unitary_exp
@@ -240,7 +239,6 @@ def environment_stamp() -> dict:
         "package": "ncgeo 0.1.0",
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "machine": platform.machine(),
     }
 

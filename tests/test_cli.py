@@ -569,7 +569,8 @@ def test_python_dash_m_runs_the_cli():
 
 
 def test_import_loads_no_scipy_submodule():
-    # the Simpson rule and the exp-differential record's oracle are numpy's
+    # the Simpson rule and the exp-differential record's oracle are numpy's,
+    # and the report's environment stamp names no scipy: no scipy module loads
     src = str(Path(ncgeo.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-X", "importtime", "-c", "import ncgeo, ncgeo.cli"],
@@ -577,7 +578,7 @@ def test_import_loads_no_scipy_submodule():
     assert out.returncode == 0
     modules = {line.split("|")[-1].strip() for line in out.stderr.splitlines() if line.startswith("import time:")}
     assert "ncgeo.cli" in modules
-    assert not {"scipy.integrate", "scipy.linalg"} & modules
+    assert not [m for m in modules if m.split(".")[0] == "scipy"]
 
 
 def test_core_suite_loads_no_scipy_linalg():

@@ -624,7 +624,7 @@ def test_no_parameter_that_every_caller_leaves_at_its_default():
 
 #: the line count of src/ncgeo/*.py; a change that has to grow src/ raises it
 #: and says why in CHANGES.md
-_SRC_LINE_BUDGET = 4088
+_SRC_LINE_BUDGET = 4104
 
 
 def test_src_stays_within_its_line_budget():

@@ -44,6 +44,7 @@ from ncgeo.geometry import (
 )
 from ncgeo.models import ModelSpec, build_model_space
 from ncgeo.projection import SkewSubspace, best_approximant, quotient_norm
+from ncgeo.rng import trial_stream
 from ncgeo.suites import default_model_specs
 
 M3 = TracialAlgebra.full(3)
@@ -1186,6 +1187,30 @@ def test_lift_solves_nodes_and_bands_in_one_stacked_call(rng, newton_stack_sizes
     gamma = loop_deformed_exp_curve(core.random_skew(sp.ambient, rng, 0.4), core.random_skew(sp.ambient, rng, 0.3), 0.4)
     epsilon_isometric_lift(gamma, sp, 4, 1e-2)
     assert newton_stack_sizes == [129]
+
+
+#: matrices np.linalg.eigh diagonalizes over the ten lifts below: 5,062 when
+#: every p = 4 Newton iterate diagonalized its residual, 3,200 since the
+#: product-form Hessian (projection._quartic_hessian)
+_LIFT_EIGH_MATRICES = 3_200
+
+
+def test_lift_eigendecompositions_stay_within_their_count(monkeypatch):
+    # the ten configurations of the perfbench `lift` workload, drawn as it
+    # draws them at seed 1 (five default spaces x epsilon 1e-2, 1e-3, p = 4)
+    spaces = [build_model_space(spec) for spec in default_model_specs()]
+    lifts = []
+    for i, (k, eps) in enumerate((k, eps) for eps in (1e-2, 1e-3) for k in range(5)):
+        rng = trial_stream(1, "lift", i)
+        z = core.random_skew(spaces[k].ambient, rng, 0.35)
+        xi = core.random_skew(spaces[k].ambient, rng, 0.3)
+        lifts.append((loop_deformed_exp_curve(z, xi, 0.35, n_nodes=65), spaces[k], eps))
+    matrices, eigh = [0], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw: matrices.append(math.prod(np.shape(a)[:-2]))
+                        or eigh(a, *args, **kw))
+    for curve, sp, eps in lifts:
+        epsilon_isometric_lift(curve, sp, 4, eps)
+    assert sum(matrices) <= _LIFT_EIGH_MATRICES
 
 
 def test_lift_rejects_coarse_grid_for_tiny_epsilon(rng):

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ncgeo import core, projection, suites
+from ncgeo import core, geometry, projection, suites
 from ncgeo.core import TracialAlgebra, operator_norm, p_norm
 from ncgeo.geometry import HomSpace
 from ncgeo.models import ModelSpec, build_model_space, conditional_expectation, validate_space
@@ -463,7 +463,9 @@ def serial_best_approximant(z, S, p, tol=1e-10, max_iter=10_000):
     """The one-instance damped Newton + Armijo loop that best_approximants
     stacks, kept here as its oracle: (coefficients, certificate, trials,
     Newton steps).  It stops on roundoff stagnation: an accepted trial that
-    lowered f by roundoff at most, followed by a certificate that did not fall."""
+    lowered f by roundoff at most, followed by a certificate that did not fall.
+    Its Hessian is the stack's: the product form at p = 4, the eigenframe form
+    otherwise (test_quartic_hessian_is_the_eigenframe_h_form ties the two)."""
     alg, onb, sign = S.ambient, S.onb(), (-1) ** (p // 2)
 
     def objective(w):
@@ -481,9 +483,12 @@ def serial_best_approximant(z, S, p, tol=1e-10, max_iter=10_000):
         prev = resid
         steps += 1
         grad = sign * p * t
-        frame = core.Eigenframe(w, alg)
-        bt = frame.transform(onb)
-        hess = frame.h_matrix(bt, bt, p)
+        if p == 4:
+            hess = projection._quartic_hessian(w[None], onb, alg)[0]
+        else:
+            frame = core.Eigenframe(w, alg)
+            bt = frame.transform(onb)
+            hess = frame.h_matrix(bt, bt, p)
         damp = 1e-12 * max(1.0, float(np.trace(hess)) / len(onb))
         try:
             step = np.linalg.solve(hess + damp * np.eye(len(onb)), -grad)
@@ -558,21 +563,107 @@ def test_best_approximants_match_serial_solves(n, dim, p, rng, monkeypatch):
     assert np.max(np.abs(single.coefficients - c)) <= 1e-12 and single.iterations == trials
 
 
+def _shared_eigenvalue_element(alg, rng):
+    # in M2 (+) M3 the two blocks share the eigenvalue 0.7i, so a full
+    # eigendecomposition could mix them
+    w = np.zeros((5, 5), dtype=complex)
+    for sl, lam in zip(alg.block_slices(), ([0.7, -0.4], [0.7, 0.2, -1.1])):
+        q = core.random_unitary(TracialAlgebra.full(len(lam)), rng)
+        w[sl, sl] = (q * (1j * np.array(lam))) @ q.conj().T
+    return w
+
+
 def test_best_approximants_weighted_shared_eigenvalue(rng):
-    # M2 (+) M3 with weights (0.3, 0.7): the two blocks of w share the
-    # eigenvalue 0.7i, so a full eigendecomposition could mix them
+    # M2 (+) M3 with weights (0.3, 0.7), residuals near a shared eigenvalue
     alg = TracialAlgebra.direct_sum((2, 3), (0.3, 0.7))
     S = _random_subspace(alg, rng, 6)
-    zs = []
-    for _ in range(4):
-        w = np.zeros((5, 5), dtype=complex)
-        for sl, lam in zip(alg.block_slices(), ([0.7, -0.4], [0.7, 0.2, -1.1])):
-            q = core.random_unitary(TracialAlgebra.full(len(lam)), rng)
-            w[sl, sl] = (q * (1j * np.array(lam))) @ q.conj().T
-        zs.append(w + S.combine(0.05 * rng.standard_normal(S.dim)))
+    zs = [_shared_eigenvalue_element(alg, rng) + S.combine(0.05 * rng.standard_normal(S.dim)) for _ in range(4)]
     zs.append(core.random_skew(alg, rng))
     for p in (4, 6):
         _check_against_serial(np.array(zs), S, p)
+
+
+_QUARTIC_ALGEBRAS = [TracialAlgebra.full(n) for n in (2, 3, 4, 8)] + [
+    TracialAlgebra.direct_sum(dims, (0.3, 0.7)) for dims in ((2, 2), (2, 3))]
+
+
+@pytest.mark.parametrize("K", [1, 7])
+@pytest.mark.parametrize("alg", _QUARTIC_ALGEBRAS, ids=lambda a: "+".join(map(str, a.block_dims)))
+def test_quartic_hessian_is_the_eigenframe_h_form(alg, K, rng):
+    # the p = 4 product form against the eigenframe form, the independent
+    # reference, per instance; at K = 1 also against core.h_form entry by entry
+    onb = _random_subspace(alg, rng, min(6, sum(d * d for d in alg.block_dims))).onb()
+    ws = [core.random_skew(alg, rng, scale) for scale in (0.1, 0.5, 1.0, 2.0, 5.0, 1.0, 0.3)[:K]]
+    if alg.block_dims == (2, 3):
+        ws[-1] = _shared_eigenvalue_element(alg, rng)
+    ws = np.array(ws)
+    frame = core.Eigenframe(ws, alg)
+    bt = frame.transform(onb)
+    ref = frame.h_matrix(bt, bt, 4)
+    got = projection._quartic_hessian(ws, onb, alg)
+    assert got.shape == ref.shape == (K, len(onb), len(onb))
+    assert np.all(np.abs(got - ref).max(axis=(1, 2)) <= 1e-13 * np.abs(ref).max(axis=(1, 2)))
+    if K == 1:
+        form = np.array([[core.h_form(ws[0], b, c, 4, alg) for c in onb] for b in onb])
+        assert np.abs(got[0] - form).max() <= 1e-13 * np.abs(form).max()
+
+
+def _eigh_calls(monkeypatch):
+    """The shapes of the arrays np.linalg.eigh is called on from now on."""
+    calls, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw: calls.append(np.shape(a)) or eigh(a, *args, **kw))
+    return calls
+
+
+@pytest.mark.parametrize("K", [1, 129])
+def test_quartic_best_approximants_diagonalize_nothing(K, rng, monkeypatch):
+    # at p = 4 every Newton iterate takes the product-form Hessian; at p = 6
+    # each iterate takes one frame of the rows that pass its certificate test,
+    # which are the rows of the next iterate's one _tau_stack
+    S = _random_subspace(M4, rng, 5)
+    zs = np.array([core.random_skew(M4, rng) for _ in range(K)])
+    calls = _eigh_calls(monkeypatch)
+    res = best_approximants(zs, S, 4)
+    assert calls == [] and res.iterations.min() > 0
+    iterates, tau_stack = [], core._tau_stack
+    monkeypatch.setattr(core, "_tau_stack", lambda x, *a: iterates.append(len(x)) or tau_stack(x, *a))
+    best_approximants(zs, S, 6)
+    assert [shape[0] for shape in calls] == iterates[1:] and len(iterates) > 1
+
+
+#: np.linalg.eigh calls of the coset distance below: its count from before
+#: the product form, whose Hessians all came from eigenframes
+_COSET_EIGH_CALLS = 30
+
+
+def test_quartic_coset_distance_keeps_its_frames(monkeypatch):
+    # the coset's residuals are eigenframes with a left factor: the product
+    # form never serves it, and its eigendecompositions are those of the
+    # eigenframe Hessian (the count before the product form existed)
+    sp = build_model_space(ModelSpec("special-diag-m2", blocks=(2,)))
+    gen = np.random.default_rng(7)
+    u, v = (core.unitary_exp(core.random_skew(sp.ambient, gen, 0.8)) for _ in range(2))
+    monkeypatch.setattr(projection, "_quartic_hessian", None)
+    calls = _eigh_calls(monkeypatch)
+    res = geometry.quotient_distance(sp, u, v, 4)
+    assert res.stationarity_residual <= 1e-9 and len(calls) == _COSET_EIGH_CALLS
+
+
+def test_lifting_certificate_checks_its_input(rng):
+    # a Hermitian z used to read 0.0 ("already minimal") and a wrong shape
+    # raised numpy's broadcast error
+    S = build_model_space(ModelSpec("diag-m2", blocks=(2,))).isotropy
+    with pytest.raises(ValueError, match="lifting_certificate requires a skew-Hermitian input"):
+        projection.lifting_certificate(np.eye(4), S, 4)
+    with pytest.raises(ValueError, match=r"lifting_certificate takes one \(4, 4\) matrix, got shape \(3, 3\)"):
+        projection.lifting_certificate(np.eye(3), S, 4)
+    center = build_model_space(ModelSpec("center-quotient", blocks=(2, 2)))
+    off_block = core.random_skew(center.ambient, rng)
+    off_block[0, 3], off_block[3, 0] = 0.5, -0.5
+    with pytest.raises(ValueError, match="no off-block entries"):
+        projection.lifting_certificate(off_block, center.isotropy, 4)
+    z = core.random_skew(S.ambient, rng)
+    assert projection.lifting_certificate(z - best_approximant(z, S, 4).projection, S, 4) <= 1e-10
 
 
 def test_best_approximants_mixes_zero_and_many_step_instances():
